@@ -167,31 +167,6 @@ pub struct Graph {
     train: bool,
 }
 
-/// Reusable node storage for repeated eval forwards.
-///
-/// A [`Graph`] is single-use, so a serving loop that runs one forward per
-/// request would reallocate the tape's node vector every time. An arena
-/// carries the (cleared) vector across tapes: build the next graph with
-/// [`Graph::eval_with`] and give the storage back with [`Graph::recycle`].
-/// Only the capacity survives recycling — never any values — so forwards
-/// through an arena-backed tape are identical to fresh-graph forwards.
-#[derive(Default)]
-pub struct TapeArena {
-    nodes: Vec<Node>,
-}
-
-impl TapeArena {
-    /// Creates an empty arena; capacity grows on first use.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Current node capacity held for reuse.
-    pub fn capacity(&self) -> usize {
-        self.nodes.capacity()
-    }
-}
-
 impl Default for Graph {
     fn default() -> Self {
         Self::new()
@@ -214,23 +189,6 @@ impl Graph {
             nodes: RefCell::new(Vec::with_capacity(256)),
             train: false,
         }
-    }
-
-    /// Creates an empty eval-mode tape backed by a recycled [`TapeArena`],
-    /// avoiding node-vector reallocation across repeated forwards.
-    pub fn eval_with(arena: TapeArena) -> Self {
-        Self {
-            nodes: RefCell::new(arena.nodes),
-            train: false,
-        }
-    }
-
-    /// Consumes the graph, clearing the tape but keeping its allocation for
-    /// the next [`Graph::eval_with`].
-    pub fn recycle(self) -> TapeArena {
-        let mut nodes = self.nodes.into_inner();
-        nodes.clear();
-        TapeArena { nodes }
     }
 
     /// Whether the graph applies stochastic regularisation.
@@ -769,70 +727,6 @@ mod tests {
         let x = g.param(0, Tensor::from_vec(&[2], vec![3.0, 4.0]));
         let loss = g.sum_all(x);
         assert!(g.backward(loss).all_finite());
-    }
-
-    #[test]
-    fn recycled_arena_keeps_capacity_not_values() {
-        let g = Graph::eval();
-        let x = g.input(Tensor::from_vec(&[4], vec![1.0, 2.0, 3.0, 4.0]));
-        let _ = g.square(x);
-        let cap_before = g.nodes.borrow().capacity();
-        let arena = g.recycle();
-        assert!(arena.capacity() >= cap_before.min(2));
-
-        let g2 = Graph::eval_with(arena);
-        assert!(g2.is_empty(), "recycled tape must start empty");
-        assert!(!g2.is_train());
-        let y = g2.input(Tensor::from_vec(&[2], vec![5.0, 6.0]));
-        let z = g2.scale(y, 2.0);
-        assert_eq!(g2.value(z).data(), &[10.0, 12.0]);
-    }
-
-    /// Property test: one arena threaded through a random sequence of
-    /// shape-changing evals must produce bit-identical results to a fresh
-    /// graph per eval — recycling may reuse capacity but never values.
-    #[test]
-    fn recycled_arena_matches_fresh_eval_over_random_shape_sequences() {
-        use msd_tensor::rng::Rng;
-
-        let forward = |g: &Graph, x: Tensor, w: &Tensor| {
-            let rows = x.shape()[0];
-            let xv = g.input(x);
-            let wv = g.input(w.clone());
-            let h = g.linear(xv, wv, None);
-            let h = g.gelu(h);
-            let y = g.add(h, g.scale(h, -0.5));
-            let p = g.mean_axis(y, 1);
-            let out = g.concat(&[g.reshape(p, &[rows, 1]), y], 1);
-            g.value(out).clone()
-        };
-
-        let mut rng = Rng::seed_from(0xA2E7);
-        let w = Tensor::randn(&[5, 3], 0.7, &mut rng);
-        let mut arena = TapeArena::default();
-        for step in 0..24 {
-            // Random row count 1..=9 drives both tape length and tensor
-            // sizes, so shrinking and growing shapes both get exercised.
-            let rows = 1 + (rng.next_u64() % 9) as usize;
-            let x = Tensor::randn(&[rows, 5], 1.0, &mut rng);
-
-            let recycled = Graph::eval_with(arena);
-            assert!(recycled.is_empty(), "step {step}: recycled tape not empty");
-            let got = forward(&recycled, x.clone(), &w);
-            arena = recycled.recycle();
-
-            let fresh = Graph::eval();
-            let want = forward(&fresh, x, &w);
-
-            assert_eq!(got.shape(), want.shape(), "step {step}: shape drift");
-            for (i, (a, b)) in got.data().iter().zip(want.data()).enumerate() {
-                assert_eq!(
-                    a.to_bits(),
-                    b.to_bits(),
-                    "step {step}: byte mismatch at element {i}"
-                );
-            }
-        }
     }
 
     #[test]

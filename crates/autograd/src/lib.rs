@@ -34,5 +34,5 @@ mod ops_reduce;
 pub mod check;
 pub mod plan;
 
-pub use graph::{Gradients, Graph, ParamId, TapeArena, Var, ALL_OPS};
+pub use graph::{Gradients, Graph, ParamId, Var, ALL_OPS};
 pub use plan::{CompiledPlan, ParamSource, PlanArena, PlanError};

@@ -635,8 +635,8 @@ impl CompiledPlan {
 
     /// Lowers matmul steps onto the int8 kernels wherever the parameter
     /// source carries quantized weights, returning how many steps were
-    /// lowered. Called *after* compilation (which always traces and
-    /// bit-verifies at f32) by callers serving an int8-tier artifact.
+    /// lowered. `msd_nn::Model::compile_plan` calls this for an int8-tier
+    /// store, *after* compilation has traced and bit-verified at f32.
     ///
     /// A step is lowered only when every weight it multiplies by is a
     /// plan parameter with an int8 form of the exact on-tape shape and

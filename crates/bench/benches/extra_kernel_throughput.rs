@@ -17,7 +17,7 @@ use std::time::Instant;
 use msd_harness::{fit, ForecastSource, ModelSpec, TrainConfig};
 use msd_data::{Split, SlidingWindows};
 use msd_mixer::variants::Variant;
-use msd_nn::{ParamStore, Task};
+use msd_nn::{Model, ParamStore, Task};
 use msd_tensor::ops::kernels::{ew, norm, oracle, reduce};
 use msd_tensor::rng::Rng;
 use msd_tensor::Tensor;

@@ -64,10 +64,9 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use http::{
-    json_escape, read_request, response_head, write_response, write_response_throttled, Request,
-    Response,
+    read_request, response_head, write_response, write_response_throttled, Request, Response,
 };
-use msd_serve::{Chaos, ServeConfig};
+use msd_serve::{json_escape, Chaos, ServeConfig};
 
 /// Tuning knobs for [`Gateway::bind`].
 #[derive(Clone, Debug)]

@@ -414,7 +414,7 @@ impl GatewayBenchRow {
              \"failed\":{},\"lost\":{},\"p50_us\":{},\"p95_us\":{},\"p99_us\":{},\
              \"skew_mean_us\":{:.1},\"skew_max_us\":{},\"reanchors\":{},\
              \"attempts\":{},\"retries\":{},\"hedges\":{},\"fault_plan\":\"{}\"}}",
-            self.scenario,
+            msd_serve::json_escape(&self.scenario),
             self.requests,
             self.connections,
             self.offered_rps,
@@ -432,7 +432,7 @@ impl GatewayBenchRow {
             self.attempts,
             self.retries,
             self.hedges,
-            crate::http::json_escape(&self.fault_plan)
+            msd_serve::json_escape(&self.fault_plan)
         );
         s
     }
@@ -493,6 +493,10 @@ mod tests {
         assert!(json.contains("\"attempts\":4"), "{json}");
         assert!(json.contains("\"fault_plan\":"), "{json}");
         assert_eq!(json.matches('{').count(), 1, "{json}");
+
+        // A scenario name with a quote stays one well-formed string field.
+        let quoted = GatewayBenchRow::from_outcome("m\"ix", &spec, &outcome).to_json();
+        assert!(quoted.starts_with("{\"scenario\":\"m\\\"ix\","), "{quoted}");
     }
 
     #[test]

@@ -32,11 +32,10 @@ use std::sync::{Arc, Mutex, RwLock};
 use std::time::{Duration, Instant};
 
 use msd_nn::{DynModel, ParamStore, PrecisionTier};
-use msd_serve::{ServeConfig, ServeError, ServeStats, Server};
+use msd_serve::{json_escape, ServeConfig, ServeError, ServeStats, Server};
 use msd_tensor::Tensor;
 
 use crate::health::{BreakerConfig, BrownoutConfig, ReplicaHealth};
-use crate::http::json_escape;
 use crate::router::route_healthy;
 
 /// Builds one fresh instance of a model: the architecture with its
@@ -91,8 +90,8 @@ impl ReplicaSet {
 /// Everything the gateway reports about one answered prediction.
 #[derive(Debug)]
 pub struct PredictOk {
-    /// The prediction, bit-identical to `Model::predict` on the version's
-    /// parameters.
+    /// The prediction: bit-identical to `Model::predict` on the version's
+    /// parameters at f32/f16, the lowered compiled plan's answer at int8.
     pub y: Tensor,
     /// Version that admitted (and answered) the request.
     pub version: u32,

@@ -9,7 +9,7 @@ use std::time::Duration;
 use msd_gateway::http::Client;
 use msd_gateway::loadgen::{run_tcp_open_loop, TcpLoadSpec, TcpRequest};
 use msd_gateway::router::route;
-use msd_gateway::{wire, Gateway, GatewayConfig, ModelFactory};
+use msd_gateway::{wire, Gateway, GatewayConfig, ModelFactory, Registry};
 use msd_nn::{Ctx, DynModel, Linear, Model, ModelOutput, ParamStore, Task};
 use msd_serve::ServeConfig;
 use msd_tensor::rng::Rng;
@@ -484,8 +484,9 @@ fn tiered_blob(seed: u64, tier: msd_nn::PrecisionTier) -> Vec<u8> {
 
 /// Sequential reference for the Affine version at `seed` served from a
 /// `tier` artifact: predict on the round-tripped store for f32/f16 (plans
-/// are bit-identical to predict), a lowered plan for int8 (bit-identical
-/// across kernel tiers, thread counts, and batch compositions).
+/// are bit-identical to predict), the compiled plan for int8 (which
+/// `compile_plan` lowers; bit-identical across kernel tiers, thread
+/// counts, and batch compositions).
 fn tiered_reference(seed: u64, tier: msd_nn::PrecisionTier, x: &Tensor) -> Tensor {
     let mut store = ParamStore::new();
     let model = Affine::new(&mut store, seed);
@@ -494,12 +495,39 @@ fn tiered_reference(seed: u64, tier: msd_nn::PrecisionTier, x: &Tensor) -> Tenso
         .unwrap();
     match tier {
         msd_nn::PrecisionTier::Int8 => {
-            let mut plan = model.compile_plan(&store, x.shape()).unwrap();
-            assert!(plan.lower_int8(&store) > 0, "affine must lower to int8");
+            let plan = model.compile_plan(&store, x.shape()).unwrap();
+            assert!(plan.int8_steps() > 0, "affine must lower to int8");
             model.predict_plan(&plan, &store, x, &mut msd_autograd::PlanArena::new())
         }
         _ => model.predict(&store, x),
     }
+}
+
+#[test]
+fn int8_swap_on_a_tape_only_registry_fails_and_the_old_version_keeps_serving() {
+    use msd_nn::PrecisionTier;
+
+    let serve = ServeConfig {
+        use_plans: false,
+        ..quick_cfg(2).serve
+    };
+    let registry = Registry::new(serve, 2);
+    registry.register("fc", affine_factory(11), None).unwrap();
+    let err = registry
+        .swap_tiered(
+            "fc",
+            &tiered_blob(31, PrecisionTier::Int8),
+            Some(PrecisionTier::Int8),
+        )
+        .unwrap_err();
+    assert_eq!(err.kind(), std::io::ErrorKind::InvalidInput, "{err}");
+    assert_eq!(registry.version("fc").unwrap(), 1);
+    assert_eq!(registry.tier("fc").unwrap(), PrecisionTier::F32);
+    let x = sample(910);
+    let ok = registry.predict("fc", b"k", x.clone(), None).unwrap();
+    assert_eq!((ok.version, ok.tier), (1, PrecisionTier::F32));
+    assert_bits_equal(&ok.y, &reference_predict(11, &x), "v1 after the refused swap");
+    registry.shutdown();
 }
 
 #[test]

@@ -339,9 +339,9 @@ fn run_plan_dump() {
         };
         print!("{}", plan.describe());
 
-        // The same architecture served from an int8 artifact: quantize,
-        // reload, and lower — the dump now tags each lowered step's kernel
-        // precision.
+        // The same architecture served from an int8 artifact: quantize and
+        // reload; `compile_plan` lowers the plan, and the dump tags each
+        // lowered step's kernel precision.
         let bytes = ArtifactWriter::new(PrecisionTier::Int8)
             .encode(&store)
             .expect("fresh weights are finite");
@@ -352,11 +352,11 @@ fn run_plan_dump() {
             .and_then(|r| r.load_into(&mut qstore))
             .expect("int8 round trip");
         match model.compile_plan(&qstore, &[1, channels, input_len]) {
-            Ok(mut plan) => {
-                let lowered = plan.lower_int8(&qstore);
+            Ok(plan) => {
                 println!(
-                    "-- artifact tier: {} ({lowered}/{} steps lowered)",
+                    "-- artifact tier: {} ({}/{} steps lowered)",
                     qstore.tier(),
+                    plan.int8_steps(),
                     plan.steps()
                 );
                 print!("{}", plan.describe());

@@ -96,8 +96,8 @@ fn serve_tier(
         .iter()
         .map(|x| match tier {
             PrecisionTier::Int8 => {
-                let mut plan = model.compile_plan(&store, x.shape()).expect("compile");
-                assert!(plan.lower_int8(&store) > 0, "{}: nothing lowered", spec.name());
+                let plan = model.compile_plan(&store, x.shape()).expect("compile");
+                assert!(plan.int8_steps() > 0, "{}: nothing lowered", spec.name());
                 model.predict_plan(&plan, &store, x, &mut arena)
             }
             _ => model.predict(&store, x),

@@ -134,7 +134,8 @@ impl DemoModel {
     /// round-tripped through a real artifact at that tier — exactly the
     /// bytes [`DemoModel::params`] produces — so both processes dequantize
     /// identically. For f32/f16 the reference is plain `predict` (compiled
-    /// plans are bit-identical to it); for int8 it is a lowered plan, valid
+    /// plans are bit-identical to it); for int8 it is the compiled plan,
+    /// which `compile_plan` lowers onto the int8 kernels — valid
     /// cross-process because the int8 path is bit-identical across kernel
     /// tiers, thread counts, and batch compositions (integer accumulation).
     pub fn reference_tiered(&self, version: u32, tier: PrecisionTier, x: &Tensor) -> Tensor {
@@ -146,10 +147,9 @@ impl DemoModel {
         match tier {
             PrecisionTier::F32 | PrecisionTier::F16 => model.predict(&store, x),
             PrecisionTier::Int8 => {
-                let mut plan = model
+                let plan = model
                     .compile_plan(&store, x.shape())
                     .expect("demo models compile");
-                plan.lower_int8(&store);
                 model.predict_plan(&plan, &store, x, &mut PlanArena::new())
             }
         }

@@ -200,12 +200,6 @@ impl AnyModel {
     pub fn predict(&self, store: &ParamStore, x: &Tensor) -> Tensor {
         self.as_model().predict(store, x)
     }
-
-    /// Batched eval-mode inference over per-sample inputs (each `[1, C, L]`),
-    /// bit-identical to per-sample [`AnyModel::predict`] calls.
-    pub fn predict_batch(&self, store: &ParamStore, xs: &[Tensor]) -> Vec<Tensor> {
-        self.as_model().predict_batch(store, xs)
-    }
 }
 
 impl Model for AnyModel {

@@ -14,8 +14,11 @@
 //! printed digests into the constants below — the failure message includes
 //! the full per-epoch loss bits to make the diff reviewable.
 //!
-//! One `#[test]` per task on purpose: they mutate process-wide env vars, so
-//! each sweep runs sequentially within a single test.
+//! Each sweep mutates the process-wide `MSD_NUM_THREADS` and
+//! `MSD_KERNEL_FORCE`, and the test harness runs the two `#[test]`s on
+//! parallel threads, so every [`check_golden`] call holds a file-local lock:
+//! one test's `(1, scalar)` leg can never run under the other's
+//! `(4, auto)` settings, nor restore the other's values.
 
 use msd_data::{classification_datasets, ClassSpec, Split, SlidingWindows};
 use msd_harness::{fit, ClassifySource, ForecastSource, ModelSpec, TrainConfig};
@@ -23,6 +26,11 @@ use msd_mixer::variants::Variant;
 use msd_nn::{ParamStore, Task};
 use msd_tensor::rng::Rng;
 use msd_tensor::Tensor;
+
+/// Serializes the env mutations of [`check_golden`] across the test
+/// threads. Poison-tolerant: a failed digest in one test must not turn the
+/// other into a lock panic.
+static ENV_LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
 
 /// Blessed digest of the forecasting run's loss curves.
 const GOLDEN_FORECAST: u64 = 0x8982_c0bb_8faf_e690;
@@ -50,6 +58,7 @@ fn bits_of(curve: &[f32]) -> Vec<String> {
 /// Runs `run` under two (threads, kernel-force) environments, asserts both
 /// digests match each other and the blessed constant.
 fn check_golden(name: &str, golden: u64, run: impl Fn() -> (Vec<f32>, Vec<f32>)) {
+    let _env = ENV_LOCK.lock().unwrap_or_else(|p| p.into_inner());
     let saved_threads = std::env::var("MSD_NUM_THREADS").ok();
     let saved_force = std::env::var("MSD_KERNEL_FORCE").ok();
 

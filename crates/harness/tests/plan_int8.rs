@@ -1,9 +1,9 @@
-//! The int8-lowering gate: for every task-general model, a compiled plan
-//! lowered onto the int8 kernels (`CompiledPlan::lower_int8`) must be
-//! bit-identical across every `MSD_KERNEL_FORCE` tier, every
-//! `MSD_NUM_THREADS` setting, and every batch composition — integer
-//! accumulation is order-exact and the dequant epilogue is a fixed scalar
-//! sequence, so the lowered path has *no* tier- or thread-dependent
+//! The int8-lowering gate: for every task-general model, the plan
+//! `Model::compile_plan` returns for an int8-tier store (lowered onto the
+//! int8 kernels) must be bit-identical across every `MSD_KERNEL_FORCE`
+//! tier, every `MSD_NUM_THREADS` setting, and every batch composition —
+//! integer accumulation is order-exact and the dequant epilogue is a fixed
+//! scalar sequence, so the lowered path has *no* tier- or thread-dependent
 //! numerics to tolerate.
 //!
 //! The store under test is a genuine int8-tier artifact round trip
@@ -80,15 +80,17 @@ fn lowered_plans_bit_identical_across_tiers_threads_and_batches() {
             .map(|_| Tensor::randn(&[1, channels, input_len], 1.0, &mut rng))
             .collect();
 
-        // Compile (verified at f32 against the dequantized store), then
-        // lower as the explicit post-compile step serving performs.
+        // `compile_plan` verifies at f32 against the dequantized store, then
+        // lowers because the store is int8-tier — the plan serving runs.
         let compile_lowered = |shape: &[usize]| {
-            let mut plan = model
+            let plan = model
                 .compile_plan(&store, shape)
                 .unwrap_or_else(|e| panic!("{}: compile failed: {e}", spec.name()));
-            let n = plan.lower_int8(&store);
-            assert!(n > 0, "{}: no steps lowered to int8", spec.name());
-            assert_eq!(plan.int8_steps(), n, "{}", spec.name());
+            assert!(
+                plan.int8_steps() > 0,
+                "{}: no steps lowered to int8",
+                spec.name()
+            );
             assert!(
                 plan.describe().contains("[int8]"),
                 "{}: describe() must surface per-step precision:\n{}",
@@ -110,19 +112,40 @@ fn lowered_plans_bit_identical_across_tiers_threads_and_batches() {
 
         // Lowered answers must differ from pure-f32 answers somewhere —
         // otherwise this gate is vacuously comparing the f32 path to
-        // itself (e.g. lowering silently not engaging).
+        // itself (e.g. lowering silently not engaging). The unlowered
+        // baseline compiles from an f32-tier twin holding the same
+        // (dequantized) values, so the tier is the only difference.
         {
-            let mut unlowered = model.compile_plan(&store, &[1, channels, input_len]).unwrap();
+            let mut twin = ParamStore::new();
+            spec.build(
+                &mut twin,
+                &mut Rng::seed_from(37),
+                channels,
+                input_len,
+                Task::Forecast { horizon },
+                d_model,
+            );
+            twin.load_values(&store.snapshot());
+            assert_eq!(twin.tier(), PrecisionTier::F32);
+            let mut unlowered = model
+                .compile_plan(&twin, &[1, channels, input_len])
+                .unwrap();
             assert_eq!(unlowered.int8_steps(), 0);
-            let f32_out = model.predict_plan(&unlowered, &store, &samples[0], &mut arena);
+            let f32_out = model.predict_plan(&unlowered, &twin, &samples[0], &mut arena);
             let differs = f32_out
                 .data()
                 .iter()
                 .zip(reference[0].data())
                 .any(|(a, b)| a.to_bits() != b.to_bits());
             assert!(differs, "{}: int8 lowering had no numeric effect", spec.name());
-            // (lower_int8 on a fresh plan gives back the lowered answers)
-            unlowered.lower_int8(&store);
+            // (lowering the f32 plan onto the int8 store's weights gives
+            // back compile_plan's lowering and its answers)
+            assert_eq!(
+                unlowered.lower_int8(&store),
+                plan.int8_steps(),
+                "{}",
+                spec.name()
+            );
             let relowered = model.predict_plan(&unlowered, &store, &samples[0], &mut arena);
             assert_bits_equal(&relowered, &reference[0], spec.name());
         }

@@ -14,7 +14,7 @@
 //! single test.
 
 use msd_harness::ModelSpec;
-use msd_nn::{ParamStore, Task};
+use msd_nn::{Model, ParamStore, Task};
 use msd_tensor::rng::Rng;
 use msd_tensor::Tensor;
 

@@ -105,9 +105,9 @@ fn predict_tiered(
     assert_eq!(qstore.tier(), tier);
     match tier {
         PrecisionTier::Int8 => {
-            let mut plan = model.compile_plan(&qstore, x.shape()).unwrap();
+            let plan = model.compile_plan(&qstore, x.shape()).unwrap();
             assert!(
-                plan.lower_int8(&qstore) > 0,
+                plan.int8_steps() > 0,
                 "{}: no steps lowered to int8",
                 spec.name()
             );

@@ -37,7 +37,7 @@ pub use artifact::{ArtifactReader, ArtifactWriter, PrecisionTier};
 pub use ctx::Ctx;
 pub use init::{kaiming_normal, xavier_uniform};
 pub use layers::{LayerNorm, Linear, MlpBlock};
-pub use model::{default_task_loss, DynModel, EvalScratch, Model, ModelOutput, Target};
+pub use model::{default_task_loss, DynModel, Model, ModelOutput, Target};
 pub use optim::{Adam, AdamConfig, OptimState, Optimizer, Sgd};
 pub use params::ParamStore;
 pub use schedule::LrSchedule;

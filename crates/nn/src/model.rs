@@ -4,14 +4,15 @@
 //! zoo; the harness dispatched over them with per-family `match` arms and the
 //! serving runtime would have needed one more copy. [`Model`] collapses that
 //! to a single object-safe trait: a forward pass producing a [`ModelOutput`],
-//! a default task loss derived from the model's [`Task`], and batched
-//! inference helpers (`predict_batch*`) whose outputs are **bit-identical**
-//! to per-sample [`Model::predict`] calls — the property the serving runtime
-//! is gated on.
+//! a default task loss derived from the model's [`Task`], batched inference
+//! ([`Model::predict_batch`]) whose outputs are **bit-identical** to
+//! per-sample [`Model::predict`] calls — the property the serving runtime
+//! is gated on — and compiled plans ([`Model::compile_plan`]) that serve
+//! every precision tier.
 
-use crate::{Ctx, ParamStore, Task};
+use crate::{Ctx, ParamStore, PrecisionTier, Task};
 use msd_autograd::plan::{CompiledPlan, PlanArena, PlanError};
-use msd_autograd::{Graph, TapeArena, Var};
+use msd_autograd::{Graph, Var};
 use msd_tensor::rng::Rng;
 use msd_tensor::Tensor;
 
@@ -58,24 +59,6 @@ impl ModelOutput {
             components: Vec::new(),
             residual: None,
         }
-    }
-}
-
-/// Reusable per-worker eval state: the recycled tape arena that lets
-/// repeated [`Model::predict_with`] calls skip node-vector reallocation.
-///
-/// Holding one `EvalScratch` per serving worker (never shared) keeps the
-/// hot path allocation-light without changing any numerics: an arena-backed
-/// tape starts empty, so forwards are bit-identical to fresh-graph ones.
-#[derive(Default)]
-pub struct EvalScratch {
-    arena: Option<TapeArena>,
-}
-
-impl EvalScratch {
-    /// Creates empty scratch; capacity grows on first use.
-    pub fn new() -> Self {
-        Self::default()
     }
 }
 
@@ -131,20 +114,13 @@ pub trait Model {
     }
 
     /// Runs an eval-mode forward pass and returns the prediction tensor.
+    ///
+    /// The tape always computes in f32 on the store's (dequantized) values;
+    /// only [`Model::compile_plan`] serves the int8 tier.
     fn predict(&self, store: &ParamStore, x: &Tensor) -> Tensor {
         let g = Graph::eval();
         let pred = eval_forward(self, &g, store, x);
         g.value(pred)
-    }
-
-    /// [`Model::predict`] reusing `scratch`'s tape arena across calls.
-    /// Bit-identical to `predict`; only the allocation behaviour differs.
-    fn predict_with(&self, scratch: &mut EvalScratch, store: &ParamStore, x: &Tensor) -> Tensor {
-        let g = Graph::eval_with(scratch.arena.take().unwrap_or_default());
-        let pred = eval_forward(self, &g, store, x);
-        let out = g.value(pred);
-        scratch.arena = Some(g.recycle());
-        out
     }
 
     /// Batched inference: packs per-sample inputs (each `[1, C, L]`) into
@@ -159,21 +135,18 @@ pub trait Model {
     /// # Panics
     /// Panics if `xs` is empty or the samples disagree on shape.
     fn predict_batch(&self, store: &ParamStore, xs: &[Tensor]) -> Vec<Tensor> {
-        let g = Graph::eval();
-        batched_eval_forward(self, &g, store, xs)
-    }
-
-    /// [`Model::predict_batch`] reusing `scratch`'s tape arena across calls.
-    fn predict_batch_with(
-        &self,
-        scratch: &mut EvalScratch,
-        store: &ParamStore,
-        xs: &[Tensor],
-    ) -> Vec<Tensor> {
-        let g = Graph::eval_with(scratch.arena.take().unwrap_or_default());
-        let out = batched_eval_forward(self, &g, store, xs);
-        scratch.arena = Some(g.recycle());
-        out
+        assert!(!xs.is_empty(), "predict_batch of zero samples");
+        for x in xs {
+            assert!(
+                x.ndim() >= 1 && x.shape()[0] == 1,
+                "predict_batch samples must have a leading batch axis of 1, got {:?}",
+                x.shape()
+            );
+            assert_eq!(x.shape(), xs[0].shape(), "predict_batch shape mismatch");
+        }
+        let packed = Tensor::concat(&xs.iter().collect::<Vec<_>>(), 0);
+        let full = self.predict(store, &packed);
+        (0..xs.len()).map(|i| full.narrow(0, i, 1)).collect()
     }
 
     /// The input-derived tensors the model's eval forward feeds into its
@@ -202,6 +175,11 @@ pub trait Model {
     /// compiles is already proven bit-identical on three inputs before the
     /// caller ever uses it. Any failure returns a typed [`PlanError`]; no
     /// error path can yield a plan with wrong numerics.
+    ///
+    /// The plan owns the store's precision tier: for an int8-tier store the
+    /// verified f32 plan is then lowered onto the int8 kernels
+    /// ([`CompiledPlan::lower_int8`]), so its answers are the int8 tier's,
+    /// not `predict`'s.
     fn compile_plan(
         &self,
         store: &ParamStore,
@@ -216,7 +194,7 @@ pub trait Model {
         let oa = eval_forward(self, &ga, store, &xa);
         let gb = Graph::eval();
         let ob = eval_forward(self, &gb, store, &xb);
-        let plan = CompiledPlan::from_traces(
+        let mut plan = CompiledPlan::from_traces(
             &ga,
             oa,
             &gb,
@@ -243,11 +221,15 @@ pub trait Model {
                 )));
             }
         }
+        if store.tier() == PrecisionTier::Int8 {
+            plan.lower_int8(store);
+        }
         Ok(plan)
     }
 
-    /// Runs a plan compiled by [`Model::compile_plan`] on `x`. Bit-identical
-    /// to [`Model::predict`] for the shape the plan was compiled for.
+    /// Runs a plan compiled by [`Model::compile_plan`] on `x`. For f32 and
+    /// f16 stores it is bit-identical to [`Model::predict`] for the shape
+    /// the plan was compiled for.
     fn predict_plan(
         &self,
         plan: &CompiledPlan,
@@ -298,27 +280,6 @@ fn eval_forward<M: Model + ?Sized>(
     let mut rng = Rng::seed_from(0);
     let ctx = Ctx::new(g, store, &mut rng);
     model.forward(&ctx, x).pred
-}
-
-fn batched_eval_forward<M: Model + ?Sized>(
-    model: &M,
-    g: &Graph,
-    store: &ParamStore,
-    xs: &[Tensor],
-) -> Vec<Tensor> {
-    assert!(!xs.is_empty(), "predict_batch of zero samples");
-    for x in xs {
-        assert!(
-            x.ndim() >= 1 && x.shape()[0] == 1,
-            "predict_batch samples must have a leading batch axis of 1, got {:?}",
-            x.shape()
-        );
-        assert_eq!(x.shape(), xs[0].shape(), "predict_batch shape mismatch");
-    }
-    let packed = Tensor::concat(&xs.iter().collect::<Vec<_>>(), 0);
-    let pred = eval_forward(model, g, store, &packed);
-    let full = g.value(pred);
-    (0..xs.len()).map(|i| full.narrow(0, i, 1)).collect()
 }
 
 #[cfg(test)]
@@ -375,24 +336,6 @@ mod tests {
             let seq = toy.predict(&store, x);
             assert_eq!(seq.shape(), b.shape());
             assert_eq!(seq.data(), b.data(), "batched != sequential bits");
-        }
-    }
-
-    #[test]
-    fn predict_with_scratch_matches_fresh_graph() {
-        let mut store = ParamStore::new();
-        let toy = Toy::new(&mut store);
-        let mut scratch = EvalScratch::new();
-        for i in 0..3 {
-            let x = sample(200 + i);
-            let fresh = toy.predict(&store, &x);
-            let reused = toy.predict_with(&mut scratch, &store, &x);
-            assert_eq!(fresh.data(), reused.data());
-        }
-        let xs: Vec<Tensor> = (0..4).map(|i| sample(300 + i)).collect();
-        let batched = toy.predict_batch_with(&mut scratch, &store, &xs);
-        for (x, b) in xs.iter().zip(&batched) {
-            assert_eq!(toy.predict(&store, x).data(), b.data());
         }
     }
 

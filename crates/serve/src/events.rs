@@ -78,7 +78,9 @@ impl ServeEvent {
     }
 }
 
-fn json_escape(raw: &str) -> String {
+/// Escapes `raw` for inclusion inside a JSON string literal. The one
+/// escaper every hand-built JSON line in the workspace uses.
+pub fn json_escape(raw: &str) -> String {
     let mut out = String::with_capacity(raw.len());
     for c in raw.chars() {
         match c {

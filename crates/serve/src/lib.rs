@@ -10,12 +10,15 @@
 //!
 //! The design contract, in order of importance:
 //!
-//! 1. **Bit-identity** — a batched answer is the *exact* bytes the caller
-//!    would get from a sequential [`msd_nn::Model::predict`] call, for
-//!    every batch composition. This holds because the tensor kernels
-//!    accumulate each output element in a fixed order independent of the
-//!    batch extent, and eval-mode forwards are deterministic, so batching
-//!    is purely a throughput optimisation, never an accuracy trade.
+//! 1. **Bit-identity** — for an f32 or f16 store, a batched answer is the
+//!    *exact* bytes the caller would get from a sequential
+//!    [`msd_nn::Model::predict`] call, for every batch composition. This
+//!    holds because the tensor kernels accumulate each output element in a
+//!    fixed order independent of the batch extent, and eval-mode forwards
+//!    are deterministic, so batching is purely a throughput optimisation,
+//!    never an accuracy trade. An int8-tier store is answered only by its
+//!    compiled plan ([`msd_nn::Model::compile_plan`] lowers it onto the
+//!    int8 kernels), whose answers are just as batch-invariant.
 //! 2. **No lost requests** — every admitted request receives exactly one
 //!    response, even when a worker panics mid-batch (the panic is caught
 //!    and surfaced as [`ServeError::Internal`] to that batch's callers)
@@ -34,10 +37,9 @@
 //! ```
 //!
 //! The batcher is a single thread, so batch composition is deterministic
-//! given an arrival order. Workers each own an [`msd_nn::EvalScratch`] so
-//! repeated forwards reuse tape allocations. Counters ([`ServeStats`]) are
-//! always on; JSONL telemetry ([`ServeEvent`]) is opt-in via
-//! [`ServeConfig::events_path`] and mirrors the training telemetry schema.
+//! given an arrival order. Counters ([`ServeStats`]) are always on; JSONL
+//! telemetry ([`ServeEvent`]) is opt-in via [`ServeConfig::events_path`]
+//! and mirrors the training telemetry schema.
 
 pub mod chaos;
 mod events;
@@ -45,7 +47,7 @@ pub mod loadgen;
 mod stats;
 
 pub use chaos::{Chaos, FaultPlan, FaultPoint};
-pub use events::ServeEvent;
+pub use events::{json_escape, ServeEvent};
 pub use stats::{percentile, ServeStats};
 
 use std::collections::HashMap;
@@ -58,7 +60,7 @@ use std::time::{Duration, Instant};
 
 use events::EventSink;
 use msd_autograd::{CompiledPlan, PlanArena};
-use msd_nn::{EvalScratch, Model, ParamStore};
+use msd_nn::{Model, ParamStore, PrecisionTier};
 use msd_tensor::Tensor;
 use stats::StatsInner;
 
@@ -87,9 +89,10 @@ pub struct ServeConfig {
     pub events_path: Option<PathBuf>,
     /// Evaluate batches through compiled inference plans
     /// ([`msd_nn::Model::compile_plan`]), falling back to tape eval for any
-    /// shape whose compile fails. On by default; `MSD_PLAN=off` (or `0`)
-    /// overrides this to `false` at [`Server::start`] without a rebuild.
-    /// Answers are bit-identical either way — plans only change latency.
+    /// shape whose compile fails. On by default. For f32 and f16 stores
+    /// answers are bit-identical either way — plans only change latency.
+    /// An int8-tier store runs only on plans: [`Server::start`] refuses it
+    /// with this off, and an int8 batch whose plan cannot compile fails.
     pub use_plans: bool,
     /// Default per-request deadline applied at admission when the caller
     /// does not pass one to [`Server::submit_with_deadline`]. `None` (the
@@ -136,13 +139,6 @@ impl ServeConfig {
     }
 }
 
-/// Whether `MSD_PLAN` disables compiled plans for this process.
-fn plan_env_off() -> bool {
-    std::env::var("MSD_PLAN")
-        .map(|v| v.eq_ignore_ascii_case("off") || v == "0")
-        .unwrap_or(false)
-}
-
 /// Why the runtime could not (or will not) answer a request.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum ServeError {
@@ -153,8 +149,9 @@ pub enum ServeError {
     /// The runtime dropped the response channel without answering. This is
     /// a bug guard; the drain invariant means callers should never see it.
     Canceled,
-    /// A worker panicked while evaluating the batch containing this
-    /// request; the payload is the panic message.
+    /// A worker could not evaluate the batch containing this request: it
+    /// panicked, or an int8-tier batch had no compiled plan. The payload
+    /// says why.
     Internal(String),
     /// The request's deadline passed before a worker evaluated it; it was
     /// shed without running the model. Maps to HTTP 504 at the gateway.
@@ -248,12 +245,20 @@ impl Server {
     /// Spawns the batcher and worker threads and starts serving `model`
     /// with the (frozen) parameters in `store`.
     ///
-    /// Fails only if `cfg.events_path` cannot be opened for appending.
+    /// Fails with `InvalidInput` for an int8-tier store with
+    /// `cfg.use_plans` off (the tape cannot answer at int8), and otherwise
+    /// only if `cfg.events_path` cannot be opened for appending.
     pub fn start(
         model: impl Model + Send + Sync + 'static,
         store: ParamStore,
         cfg: ServeConfig,
     ) -> std::io::Result<Server> {
+        if !cfg.use_plans && store.tier() == PrecisionTier::Int8 {
+            return Err(std::io::Error::new(
+                std::io::ErrorKind::InvalidInput,
+                "an int8-tier store is served only through compiled plans (use_plans is off)",
+            ));
+        }
         let max_batch = cfg.max_batch.max(1);
         let workers = cfg.workers.max(1);
         let events = match &cfg.events_path {
@@ -283,7 +288,7 @@ impl Server {
                 .spawn(move || batcher_loop(intake_rx, batch_tx, max_batch, max_wait, &shared))
                 .expect("spawn batcher thread")
         };
-        let use_plans = cfg.use_plans && !plan_env_off();
+        let use_plans = cfg.use_plans;
         let chaos = cfg.chaos.clone().or_else(Chaos::from_env);
         // Compiled plans are pool-global: compilation is expensive (traces
         // plus probe verification at the full batch shape), so a shape must
@@ -558,9 +563,11 @@ fn expire(shared: &Shared, r: Request) {
 /// briefly, then reuse the `Arc`'d plan), and each worker keeps a private
 /// lock-free mirror so the steady-state hot path never touches the mutex.
 /// A failed compile caches the typed failure, so that shape permanently
-/// takes the tape path with no per-batch retry cost. Plan answers are
-/// bit-identical to the tape path by the compile-time probe verification
-/// in [`Model::compile_plan`], so the fallback is invisible to callers.
+/// takes the tape path ([`Model::predict_batch`]) with no per-batch retry
+/// cost. For f32 and f16 stores plan answers are bit-identical to the tape
+/// by the compile-time probe verification in [`Model::compile_plan`], so
+/// the fallback is invisible to callers. An int8-tier store has no tape
+/// fallback: a batch without a plan fails with [`ServeError::Internal`].
 fn worker_loop(
     engine: &(Box<dyn Model + Send + Sync>, ParamStore),
     rx: &Mutex<Receiver<Vec<Request>>>,
@@ -570,7 +577,7 @@ fn worker_loop(
     chaos: Option<Arc<Chaos>>,
 ) {
     let (model, store) = engine;
-    let mut scratch = EvalScratch::new();
+    let int8 = store.tier() == PrecisionTier::Int8;
     let mut plans: HashMap<Vec<usize>, Option<Arc<CompiledPlan>>> = HashMap::new();
     let mut arena = PlanArena::new();
     loop {
@@ -622,25 +629,12 @@ fn worker_loop(
                 let plan = match plans.get(&shape) {
                     Some(p) => p.clone(),
                     None => {
-                        let p = {
-                            let mut cache =
-                                plan_cache.lock().unwrap_or_else(|p| p.into_inner());
-                            cache
-                                .entry(shape.clone())
-                                .or_insert_with(|| {
-                                    // Compilation always traces and verifies
-                                    // at f32; an int8-tier store then lowers
-                                    // the plan's matmuls onto the int8
-                                    // kernels as an explicit post-step.
-                                    model.compile_plan(store, &shape).ok().map(|mut plan| {
-                                        if store.tier() == msd_nn::PrecisionTier::Int8 {
-                                            plan.lower_int8(store);
-                                        }
-                                        Arc::new(plan)
-                                    })
-                                })
-                                .clone()
-                        };
+                        let p = plan_cache
+                            .lock()
+                            .unwrap_or_else(|p| p.into_inner())
+                            .entry(shape.clone())
+                            .or_insert_with(|| model.compile_plan(store, &shape).ok().map(Arc::new))
+                            .clone();
                         plans.insert(shape, p.clone());
                         p
                     }
@@ -648,14 +642,37 @@ fn worker_loop(
                 if let Some(plan) = plan {
                     shared.stats.note_plan_batch();
                     let full = model.predict_plan(&plan, store, &packed, &mut arena);
-                    return (0..xs.len()).map(|i| full.narrow(0, i, 1)).collect();
+                    return Ok((0..xs.len()).map(|i| full.narrow(0, i, 1)).collect());
                 }
             }
-            model.predict_batch_with(&mut scratch, store, &xs)
-        }));
+            if int8 {
+                return Err(format!(
+                    "int8-tier store has no compiled plan for {} samples of shape {:?}",
+                    xs.len(),
+                    xs[0].shape()
+                ));
+            }
+            Ok(model.predict_batch(store, &xs))
+        }))
+        .unwrap_or_else(|payload| Err(panic_message(payload.as_ref())))
+        .and_then(|ys: Vec<Tensor>| {
+            // A model returning the wrong output count is a contract
+            // violation; zipping would silently truncate and strand the
+            // tail of the batch without a response. Fail the whole batch
+            // loudly instead.
+            if ys.len() == batch.len() {
+                Ok(ys)
+            } else {
+                Err(format!(
+                    "model returned {} outputs for a batch of {}",
+                    ys.len(),
+                    batch.len()
+                ))
+            }
+        });
         let eval_us = t0.elapsed().as_micros() as u64;
         match result {
-            Ok(ys) if ys.len() == batch.len() => {
+            Ok(ys) => {
                 let size = batch.len();
                 for (req, y) in batch.into_iter().zip(ys) {
                     shared.stats.note_done(req.admitted.elapsed().as_micros() as u64);
@@ -663,27 +680,7 @@ fn worker_loop(
                 }
                 shared.events.emit(&ServeEvent::BatchEnd { size, eval_us });
             }
-            Ok(ys) => {
-                // A model returning the wrong output count is a contract
-                // violation; zipping would silently truncate and strand the
-                // tail of the batch without a response. Fail the whole batch
-                // loudly instead.
-                let message = format!(
-                    "model returned {} outputs for a batch of {}",
-                    ys.len(),
-                    batch.len()
-                );
-                shared.stats.note_failed(batch.len());
-                for req in batch {
-                    let _ = req.resp.send(Err(ServeError::Internal(message.clone())));
-                }
-                shared.events.emit(&ServeEvent::WorkerPanic { message });
-            }
-            Err(payload) => {
-                // The half-built tape is gone with the unwound stack; start
-                // the scratch arena fresh rather than reason about its state.
-                scratch = EvalScratch::new();
-                let message = panic_message(payload.as_ref());
+            Err(message) => {
                 shared.stats.note_failed(batch.len());
                 for req in batch {
                     let _ = req.resp.send(Err(ServeError::Internal(message.clone())));

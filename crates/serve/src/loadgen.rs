@@ -260,7 +260,7 @@ impl BenchReport {
              \"sequential_rps\":{:.2},\"served_rps\":{:.2},\"speedup\":{:.3},\
              \"mean_batch\":{:.3},\"p50_us\":{},\"p95_us\":{},\"p99_us\":{},\"rejected\":{},\
              \"skew_mean_us\":{:.1},\"skew_max_us\":{},\"reanchors\":{}}}",
-            self.model,
+            crate::json_escape(&self.model),
             self.requests,
             self.workers,
             self.max_batch,
@@ -340,6 +340,14 @@ mod tests {
         assert!(json.contains("\"skew_max_us\":480"), "{json}");
         assert!(json.contains("\"reanchors\":1"), "{json}");
         assert_eq!(json.matches('{').count(), 1, "{json}");
+
+        // A name with a quote stays one well-formed string field.
+        let quoted = BenchReport {
+            model: "mix\"er".into(),
+            ..r
+        };
+        let json = quoted.to_json();
+        assert!(json.starts_with("{\"model\":\"mix\\\"er\","), "{json}");
     }
 
     #[test]

@@ -1,17 +1,20 @@
 //! Compiled-plan execution knobs: by default the workers serve single-sample
-//! traffic through a [`CompiledPlan`]; `ServeConfig::use_plans = false` or
-//! `MSD_PLAN=off` falls back to the tape. Either way the responses must be
-//! bit-identical to sequential `Model::predict` — the knob may only move the
-//! `plan_batches` counter.
-//!
-//! One `#[test]` on purpose: `MSD_PLAN` is process-wide, so the three server
-//! configurations must run sequentially.
+//! traffic through a [`CompiledPlan`]; `ServeConfig::use_plans = false`
+//! falls back to the tape. For an f32 store the responses must be
+//! bit-identical to sequential `Model::predict` either way — the knob may
+//! only move the `plan_batches` counter. An int8-tier store has no tape
+//! fallback: it is refused with the knob off, and a batch whose plan cannot
+//! compile fails with a typed error instead of an f32 answer.
 
 use std::time::Duration;
 
-use msd_nn::{Ctx, Linear, Model, ModelOutput, ParamStore, Task};
+use msd_autograd::PlanArena;
+use msd_nn::{
+    ArtifactReader, ArtifactWriter, Ctx, Linear, Model, ModelOutput, ParamStore, PrecisionTier,
+    Task,
+};
 use msd_serve::loadgen::sequential_baseline;
-use msd_serve::{ServeConfig, ServeStats, Server};
+use msd_serve::{ServeConfig, ServeError, ServeStats, Server};
 use msd_tensor::rng::Rng;
 use msd_tensor::Tensor;
 
@@ -51,6 +54,67 @@ impl Model for Affine {
     }
 }
 
+/// [`Affine`] behind an input leaf the plan prelude does not declare, so
+/// `compile_plan` always fails and serving must take the tape (or, at
+/// int8, fail).
+struct Unplannable(Affine);
+
+impl Model for Unplannable {
+    fn name(&self) -> &str {
+        "unplannable"
+    }
+    fn task(&self) -> &Task {
+        &self.0.task
+    }
+    fn forward(&self, ctx: &Ctx, x: &Tensor) -> ModelOutput {
+        self.0.forward(ctx, &x.map(|v| 2.0 * v))
+    }
+}
+
+fn affine(store: &mut ParamStore) -> Affine {
+    Affine::new(store, 2, 6)
+}
+
+fn unplannable(store: &mut ParamStore) -> Unplannable {
+    Unplannable(affine(store))
+}
+
+/// `build`'s model with its fresh weights, round-tripped through an int8
+/// artifact when `int8` is set.
+fn built<M>(build: fn(&mut ParamStore) -> M, int8: bool) -> (M, ParamStore) {
+    let mut store = ParamStore::new();
+    let model = build(&mut store);
+    if int8 {
+        let bytes = ArtifactWriter::new(PrecisionTier::Int8)
+            .encode(&store)
+            .unwrap();
+        ArtifactReader::decode(&bytes)
+            .and_then(|r| r.load_into(&mut store))
+            .unwrap();
+        assert_eq!(store.tier(), PrecisionTier::Int8);
+    }
+    (model, store)
+}
+
+fn inputs(n: u64) -> Vec<Tensor> {
+    (0..n)
+        .map(|i| {
+            let mut rng = Rng::seed_from(300 + i);
+            Tensor::randn(&[1, 2, 6], 1.0, &mut rng)
+        })
+        .collect()
+}
+
+fn plan_cfg(use_plans: bool) -> ServeConfig {
+    ServeConfig {
+        max_batch: 4,
+        max_wait: Duration::from_micros(500),
+        workers: 2,
+        use_plans,
+        ..ServeConfig::default()
+    }
+}
+
 fn assert_bits_equal(a: &Tensor, b: &Tensor, what: &str) {
     assert_eq!(a.shape(), b.shape(), "{what}: shape");
     for (i, (x, y)) in a.data().iter().zip(b.data()).enumerate() {
@@ -60,21 +124,14 @@ fn assert_bits_equal(a: &Tensor, b: &Tensor, what: &str) {
 
 /// Serve `inputs` through a fresh server, assert bit-identity against
 /// `reference`, and return the final stats snapshot.
-fn serve_and_check(use_plans: bool, inputs: &[Tensor], reference: &[Tensor], what: &str) -> ServeStats {
-    let mut store = ParamStore::new();
-    let model = Affine::new(&mut store, 2, 6);
-    let server = Server::start(
-        model,
-        store,
-        ServeConfig {
-            max_batch: 4,
-            max_wait: Duration::from_micros(500),
-            workers: 2,
-            use_plans,
-            ..ServeConfig::default()
-        },
-    )
-    .unwrap();
+fn serve_and_check(
+    (model, store): (impl Model + Send + Sync + 'static, ParamStore),
+    use_plans: bool,
+    inputs: &[Tensor],
+    reference: &[Tensor],
+    what: &str,
+) -> ServeStats {
+    let server = Server::start(model, store, plan_cfg(use_plans)).unwrap();
     let pending: Vec<_> = inputs
         .iter()
         .map(|x| server.submit(x.clone()).expect("queue has room"))
@@ -91,22 +148,13 @@ fn serve_and_check(use_plans: bool, inputs: &[Tensor], reference: &[Tensor], wha
 
 #[test]
 fn plan_mode_knobs_only_move_the_plan_batches_counter() {
-    let saved = std::env::var("MSD_PLAN").ok();
-    std::env::remove_var("MSD_PLAN");
-
-    let mut store = ParamStore::new();
-    let model = Affine::new(&mut store, 2, 6);
-    let inputs: Vec<Tensor> = (0..48)
-        .map(|i| {
-            let mut rng = Rng::seed_from(300 + i);
-            Tensor::randn(&[1, 2, 6], 1.0, &mut rng)
-        })
-        .collect();
+    let (model, store) = built(affine, false);
+    let inputs = inputs(48);
     let (reference, _) = sequential_baseline(&model, &store, &inputs);
 
     // Default: every batch is single-sample-packable, the model compiles, so
     // every batch must run through the plan path.
-    let stats = serve_and_check(true, &inputs, &reference, "plans-on");
+    let stats = serve_and_check(built(affine, false), true, &inputs, &reference, "plans-on");
     assert_eq!(
         stats.plan_batches, stats.batches,
         "uniform [1, C, L] traffic through a compilable model must plan every batch"
@@ -114,16 +162,56 @@ fn plan_mode_knobs_only_move_the_plan_batches_counter() {
     assert!(stats.plan_batches > 0);
 
     // The config knob alone forces the tape fallback.
-    let stats = serve_and_check(false, &inputs, &reference, "knob-off");
+    let stats = serve_and_check(built(affine, false), false, &inputs, &reference, "knob-off");
     assert_eq!(stats.plan_batches, 0, "use_plans=false must never plan");
+}
 
-    // MSD_PLAN=off overrides a plans-enabled config.
-    std::env::set_var("MSD_PLAN", "off");
-    let stats = serve_and_check(true, &inputs, &reference, "env-off");
-    assert_eq!(stats.plan_batches, 0, "MSD_PLAN=off must never plan");
-
-    match saved {
-        Some(v) => std::env::set_var("MSD_PLAN", v),
-        None => std::env::remove_var("MSD_PLAN"),
+#[test]
+fn int8_store_is_served_only_through_its_lowered_plan() {
+    // The tape cannot answer at int8, so a tape-only config is refused.
+    let (model, store) = built(affine, true);
+    match Server::start(model, store, plan_cfg(false)) {
+        Ok(_) => panic!("an int8-tier store with use_plans=false must be refused"),
+        Err(e) => assert_eq!(e.kind(), std::io::ErrorKind::InvalidInput, "{e}"),
     }
+
+    // With plans on, every batch runs the plan `compile_plan` lowered.
+    let (model, store) = built(affine, true);
+    let plan = model.compile_plan(&store, &[1, 2, 6]).unwrap();
+    assert!(plan.int8_steps() > 0, "affine must lower to int8");
+    let inputs = inputs(24);
+    let mut arena = PlanArena::new();
+    let reference: Vec<Tensor> = inputs
+        .iter()
+        .map(|x| model.predict_plan(&plan, &store, x, &mut arena))
+        .collect();
+    let stats = serve_and_check((model, store), true, &inputs, &reference, "int8");
+    assert_eq!(
+        stats.plan_batches, stats.batches,
+        "int8 must plan every batch"
+    );
+}
+
+#[test]
+fn int8_batch_without_a_plan_fails_typed_instead_of_answering_from_the_tape() {
+    let inputs = inputs(8);
+
+    // At f32 the same model serves from the tape, bit-identical to predict.
+    let (model, store) = built(unplannable, false);
+    let (reference, _) = sequential_baseline(&model, &store, &inputs);
+    let stats = serve_and_check((model, store), true, &inputs, &reference, "f32 tape");
+    assert_eq!(stats.plan_batches, 0);
+
+    // At int8 there is no tape fallback: every request fails, typed.
+    let (model, store) = built(unplannable, true);
+    let server = Server::start(model, store, plan_cfg(true)).unwrap();
+    for x in &inputs {
+        match server.infer(x.clone()) {
+            Err(ServeError::Internal(msg)) => assert!(msg.contains("int8"), "{msg}"),
+            other => panic!("int8 batch without a plan must fail typed, got {other:?}"),
+        }
+    }
+    let stats = server.shutdown();
+    assert_eq!(stats.failed, inputs.len() as u64);
+    assert_eq!(stats.completed, 0);
 }

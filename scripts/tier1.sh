@@ -19,6 +19,13 @@ if ! cargo clippy --version >/dev/null 2>&1; then
 fi
 cargo clippy --workspace --all-targets --offline -- -D warnings
 
+# Benchmark build tripwire: msdbench/ is a workspace of its own, built against
+# this workspace's public API through path dependencies, so the workspace
+# build above never compiles it. Building it here (and running its
+# known-answer tests, including the check that its workload catalogue equals
+# BENCHMARK.json) fails a change that breaks an item the benchmark uses.
+cargo test --offline --locked -q --manifest-path msdbench/Cargo.toml
+
 # Kernel determinism gate: the oracle-differential suite sweeps every
 # dispatch tier (MSD_KERNEL_FORCE) x thread count against the naive
 # reference oracles; the golden-loss digests pin end-to-end training
@@ -177,6 +184,27 @@ grep -q '"kind":"plan_latency"' target/BENCH_kernels.json || {
 }
 echo "plan bench OK: rows in target/BENCH_kernels.json"
 
+# Real-gateway smokes. `start_gateway <addr-file> <msd-gateway args...>` runs
+# msd-gateway in the background (env assignments prefixed to the call reach
+# the process), waits for it to publish its address, and arms an EXIT trap
+# that kills it; `stop_gateway` kills and reaps it and disarms the trap.
+start_gateway() {
+  local addr_file=$1
+  shift
+  rm -f "$addr_file"
+  cargo run --release --offline -p msd-harness --bin msd-gateway -- \
+    --addr-file "$addr_file" "$@" &
+  GW_PID=$!
+  trap 'kill "$GW_PID" 2>/dev/null || true' EXIT
+  for _ in $(seq 1 200); do [ -f "$addr_file" ] && break; sleep 0.1; done
+  test -f "$addr_file" || { echo "gateway never published $addr_file" >&2; exit 1; }
+}
+stop_gateway() {
+  kill "$GW_PID" 2>/dev/null || true
+  wait "$GW_PID" 2>/dev/null || true
+  trap - EXIT
+}
+
 # Gateway smoke: a real msd-gateway process on an ephemeral port serving the
 # two-model demo fleet, then 500 mixed requests over 4 TCP connections at a
 # sustained paced rate with a hot-swap landing mid-run, followed by a second
@@ -185,19 +213,12 @@ echo "plan bench OK: rows in target/BENCH_kernels.json"
 # predict for the version each response's header names; it exits non-zero on
 # any lost request, any byte mismatch, or any status outside {200, 429}.
 # Appends RPS-vs-latency rows to target/BENCH_gateway.json (CI artifact).
-rm -f target/gw.addr target/BENCH_gateway.json
-cargo run --release --offline -p msd-harness --bin msd-gateway -- \
-  --demo --addr-file target/gw.addr --replicas 2 --run-secs 120 &
-GW_PID=$!
-trap 'kill "$GW_PID" 2>/dev/null || true' EXIT
-for _ in $(seq 1 200); do [ -f target/gw.addr ] && break; sleep 0.1; done
-test -f target/gw.addr || { echo "gateway never published its address" >&2; exit 1; }
+rm -f target/BENCH_gateway.json
+start_gateway target/gw.addr --demo --replicas 2 --run-secs 120
 cargo run --release --offline -p msd-harness --bin msd-gateway-loadgen -- \
   --target "$(cat target/gw.addr)" --requests 500 --connections 4 \
   --rates 800,1600 --swap-after-ms 150
-kill "$GW_PID" 2>/dev/null || true
-wait "$GW_PID" 2>/dev/null || true
-trap - EXIT
+stop_gateway
 test -s target/BENCH_gateway.json || { echo "gateway smoke wrote no report" >&2; exit 1; }
 if grep -qE '"lost":[1-9]' target/BENCH_gateway.json; then
   echo "gateway smoke lost requests" >&2; exit 1
@@ -207,22 +228,14 @@ echo "gateway smoke OK: report in target/BENCH_gateway.json"
 # Quantized-tier gateway smoke: the same real-process drill with the demo
 # fleet published from int8 artifacts. The load generator requires every
 # 200 to carry X-Msd-Tier: int8 (a silent fall back to f32 is as fatal as
-# wrong bytes) and byte-compares each response against the int8 lowered-plan
+# wrong bytes) and byte-compares each response against the int8 compiled-plan
 # reference it computes in its own process; the mid-run hot-swap posts a v2
 # int8 artifact with the tier declared in the request header.
-rm -f target/gw-int8.addr
-cargo run --release --offline -p msd-harness --bin msd-gateway -- \
-  --demo --tier int8 --addr-file target/gw-int8.addr --replicas 2 --run-secs 120 &
-GW_PID=$!
-trap 'kill "$GW_PID" 2>/dev/null || true' EXIT
-for _ in $(seq 1 200); do [ -f target/gw-int8.addr ] && break; sleep 0.1; done
-test -f target/gw-int8.addr || { echo "int8 gateway never published its address" >&2; exit 1; }
+start_gateway target/gw-int8.addr --demo --tier int8 --replicas 2 --run-secs 120
 cargo run --release --offline -p msd-harness --bin msd-gateway-loadgen -- \
   --target "$(cat target/gw-int8.addr)" --requests 300 --connections 4 \
   --expect-tier int8 --swap-after-ms 150
-kill "$GW_PID" 2>/dev/null || true
-wait "$GW_PID" 2>/dev/null || true
-trap - EXIT
+stop_gateway
 echo "int8 gateway smoke OK: every response tier-tagged and byte-checked"
 
 # Chaos smoke: the same real-gateway drill under a seeded deterministic
@@ -236,22 +249,15 @@ echo "int8 gateway smoke OK: every response tier-tagged and byte-checked"
 # appended to target/chaos-events.jsonl (CI artifact); rows written by this
 # sweep carry the fault plan in their "fault_plan" column so a chaos run
 # can never be compared against a clean baseline by accident.
-rm -f target/gw-chaos.addr target/chaos-events.jsonl
+rm -f target/chaos-events.jsonl
 MSD_CHAOS="seed:42,worker_panic:0.02,worker_stall:0.02,worker_stall_ms:40,conn_drop:0.02" \
 MSD_CHAOS_LOG=target/chaos-events.jsonl \
-cargo run --release --offline -p msd-harness --bin msd-gateway -- \
-  --demo --addr-file target/gw-chaos.addr --replicas 2 --run-secs 120 &
-GW_PID=$!
-trap 'kill "$GW_PID" 2>/dev/null || true' EXIT
-for _ in $(seq 1 200); do [ -f target/gw-chaos.addr ] && break; sleep 0.1; done
-test -f target/gw-chaos.addr || { echo "chaos gateway never published its address" >&2; exit 1; }
+start_gateway target/gw-chaos.addr --demo --replicas 2 --run-secs 120
 MSD_CHAOS="seed:42,worker_panic:0.02,worker_stall:0.02,worker_stall_ms:40,conn_drop:0.02" \
 cargo run --release --offline -p msd-harness --bin msd-gateway-loadgen -- \
   --target "$(cat target/gw-chaos.addr)" --requests 500 --connections 4 \
   --retry-budget 3 --deadline-ms 2000 --tolerate-faults --check-ledger
-kill "$GW_PID" 2>/dev/null || true
-wait "$GW_PID" 2>/dev/null || true
-trap - EXIT
+stop_gateway
 test -s target/chaos-events.jsonl || {
   echo "chaos smoke fired no faults (plan not armed?)" >&2; exit 1;
 }
