@@ -51,10 +51,10 @@ impl Graph {
 /// Computes the hinge loss and its gradient with respect to `z` in one pass.
 ///
 /// The per-row mean, energy `D`, numerators `N_j`, and gradient mean all
-/// run through the spec'd sequential reductions of the kernel layer; rows
-/// are processed in parallel over fixed row blocks with one `f64` loss
-/// partial per block, folded in block order — so loss and gradient are
-/// bit-identical for every SIMD tier and thread count.
+/// run through the spec'd reductions of the kernel layer, and the loss
+/// keeps one `f64` partial per fixed row block ([`k::row_blocks`]), folded
+/// in block order — so loss and gradient are bit-identical for every SIMD
+/// tier.
 fn acf_hinge_forward_backward(z: &Tensor, alpha: f32) -> (Tensor, Tensor) {
     let nd = z.ndim();
     assert!(nd >= 2, "acf_hinge_loss expects [..., C, L], got {:?}", z.shape());
@@ -68,10 +68,13 @@ fn acf_hinge_forward_backward(z: &Tensor, alpha: f32) -> (Tensor, Tensor) {
     let mut grad = Tensor::zeros(z.shape());
     let data = z.data();
 
-    let partials: Vec<f64> = k::par_rows_map_mut(grad.data_mut(), rows, l, move |_b, r0, chunk| {
+    let (rows_per_block, _) = k::row_blocks(rows, l);
+    let mut total = 0.0f64;
+    let mut y = vec![0.0f32; l];
+    let mut gy = vec![0.0f32; l];
+    for (b, chunk) in grad.data_mut().chunks_mut(rows_per_block * l).enumerate() {
+        let r0 = b * rows_per_block;
         let mut block_total = 0.0f64;
-        let mut y = vec![0.0f32; l];
-        let mut gy = vec![0.0f32; l];
         for (i, out) in chunk.chunks_exact_mut(l).enumerate() {
             let row = &data[(r0 + i) * l..(r0 + i + 1) * l];
             let mean = kred::sum_seq(tier, row) / l as f32;
@@ -115,10 +118,10 @@ fn acf_hinge_forward_backward(z: &Tensor, alpha: f32) -> (Tensor, Tensor) {
                 *o = g - gmean;
             }
         }
-        block_total
-    });
-    // Block partials fold in block order — same bits for any thread count.
-    let total: f64 = partials.into_iter().fold(0.0f64, |acc, p| acc + p);
+        // The per-block partial is part of the spec: adding each row's
+        // terms straight into `total` would round differently.
+        total += block_total;
+    }
 
     (Tensor::scalar((total * norm as f64) as f32), grad)
 }

@@ -29,7 +29,7 @@
 //! `msd_tensor` kernel entry points (`ops::linear_into`, `ops::kernels::ew`,
 //! `ops::kernels::norm`, ...) in the same order as the tape ops it replaces,
 //! so results are bit-identical to `Graph`-based eval for every SIMD tier
-//! (`MSD_KERNEL_FORCE` is re-read per dispatch) and thread count.
+//! (`MSD_KERNEL_FORCE` is re-read per dispatch).
 
 use std::fmt;
 
@@ -725,7 +725,7 @@ impl CompiledPlan {
     /// Executes the plan: binds `inputs` (the model's prelude tensors, in
     /// order) and `params`, replays the kernel sequence through `arena`, and
     /// returns the prediction. Bit-identical to tape eval of the traced
-    /// forward for every kernel tier and thread count.
+    /// forward for every kernel tier.
     ///
     /// # Panics
     /// Panics if `inputs` do not match the compiled shapes — plans are

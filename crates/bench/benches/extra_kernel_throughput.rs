@@ -1,12 +1,11 @@
-//! Kernel-layer throughput: SIMD + threaded dispatch kernels versus their
-//! naive reference oracles, plus end-to-end numbers (epoch time, serve-path
-//! batch latency) on the model the kernels feed.
+//! Kernel-layer throughput: SIMD dispatch kernels versus their naive
+//! reference oracles, plus end-to-end numbers (epoch time, serve-path batch
+//! latency) on the model the kernels feed.
 //!
 //! Every microbench first byte-compares the kernel output against the
 //! oracle on the same buffer, so a throughput row can never hide a numerics
 //! change. The bench *fails* (non-zero exit) if the fused LayerNorm or GELU
-//! kernels fall below the single-core-safe floor of 1.1x over the naive
-//! loops — on a multi-core host the expected margin is >= 2x.
+//! kernels fall below a floor of 1.1x over the naive loops.
 //!
 //! Run with `cargo bench -p msd-bench --bench extra_kernel_throughput`.
 //! Rows append to `target/BENCH_kernels.json` (one JSON object per line).

@@ -9,8 +9,6 @@
 //!
 //! Run with `cargo bench -p msd-bench --bench extra_serve_throughput`.
 //! Rows append to `target/BENCH_serve.json` (one JSON object per line).
-//! `MSD_NUM_THREADS` is forced to 1 unless set, so the sweep isolates the
-//! runtime's contribution (batching + workers) from intra-op threading.
 
 use std::io::Write as _;
 use std::time::Duration;
@@ -24,9 +22,6 @@ use msd_tensor::rng::Rng;
 use msd_tensor::Tensor;
 
 fn main() {
-    if std::env::var("MSD_NUM_THREADS").is_err() {
-        std::env::set_var("MSD_NUM_THREADS", "1");
-    }
     let (channels, input_len, horizon) = (2usize, 96usize, 24usize);
     let requests = 384usize;
     let spec = ModelSpec::MsdMixer(Variant::Full);

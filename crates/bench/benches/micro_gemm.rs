@@ -1,14 +1,11 @@
 //! Micro-benchmark for the blocked SGEMM against the naive reference.
 //!
-//! Times `Tensor::matmul` (cache-blocked, register-tiled, packed, threaded
-//! past the flop threshold) next to `naive_gemm` (the seed's i-k-j triple
-//! loop, kept in-tree as the bitwise ground truth) across representative
-//! sizes, plus the transpose-aware variants at the headline 256³ shape.
+//! Times `Tensor::matmul` (cache-blocked, register-tiled, packed, on the
+//! calling thread) next to `naive_gemm` (the seed's i-k-j triple loop, kept
+//! in-tree as the bitwise ground truth) across representative sizes, plus
+//! the transpose-aware variants at the headline 256³ shape.
 //!
-//! Run with `cargo bench -p msd-bench --bench micro_gemm`. Thread count
-//! follows `MSD_NUM_THREADS` (default: available parallelism); results are
-//! bit-identical for every setting, so the speedup column is the only thing
-//! that moves.
+//! Run with `cargo bench -p msd-bench --bench micro_gemm`.
 
 use msd_bench::timing::bench;
 use msd_tensor::ops::gemm::naive_gemm;
@@ -21,11 +18,6 @@ fn gflops(m: usize, k: usize, n: usize, secs: f64) -> f64 {
 
 fn main() {
     let mut rng = Rng::seed_from(42);
-    println!(
-        "threads: {} (MSD_NUM_THREADS={})",
-        msd_tensor::pool::num_threads(),
-        std::env::var("MSD_NUM_THREADS").unwrap_or_else(|_| "<unset>".into()),
-    );
 
     for &(m, k, n) in &[
         (64, 64, 64),

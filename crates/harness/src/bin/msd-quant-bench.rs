@@ -155,11 +155,6 @@ fn main() {
             _ => usage(),
         }
     }
-    // Single-threaded kernels: per-sample latency, not a thread-pool fight.
-    if std::env::var("MSD_NUM_THREADS").is_err() {
-        std::env::set_var("MSD_NUM_THREADS", "1");
-    }
-
     if let Some(dir) = std::path::Path::new(&out).parent() {
         let _ = std::fs::create_dir_all(dir);
     }

@@ -10,9 +10,9 @@
 //! * **speedup** (opt-in via `--min-speedup`) — the served/sequential
 //!   throughput ratio must clear the bar.
 //!
-//! `MSD_NUM_THREADS` is forced to 1 (unless the caller set it) so both
-//! phases use single-threaded kernels and the comparison isolates what the
-//! runtime adds: micro-batching plus worker-level parallelism.
+//! Kernels run on the calling thread in both phases, so the comparison
+//! isolates what the runtime adds: micro-batching plus worker-level
+//! parallelism.
 //!
 //! The report is appended to `--out` (default `target/BENCH_serve.json`) as
 //! one JSON object per line and echoed to stdout.
@@ -68,13 +68,6 @@ fn main() {
             _ => usage(),
         }
     }
-    // Single-threaded kernels for both phases: the measured ratio is then
-    // purely what the serving runtime adds (batching + workers), not a
-    // fight between intra-op threads and worker threads for the same cores.
-    if std::env::var("MSD_NUM_THREADS").is_err() {
-        std::env::set_var("MSD_NUM_THREADS", "1");
-    }
-
     let (channels, input_len, horizon) = (2usize, 96usize, 24usize);
     let mut store = ParamStore::new();
     let mut rng = Rng::seed_from(13);

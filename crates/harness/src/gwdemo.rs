@@ -137,7 +137,7 @@ impl DemoModel {
     /// plans are bit-identical to it); for int8 it is the compiled plan,
     /// which `compile_plan` lowers onto the int8 kernels — valid
     /// cross-process because the int8 path is bit-identical across kernel
-    /// tiers, thread counts, and batch compositions (integer accumulation).
+    /// tiers and batch compositions (integer accumulation).
     pub fn reference_tiered(&self, version: u32, tier: PrecisionTier, x: &Tensor) -> Tensor {
         let bytes = self.params(version, tier);
         let (model, mut store) = self.build(self.seed(version));

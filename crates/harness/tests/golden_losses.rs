@@ -5,25 +5,25 @@
 //! These are the canary for the kernel layer's determinism contract: any
 //! change to accumulation order, dispatch, fusion, optimizer numerics, or
 //! data generation shifts at least one loss bit and flips the digest. The
-//! same run is repeated under a second (threads, kernel-tier) environment
-//! and must produce the *same* digest, so a tier- or thread-dependent
-//! regression cannot hide behind a re-bless.
+//! same run is repeated on the scalar and the detected kernel tier and must
+//! produce the *same* digest, so a tier-dependent regression cannot hide
+//! behind a re-bless.
 //!
 //! When an *intentional* numeric change lands (new fusion, different
 //! reduction spec), re-bless by running with `--nocapture` and copying the
 //! printed digests into the constants below — the failure message includes
 //! the full per-epoch loss bits to make the diff reviewable.
 //!
-//! Each sweep mutates the process-wide `MSD_NUM_THREADS` and
-//! `MSD_KERNEL_FORCE`, and the test harness runs the two `#[test]`s on
-//! parallel threads, so every [`check_golden`] call holds a file-local lock:
-//! one test's `(1, scalar)` leg can never run under the other's
-//! `(4, auto)` settings, nor restore the other's values.
+//! Each sweep mutates the process-wide `MSD_KERNEL_FORCE`, and the test
+//! harness runs the two `#[test]`s on parallel threads, so every
+//! [`check_golden`] call holds a file-local lock: one test's scalar leg can
+//! never run under the other's auto setting, nor restore the other's value.
 
 use msd_data::{classification_datasets, ClassSpec, Split, SlidingWindows};
 use msd_harness::{fit, ClassifySource, ForecastSource, ModelSpec, TrainConfig};
 use msd_mixer::variants::Variant;
 use msd_nn::{ParamStore, Task};
+use msd_tensor::ops::kernels::{detected_tier, tier, Tier};
 use msd_tensor::rng::Rng;
 use msd_tensor::Tensor;
 
@@ -55,37 +55,43 @@ fn bits_of(curve: &[f32]) -> Vec<String> {
     curve.iter().map(|l| format!("{l}={:#010x}", l.to_bits())).collect()
 }
 
-/// Runs `run` under two (threads, kernel-force) environments, asserts both
+/// Sets `MSD_KERNEL_FORCE` and asserts that kernels now dispatch to the tier
+/// it names: a tier read that cached the variable would turn the scalar leg
+/// into a silent auto-vs-auto comparison.
+fn force_tier(force: &str) {
+    std::env::set_var("MSD_KERNEL_FORCE", force);
+    let want = match force {
+        "scalar" => Tier::Scalar,
+        _ => detected_tier(),
+    };
+    assert_eq!(tier(), want, "MSD_KERNEL_FORCE={force} must take effect");
+}
+
+/// Runs `run` on the scalar and the detected kernel tier, asserts both
 /// digests match each other and the blessed constant.
 fn check_golden(name: &str, golden: u64, run: impl Fn() -> (Vec<f32>, Vec<f32>)) {
     let _env = ENV_LOCK.lock().unwrap_or_else(|p| p.into_inner());
-    let saved_threads = std::env::var("MSD_NUM_THREADS").ok();
     let saved_force = std::env::var("MSD_KERNEL_FORCE").ok();
 
     let mut digests = Vec::new();
-    for (threads, force) in [("1", "scalar"), ("4", "auto")] {
-        std::env::set_var("MSD_NUM_THREADS", threads);
-        std::env::set_var("MSD_KERNEL_FORCE", force);
+    for force in ["scalar", "auto"] {
+        force_tier(force);
         let (train, val) = run();
         let d = digest(&[&train, &val]);
-        digests.push((threads, force, d, train, val));
+        digests.push((force, d, train, val));
     }
 
-    match saved_threads {
-        Some(v) => std::env::set_var("MSD_NUM_THREADS", v),
-        None => std::env::remove_var("MSD_NUM_THREADS"),
-    }
     match saved_force {
         Some(v) => std::env::set_var("MSD_KERNEL_FORCE", v),
         None => std::env::remove_var("MSD_KERNEL_FORCE"),
     }
 
-    let (_, _, d0, train0, val0) = &digests[0];
-    for (threads, force, d, train, val) in &digests[1..] {
+    let (_, d0, train0, val0) = &digests[0];
+    for (force, d, train, val) in &digests[1..] {
         assert_eq!(
             d, d0,
-            "{name}: loss digest differs between environments \
-             (threads={threads}, force={force}): determinism contract broken.\n\
+            "{name}: loss digest differs between kernel tiers \
+             (force={force}): determinism contract broken.\n\
              reference train bits: {:?}\nthis env train bits: {:?}",
             bits_of(train0),
             bits_of(train)

@@ -1,23 +1,35 @@
 //! The int8-lowering gate: for every task-general model, the plan
 //! `Model::compile_plan` returns for an int8-tier store (lowered onto the
 //! int8 kernels) must be bit-identical across every `MSD_KERNEL_FORCE`
-//! tier, every `MSD_NUM_THREADS` setting, and every batch composition —
-//! integer accumulation is order-exact and the dequant epilogue is a fixed
-//! scalar sequence, so the lowered path has *no* tier- or thread-dependent
-//! numerics to tolerate.
+//! tier and every batch composition — integer accumulation is order-exact
+//! and the dequant epilogue is a fixed scalar sequence, so the lowered path
+//! has *no* tier-dependent numerics to tolerate.
 //!
 //! The store under test is a genuine int8-tier artifact round trip
 //! (`ArtifactWriter` → `ArtifactReader`), not a hand-built quant table, so
 //! the gate also covers the save/load path serving uses.
 //!
-//! One `#[test]` on purpose: it mutates process-wide env vars, so the sweep
-//! must run sequentially in a single test.
+//! One `#[test]` on purpose: it mutates the process-wide `MSD_KERNEL_FORCE`
+//! variable, so the sweep must run sequentially in a single test.
 
 use msd_autograd::PlanArena;
 use msd_harness::ModelSpec;
 use msd_nn::{ArtifactReader, ArtifactWriter, Model, ParamStore, PrecisionTier, Task};
+use msd_tensor::ops::kernels::{detected_tier, tier, Tier};
 use msd_tensor::rng::Rng;
 use msd_tensor::Tensor;
+
+/// Sets `MSD_KERNEL_FORCE` and asserts that kernels now dispatch to the tier
+/// it names: a tier read that cached the variable would turn the scalar leg
+/// into a silent auto-vs-auto comparison.
+fn force_tier(force: &str) {
+    std::env::set_var("MSD_KERNEL_FORCE", force);
+    let want = match force {
+        "scalar" => Tier::Scalar,
+        _ => detected_tier(),
+    };
+    assert_eq!(tier(), want, "MSD_KERNEL_FORCE={force} must take effect");
+}
 
 fn assert_bits_equal(a: &Tensor, b: &Tensor, what: &str) {
     assert_eq!(a.shape(), b.shape(), "{what}: shape");
@@ -28,7 +40,6 @@ fn assert_bits_equal(a: &Tensor, b: &Tensor, what: &str) {
 
 #[test]
 fn lowered_plans_bit_identical_across_tiers_threads_and_batches() {
-    let saved_threads = std::env::var("MSD_NUM_THREADS").ok();
     let saved_force = std::env::var("MSD_KERNEL_FORCE").ok();
     let (channels, input_len, horizon, d_model) = (2usize, 48usize, 12usize, 8usize);
     let pool = 5usize;
@@ -100,9 +111,8 @@ fn lowered_plans_bit_identical_across_tiers_threads_and_batches() {
             plan
         };
 
-        // Reference: the lowered plan at scalar kernels, one thread.
-        std::env::set_var("MSD_KERNEL_FORCE", "scalar");
-        std::env::set_var("MSD_NUM_THREADS", "1");
+        // Reference: the lowered plan at scalar kernels.
+        force_tier("scalar");
         let plan = compile_lowered(&[1, channels, input_len]);
         let mut arena = PlanArena::new();
         let reference: Vec<Tensor> = samples
@@ -151,46 +161,37 @@ fn lowered_plans_bit_identical_across_tiers_threads_and_batches() {
         }
 
         for force in ["scalar", "auto"] {
-            std::env::set_var("MSD_KERNEL_FORCE", force);
-            for threads in ["1", "2", "4"] {
-                std::env::set_var("MSD_NUM_THREADS", threads);
-                let label = |rest: &str| {
-                    format!("{} force={force} threads={threads} {rest}", spec.name())
-                };
+            force_tier(force);
+            let label = |rest: &str| format!("{} force={force} {rest}", spec.name());
 
-                let plan = compile_lowered(&[1, channels, input_len]);
-                for (i, x) in samples.iter().enumerate() {
-                    let got = model.predict_plan(&plan, &store, x, &mut arena);
-                    assert_bits_equal(&got, &reference[i], &label(&format!("sample={i}")));
-                }
+            let plan = compile_lowered(&[1, channels, input_len]);
+            for (i, x) in samples.iter().enumerate() {
+                let got = model.predict_plan(&plan, &store, x, &mut arena);
+                assert_bits_equal(&got, &reference[i], &label(&format!("sample={i}")));
+            }
 
-                // Batch-composition invariance: dynamic per-row activation
-                // quantization means a sample's row is identical no matter
-                // which batch it rides in.
-                let mut comp_rng = Rng::seed_from(41);
-                for trial in 0..3 {
-                    let size = 1 + comp_rng.below(pool);
-                    let picks: Vec<usize> = (0..size).map(|_| comp_rng.below(pool)).collect();
-                    let batch: Vec<&Tensor> = picks.iter().map(|&i| &samples[i]).collect();
-                    let packed = Tensor::concat(&batch, 0);
-                    let bplan = compile_lowered(packed.shape());
-                    let full = model.predict_plan(&bplan, &store, &packed, &mut arena);
-                    for (slot, &i) in picks.iter().enumerate() {
-                        assert_bits_equal(
-                            &full.narrow(0, slot, 1),
-                            &reference[i],
-                            &label(&format!("trial={trial} slot={slot} sample={i}")),
-                        );
-                    }
+            // Batch-composition invariance: dynamic per-row activation
+            // quantization means a sample's row is identical no matter
+            // which batch it rides in.
+            let mut comp_rng = Rng::seed_from(41);
+            for trial in 0..3 {
+                let size = 1 + comp_rng.below(pool);
+                let picks: Vec<usize> = (0..size).map(|_| comp_rng.below(pool)).collect();
+                let batch: Vec<&Tensor> = picks.iter().map(|&i| &samples[i]).collect();
+                let packed = Tensor::concat(&batch, 0);
+                let bplan = compile_lowered(packed.shape());
+                let full = model.predict_plan(&bplan, &store, &packed, &mut arena);
+                for (slot, &i) in picks.iter().enumerate() {
+                    assert_bits_equal(
+                        &full.narrow(0, slot, 1),
+                        &reference[i],
+                        &label(&format!("trial={trial} slot={slot} sample={i}")),
+                    );
                 }
             }
         }
     }
 
-    match saved_threads {
-        Some(v) => std::env::set_var("MSD_NUM_THREADS", v),
-        None => std::env::remove_var("MSD_NUM_THREADS"),
-    }
     match saved_force {
         Some(v) => std::env::set_var("MSD_KERNEL_FORCE", v),
         None => std::env::remove_var("MSD_KERNEL_FORCE"),

@@ -81,9 +81,9 @@ pub struct ServeConfig {
     /// Bound of the admission queue; a full queue rejects with
     /// [`ServeError::Overloaded`].
     pub queue_cap: usize,
-    /// Worker threads evaluating batches (≥ 1). Distinct from
-    /// `MSD_NUM_THREADS`, which controls intra-op parallelism *inside* one
-    /// forward pass.
+    /// Worker threads evaluating batches (≥ 1). This is the server's only
+    /// parallelism: each worker runs one batch at a time, and every kernel
+    /// inside that forward pass runs on the worker's own thread.
     pub workers: usize,
     /// Optional JSONL sink for [`ServeEvent`] telemetry.
     pub events_path: Option<PathBuf>,

@@ -20,8 +20,8 @@
 //!
 //! House rule, restated for this crate: replaying a seeded stream must
 //! reproduce the score log and event log *byte for byte*, across
-//! `MSD_NUM_THREADS` and `MSD_KERNEL_FORCE` settings, including runs whose
-//! middle contains a drift → retrain → hot-swap. Wall-clock may be
+//! `MSD_KERNEL_FORCE` settings, including runs whose middle contains a
+//! drift → retrain → hot-swap. Wall-clock may be
 //! *reported* (latency percentiles) but never *logged*.
 
 pub mod drift;

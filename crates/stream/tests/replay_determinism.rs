@@ -2,10 +2,9 @@
 //! twice — including a mid-stream drift, warm retrain, and hot-swap —
 //! must produce byte-identical score and event logs.
 //!
-//! The CI matrix runs this suite under every `MSD_NUM_THREADS` ∈ {1, 4} ×
-//! `MSD_KERNEL_FORCE` ∈ {auto, scalar} combination; the logs must agree
-//! within each configuration, and the house bit-determinism rule makes
-//! them agree *across* configurations too (the tier-1 script additionally
+//! The CI matrix runs this suite under `MSD_KERNEL_FORCE` ∈ {auto, scalar};
+//! the logs must agree within each tier, and the house bit-determinism rule
+//! makes them agree *across* tiers too (the tier-1 script additionally
 //! `cmp`s the harness bin's on-disk logs between two OS processes).
 
 use msd_stream::{DriftScenario, ScenarioConfig, StreamConfig, StreamEngine, StreamReport};

@@ -12,15 +12,15 @@
 //! * linear algebra: [`Tensor::matmul`] (2-D and batched), the
 //!   transpose-aware [`Tensor::matmul_nt`] / [`Tensor::matmul_tn`], and
 //!   fused [`Tensor::linear`] (`x · W + b` over the last axis) — all backed
-//!   by the blocked, SIMD-dispatched SGEMM in [`ops::gemm`], parallelised
-//!   via [`pool`] (`MSD_NUM_THREADS` caps the workers);
+//!   by the blocked, SIMD-dispatched SGEMM in [`ops::gemm`], which runs on
+//!   the caller's thread like every other kernel (see [`pool`]);
 //! * elementwise arithmetic and activations;
 //! * reductions along arbitrary axes.
 //!
 //! Everything is deterministic given an RNG seed; see [`rng`] for the
 //! Gaussian sampling helpers used in parameter initialisation and data
 //! generation. Matrix products are additionally bit-identical for every
-//! thread count and SIMD path (see [`ops::gemm`] for why).
+//! SIMD path (see [`ops::gemm`] for why).
 
 mod shape;
 mod tensor;

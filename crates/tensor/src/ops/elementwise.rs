@@ -1,8 +1,8 @@
 //! Elementwise arithmetic and activation functions.
 //!
-//! The hot methods route through the multi-threaded kernel layer in
+//! The hot methods route through the kernel layer in
 //! [`crate::ops::kernels::ew`]; results are bit-identical to the plain
-//! per-element loops for every thread count (see the kernel module docs).
+//! per-element loops on every kernel tier (see the kernel module docs).
 
 use crate::ops::kernels::ew;
 use crate::Tensor;

@@ -23,18 +23,14 @@
 //! one fused multiply-add per term: the AVX path uses `vfmadd` and the
 //! portable path uses [`f32::mul_add`], which is correctly rounded and
 //! therefore **bit-identical** to the hardware instruction. The dispatcher
-//! can pick either kernel and the result does not change. Parallelism only
-//! distributes fixed `MC`-row tiles of C over workers ([`crate::pool`]); no
-//! thread ever contributes a partial sum to another tile's output, so
-//! results are also bit-identical for every `MSD_NUM_THREADS` setting.
-//! Relative to the naive triple loop ([`naive_gemm`]) the fused product
-//! differs by at most one rounding per term (FMA skips the intermediate
+//! can pick either kernel and the result does not change. Products run on
+//! the caller's thread ([`crate::pool`] explains why there is no intra-op
+//! threading). Relative to the naive triple loop ([`naive_gemm`]) the fused
+//! product differs by at most one rounding per term (FMA skips the intermediate
 //! rounding of `a·b`), so equality tests against the reference compare
 //! within a small tolerance while determinism tests compare bit for bit.
 //! Zero inputs are *not* short-circuited: NaN and infinity propagate exactly
 //! as IEEE arithmetic dictates.
-
-use crate::pool;
 
 /// Microkernel tile height (rows of C per register block).
 pub const MR: usize = 6;
@@ -43,11 +39,8 @@ pub const MR: usize = 6;
 pub const NR: usize = 16;
 /// Depth of one packed slab of A/B.
 const KC: usize = 256;
-/// Rows of C per parallel tile (a multiple of `MR`).
+/// Rows of C per row tile (a multiple of `MR`).
 const MC: usize = 96;
-/// Flop count (2·m·n·k) below which a product always runs single-threaded:
-/// thread spawn costs more than it saves on small problems.
-const PAR_FLOP_THRESHOLD: usize = 1 << 21;
 
 /// Reference kernel: the plain i-k-j triple loop, kept as the ground truth
 /// for equality tests and as the baseline the micro-benchmarks measure the
@@ -71,8 +64,7 @@ pub fn naive_gemm(m: usize, k: usize, n: usize, a: &[f32], b: &[f32]) -> Vec<f32
 
 /// `C = A·B` with strided operands: `A[i, p] = a[i·a_rs + p·a_cs]` (an `m×k`
 /// view), `B[p, j] = b[p·b_rs + j·b_cs]` (`k×n`), `C` row-major `m×n`,
-/// overwritten. Parallelises over row tiles of C when the problem is large
-/// enough and `MSD_NUM_THREADS` (or the machine) allows.
+/// overwritten.
 // BLAS-style flat signature (dims + strided operands) on purpose: this is
 // the conventional sgemm shape and every caller passes the fields of a
 // tensor view it already holds.
@@ -88,30 +80,6 @@ pub fn sgemm_strided(
     b_rs: usize,
     b_cs: usize,
     c: &mut [f32],
-) {
-    let threads = if 2 * m * n * k >= PAR_FLOP_THRESHOLD {
-        pool::num_threads()
-    } else {
-        1
-    };
-    sgemm_strided_with_threads(m, k, n, a, a_rs, a_cs, b, b_rs, b_cs, c, threads);
-}
-
-/// [`sgemm_strided`] with an explicit worker count (used by batched callers
-/// that parallelise over the batch axis instead).
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn sgemm_strided_with_threads(
-    m: usize,
-    k: usize,
-    n: usize,
-    a: &[f32],
-    a_rs: usize,
-    a_cs: usize,
-    b: &[f32],
-    b_rs: usize,
-    b_cs: usize,
-    c: &mut [f32],
-    threads: usize,
 ) {
     assert_eq!(c.len(), m * n, "sgemm output size");
     if m == 0 || n == 0 {
@@ -137,7 +105,7 @@ pub(crate) fn sgemm_strided_with_threads(
 
     // Pack all of B up front: per KC slab, per NR column panel, a kc×NR
     // block in row-major panel order. One pass, shared read-only by every
-    // worker.
+    // row tile.
     {
         let mut slab_base = 0usize;
         let mut k0 = 0usize;
@@ -167,24 +135,18 @@ pub(crate) fn sgemm_strided_with_threads(
         }
     }
 
-    let c_ptr = SendPtr(c.as_mut_ptr());
-    let a_ptr = SendPtr(packed_a_all.as_mut_ptr());
     let packed_b = &*packed_b;
+    let c_ptr = c.as_mut_ptr();
     // Resolve the ISA tier once per product, not per microkernel call: the
     // dispatcher re-reads `MSD_KERNEL_FORCE` on every resolution, which is
     // far too expensive for the inner loop.
     let isa = isa_level();
-    pool::parallel_tiles(n_tiles, threads, move |tile| {
-        let c_ptr = &c_ptr;
-        let a_ptr = &a_ptr;
+    let a_regions = packed_a_all.chunks_exact_mut(a_tile_len).take(n_tiles);
+    for (tile, a_region) in a_regions.enumerate() {
         let i0 = tile * MC;
         let mc = MC.min(m - i0);
         let mr_panels = mc.div_ceil(MR);
-        // SAFETY: each tile owns the disjoint `a_tile_len` slice at its own
-        // index within the scratch arena.
-        let packed_a = unsafe {
-            std::slice::from_raw_parts_mut(a_ptr.0.add(tile * a_tile_len), mr_panels * MR * KC)
-        };
+        let packed_a = &mut a_region[..mr_panels * MR * KC];
         let mut slab_base = 0usize;
         let mut k0 = 0usize;
         let mut first_slab = true;
@@ -212,15 +174,18 @@ pub(crate) fn sgemm_strided_with_threads(
                     let mr = MR.min(m - i);
                     let nr = NR.min(n - j);
                     let a_panel = &packed_a[ip * kc * MR..][..kc * MR];
-                    // SAFETY: each (i, j) block lies inside C, and blocks of
-                    // distinct tiles are disjoint row ranges.
+                    // SAFETY: the (i, j) block's `mr` rows at stride n and
+                    // `nr` columns lie inside C (i + mr ≤ m, j + nr ≤ n).
                     unsafe {
-                        let c_block = c_ptr.0.add(i * n + j);
+                        let c_block = c_ptr.add(i * n + j);
                         if mr == MR && nr == NR {
                             microkernel(isa, kc, a_panel, b_panel, c_block, n, first_slab);
                         } else {
                             // Ragged edge: run the kernel on a local NR-wide
-                            // buffer, then copy the valid region back.
+                            // buffer, then copy the valid region back element
+                            // by element. A per-row `copy_from_slice` compiles
+                            // to a `memcpy` call, which made products with
+                            // n ≤ 8 about 1.5× slower.
                             let mut buf = [0.0f32; MR * NR];
                             if !first_slab {
                                 for ii in 0..mr {
@@ -243,14 +208,8 @@ pub(crate) fn sgemm_strided_with_threads(
             k0 += kc;
             first_slab = false;
         }
-    });
+    }
 }
-
-/// A raw output pointer that may cross the scoped-thread boundary. Tiles
-/// write disjoint row ranges, so concurrent use is race-free.
-struct SendPtr(*mut f32);
-unsafe impl Send for SendPtr {}
-unsafe impl Sync for SendPtr {}
 
 thread_local! {
     /// Reusable packing arena, one per thread. See [`ScratchGuard`].
@@ -444,11 +403,9 @@ unsafe fn microkernel_avx512(kc: usize, a: &[f32], b: &[f32], c: *mut f32, ldc: 
     }
 }
 
-/// Batched strided product: `nb` independent `m×k · k×n` problems whose
-/// operands advance by `a_step`/`b_step`/`c_step` elements per batch
-/// (a step of 0 broadcasts that operand). Parallelises over batch entries;
-/// each entry runs the sequential kernel, so results match the
-/// one-batch-at-a-time loop bit for bit.
+/// Batched strided product: `nb` independent `m×k · k×n` problems, run one
+/// after another. The operands advance by `a_step`/`b_step` elements per
+/// batch (a step of 0 broadcasts that operand) and C by `m·n`.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn sgemm_batched_strided(
     nb: usize,
@@ -466,24 +423,8 @@ pub(crate) fn sgemm_batched_strided(
     c: &mut [f32],
 ) {
     assert_eq!(c.len(), nb * m * n, "batched sgemm output size");
-    if nb == 0 {
-        return;
-    }
-    if nb == 1 {
-        return sgemm_strided(m, k, n, a, a_rs, a_cs, b, b_rs, b_cs, c);
-    }
-    let threads = if 2 * nb * m * n * k >= PAR_FLOP_THRESHOLD {
-        pool::num_threads()
-    } else {
-        1
-    };
-    let c_ptr = SendPtr(c.as_mut_ptr());
-    pool::parallel_tiles(nb, threads, move |bi| {
-        let c_ptr = &c_ptr;
-        // SAFETY: each batch writes its own disjoint m·n slice of C.
-        let c_slice =
-            unsafe { std::slice::from_raw_parts_mut(c_ptr.0.add(bi * m * n), m * n) };
-        sgemm_strided_with_threads(
+    for bi in 0..nb {
+        sgemm_strided(
             m,
             k,
             n,
@@ -493,10 +434,9 @@ pub(crate) fn sgemm_batched_strided(
             &b[bi * b_step..],
             b_rs,
             b_cs,
-            c_slice,
-            1,
+            &mut c[bi * m * n..(bi + 1) * m * n],
         );
-    });
+    }
 }
 
 #[cfg(test)]

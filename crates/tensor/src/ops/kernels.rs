@@ -1,5 +1,6 @@
-//! Kernel dispatch layer: SIMD-tiered, thread-parallel elementwise,
-//! reduction, and normalisation kernels.
+//! Kernel dispatch layer: SIMD-tiered elementwise, reduction, and
+//! normalisation kernels. Every kernel runs on its caller's thread (see
+//! [`crate::pool`]).
 //!
 //! # Dispatch
 //!
@@ -7,13 +8,12 @@
 //! AVX-512, AVX2 (the FMA tier), or portable scalar — via [`tier`]. The
 //! detected ISA is probed once per process; the `MSD_KERNEL_FORCE`
 //! environment variable (`scalar`, `fma`/`avx2`, `avx512`, `auto`) is read
-//! on every dispatch so tests can flip tiers at runtime, exactly like
-//! `MSD_NUM_THREADS` re-reads the worker count. Forcing a tier above what
-//! the machine supports clamps to the detected level.
+//! on every dispatch so tests can flip tiers at runtime. Forcing a tier
+//! above what the machine supports clamps to the detected level.
 //!
 //! # Determinism contract
 //!
-//! Results are **bit-identical for every tier and every thread count**:
+//! Results are **bit-identical for every tier**:
 //!
 //! * elementwise kernels are pure per-element functions whose SIMD bodies
 //!   replicate the scalar operation sequence exactly (plain mul/add, no
@@ -27,9 +27,10 @@
 //!   sequentially in block order. Every tier implements this one spec —
 //!   AVX-512 with one 16-lane register, AVX2 with two 8-lane registers,
 //!   scalar with a 16-element array — so the bits cannot differ;
-//! * thread partitioning assigns whole fixed blocks to workers through
-//!   [`crate::pool::parallel_tiles`]; threads change *who* computes a
-//!   block, never *how*, and partials always fold in block order.
+//! * the two row-wise accumulations across rows (LayerNorm `dγ`/`dβ` and
+//!   the fused ACF loss total) sum per [`row_blocks`] block first, then
+//!   fold the block partials in block order; those block boundaries are
+//!   part of the specification too.
 //!
 //! One deliberate carve-out: **NaN payload/sign is unspecified**. When
 //! both operands of an addition are NaN, IEEE 754 lets the implementation
@@ -45,7 +46,7 @@
 //! suite (`tests/kernels_differential.rs`) sweeps random shapes and
 //! NaN/±inf inputs comparing each dispatched kernel bit-for-bit against
 //! its oracle (NaNs canonicalised before comparing, per the carve-out
-//! above), across tiers and `MSD_NUM_THREADS` settings.
+//! above), across every tier.
 
 use std::sync::OnceLock;
 
@@ -62,16 +63,14 @@ mod simd;
 pub const LANES: usize = 16;
 
 /// Elements per reduction block. Block boundaries depend only on the input
-/// length — never on the thread count — so partial folds are deterministic.
-/// A multiple of [`LANES`]; sized so one block's working set stays L1-hot.
+/// length, so partial folds are deterministic. A multiple of [`LANES`];
+/// sized so one block's working set stays L1-hot.
 pub const RED_BLOCK: usize = 4096;
 
-/// Elements per elementwise parallel block.
+/// Target elements per [`row_blocks`] block. It fixes where the LayerNorm
+/// `dγ`/`dβ` and ACF loss partials split, so it is part of the numerics:
+/// changing it changes those bits.
 pub(crate) const EW_BLOCK: usize = 1 << 14;
-
-/// Minimum problem size (elements) before a kernel engages the thread pool;
-/// below this, spawn cost exceeds the work.
-pub(crate) const PAR_MIN: usize = 1 << 15;
 
 /// The SIMD implementation tier a kernel dispatches to.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
@@ -137,55 +136,9 @@ pub fn tier() -> Tier {
     }
 }
 
-/// A raw pointer that may cross the scoped-thread boundary. Every user
-/// guarantees that concurrent tiles touch disjoint index ranges.
-pub(crate) struct SendPtr<T>(pub(crate) *mut T);
-unsafe impl<T: Send> Send for SendPtr<T> {}
-unsafe impl<T: Send> Sync for SendPtr<T> {}
-
-/// Runs `work(start, chunk)` over fixed `block`-sized chunks of `out`,
-/// in parallel when `len >= PAR_MIN`. Chunk boundaries depend only on the
-/// output length, and each chunk is written by exactly one worker.
-pub(crate) fn par_chunks_mut(
-    out: &mut [f32],
-    block: usize,
-    work: impl Fn(usize, &mut [f32]) + Sync,
-) {
-    let len = out.len();
-    if len == 0 {
-        return;
-    }
-    let n_blocks = len.div_ceil(block);
-    let threads = if len >= PAR_MIN {
-        crate::pool::num_threads()
-    } else {
-        1
-    };
-    if threads <= 1 || n_blocks <= 1 {
-        for b in 0..n_blocks {
-            let start = b * block;
-            let end = (start + block).min(len);
-            // Re-borrowing per block keeps the sequential path free of
-            // unsafe; per-element kernels are insensitive to the split.
-            work(start, &mut out[start..end]);
-        }
-        return;
-    }
-    let ptr = SendPtr(out.as_mut_ptr());
-    crate::pool::parallel_tiles(n_blocks, threads, move |b| {
-        let ptr = &ptr;
-        let start = b * block;
-        let end = (start + block).min(len);
-        // SAFETY: blocks are disjoint ranges of `out`, one tile each.
-        let chunk = unsafe { std::slice::from_raw_parts_mut(ptr.0.add(start), end - start) };
-        work(start, chunk);
-    });
-}
-
 /// The fixed row-block decomposition for a `rows × row_len` problem:
 /// returns `(rows_per_block, n_blocks)`. Depends only on the shape, so
-/// per-block partial results always fold in the same order regardless of
-/// the thread count.
+/// per-block partial results always split and fold the same way.
 pub fn row_blocks(rows: usize, row_len: usize) -> (usize, usize) {
     if rows == 0 {
         return (1, 0);
@@ -193,78 +146,6 @@ pub fn row_blocks(rows: usize, row_len: usize) -> (usize, usize) {
     // Aim for blocks of ~EW_BLOCK elements, at least one row.
     let rows_per_block = (EW_BLOCK / row_len.max(1)).clamp(1, rows);
     (rows_per_block, rows.div_ceil(rows_per_block))
-}
-
-/// Runs `row_work(block, first_row, row_count)` over the fixed row-block
-/// decomposition of [`row_blocks`], in parallel when the problem is large
-/// enough.
-pub fn par_rows(rows: usize, row_len: usize, row_work: impl Fn(usize, usize, usize) + Sync) {
-    let (rows_per_block, n_blocks) = row_blocks(rows, row_len);
-    if n_blocks == 0 {
-        return;
-    }
-    let threads = if rows * row_len >= PAR_MIN {
-        crate::pool::num_threads()
-    } else {
-        1
-    };
-    crate::pool::parallel_tiles(n_blocks, threads.min(n_blocks), move |b| {
-        let r0 = b * rows_per_block;
-        let n = rows_per_block.min(rows - r0);
-        row_work(b, r0, n);
-    });
-}
-
-/// Like [`par_rows`], but hands each block its disjoint `&mut` window of
-/// `out` (which must hold exactly `rows * row_len` elements).
-///
-/// # Panics
-/// Panics if `out.len() != rows * row_len`.
-pub fn par_rows_mut(
-    out: &mut [f32],
-    rows: usize,
-    row_len: usize,
-    row_work: impl Fn(usize, usize, &mut [f32]) + Sync,
-) {
-    assert_eq!(out.len(), rows * row_len, "par_rows_mut length mismatch");
-    let ptr = SendPtr(out.as_mut_ptr());
-    par_rows(rows, row_len, move |b, r0, n| {
-        let ptr = &ptr;
-        // SAFETY: row blocks are disjoint ranges of `out`, one tile each.
-        let chunk =
-            unsafe { std::slice::from_raw_parts_mut(ptr.0.add(r0 * row_len), n * row_len) };
-        row_work(b, r0, chunk);
-    });
-}
-
-/// Like [`par_rows_mut`], but additionally collects one partial result per
-/// block, returned **in block order** so callers can fold partials
-/// deterministically (the fused ACF loss folds per-row-block `f64` loss
-/// terms this way; LayerNorm backward folds per-block `dγ`/`dβ` buffers).
-///
-/// # Panics
-/// Panics if `out.len() != rows * row_len`.
-pub fn par_rows_map_mut<P: Send + Default>(
-    out: &mut [f32],
-    rows: usize,
-    row_len: usize,
-    row_work: impl Fn(usize, usize, &mut [f32]) -> P + Sync,
-) -> Vec<P> {
-    assert_eq!(out.len(), rows * row_len, "par_rows_map_mut length mismatch");
-    let (_, n_blocks) = row_blocks(rows, row_len);
-    let mut partials: Vec<P> = std::iter::repeat_with(P::default).take(n_blocks).collect();
-    let out_ptr = SendPtr(out.as_mut_ptr());
-    let part_ptr = SendPtr(partials.as_mut_ptr());
-    par_rows(rows, row_len, move |b, r0, n| {
-        let (out_ptr, part_ptr) = (&out_ptr, &part_ptr);
-        // SAFETY: row blocks are disjoint ranges of `out`, and each tile
-        // writes exactly one distinct partial slot.
-        let chunk =
-            unsafe { std::slice::from_raw_parts_mut(out_ptr.0.add(r0 * row_len), n * row_len) };
-        let p = row_work(b, r0, chunk);
-        unsafe { *part_ptr.0.add(b) = p };
-    });
-    partials
 }
 
 #[cfg(test)]
@@ -282,27 +163,17 @@ mod tests {
     }
 
     #[test]
-    fn par_chunks_cover_everything_once() {
-        let mut out = vec![0.0f32; 10_007];
-        par_chunks_mut(&mut out, 256, |start, chunk| {
-            for (i, v) in chunk.iter_mut().enumerate() {
-                *v += (start + i) as f32;
+    fn row_blocks_cover_every_row_once() {
+        for (rows, row_len) in [(37, 8), (100_000, 1), (5, 0), (0, 8)] {
+            let (per_block, n_blocks) = row_blocks(rows, row_len);
+            let mut hits = vec![0u32; rows];
+            for b in 0..n_blocks {
+                let r0 = b * per_block;
+                for h in &mut hits[r0..(r0 + per_block).min(rows)] {
+                    *h += 1;
+                }
             }
-        });
-        for (i, &v) in out.iter().enumerate() {
-            assert_eq!(v, i as f32);
+            assert!(hits.iter().all(|&h| h == 1), "{rows}x{row_len}");
         }
-    }
-
-    #[test]
-    fn par_rows_cover_all_rows() {
-        use std::sync::atomic::{AtomicU32, Ordering};
-        let hits: Vec<AtomicU32> = (0..37).map(|_| AtomicU32::new(0)).collect();
-        par_rows(37, 8, |_b, r0, n| {
-            for h in &hits[r0..r0 + n] {
-                h.fetch_add(1, Ordering::Relaxed);
-            }
-        });
-        assert!(hits.iter().all(|h| h.load(Ordering::Relaxed) == 1));
     }
 }

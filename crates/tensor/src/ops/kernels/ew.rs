@@ -1,11 +1,11 @@
-//! Elementwise kernels: exact per-element arithmetic (threaded, trivially
+//! Elementwise kernels: exact per-element arithmetic (trivially
 //! bit-identical) and tier-dispatched SIMD for the transcendental-heavy
 //! GELU forward/backward.
 //!
 //! The arithmetic kernels (`binary`, `axpy`, `scale`, …) are pure
 //! per-element IEEE-754 single operations: any vectorisation — including
 //! the compiler's — produces the same bits lane-for-lane, so they carry no
-//! tier dispatch, only fixed-block thread partitioning. GELU is different:
+//! tier dispatch, only one loop over the slice. GELU is different:
 //! its scalar form branches (the `fast_tanh` clamp), which blocks
 //! autovectorisation, so the SIMD tiers re-express the *identical*
 //! operation sequence branch-free (compare + blend, plain mul/add, no FMA
@@ -15,7 +15,7 @@
 use super::simd::SimdVec;
 #[cfg(target_arch = "x86_64")]
 use super::simd::{V16, V8};
-use super::{par_chunks_mut, par_rows_mut, Tier, EW_BLOCK};
+use super::Tier;
 use crate::ops::{gelu_grad_scalar, gelu_scalar};
 
 /// Binary elementwise operation selector.
@@ -31,148 +31,119 @@ pub enum Bin {
     Div,
 }
 
-/// `out[i] = a[i] ⊕ b[i]` (parallel, exact per element).
+/// `out[i] = a[i] ⊕ b[i]` (exact per element).
 ///
 /// # Panics
 /// Panics if the slice lengths differ.
 pub fn binary(op: Bin, a: &[f32], b: &[f32], out: &mut [f32]) {
     assert_eq!(a.len(), b.len(), "binary length mismatch");
     assert_eq!(a.len(), out.len(), "binary output length mismatch");
-    par_chunks_mut(out, EW_BLOCK, |start, chunk| {
-        let aa = &a[start..start + chunk.len()];
-        let bb = &b[start..start + chunk.len()];
-        match op {
-            Bin::Add => {
-                for ((o, &x), &y) in chunk.iter_mut().zip(aa).zip(bb) {
-                    *o = x + y;
-                }
-            }
-            Bin::Sub => {
-                for ((o, &x), &y) in chunk.iter_mut().zip(aa).zip(bb) {
-                    *o = x - y;
-                }
-            }
-            Bin::Mul => {
-                for ((o, &x), &y) in chunk.iter_mut().zip(aa).zip(bb) {
-                    *o = x * y;
-                }
-            }
-            Bin::Div => {
-                for ((o, &x), &y) in chunk.iter_mut().zip(aa).zip(bb) {
-                    *o = x / y;
-                }
+    match op {
+        Bin::Add => {
+            for ((o, &x), &y) in out.iter_mut().zip(a).zip(b) {
+                *o = x + y;
             }
         }
-    });
+        Bin::Sub => {
+            for ((o, &x), &y) in out.iter_mut().zip(a).zip(b) {
+                *o = x - y;
+            }
+        }
+        Bin::Mul => {
+            for ((o, &x), &y) in out.iter_mut().zip(a).zip(b) {
+                *o = x * y;
+            }
+        }
+        Bin::Div => {
+            for ((o, &x), &y) in out.iter_mut().zip(a).zip(b) {
+                *o = x / y;
+            }
+        }
+    }
 }
 
-/// `out[i] += b[i]` (parallel, exact per element).
+/// `out[i] += b[i]` (exact per element).
 ///
 /// # Panics
 /// Panics if the slice lengths differ.
 pub fn add_assign(out: &mut [f32], b: &[f32]) {
     assert_eq!(out.len(), b.len(), "add_assign length mismatch");
-    par_chunks_mut(out, EW_BLOCK, |start, chunk| {
-        let n = chunk.len();
-        for (o, &y) in chunk.iter_mut().zip(&b[start..start + n]) {
-            *o += y;
-        }
-    });
+    for (o, &y) in out.iter_mut().zip(b) {
+        *o += y;
+    }
 }
 
-/// `out[i] -= b[i]` (parallel, exact per element).
+/// `out[i] -= b[i]` (exact per element).
 ///
 /// # Panics
 /// Panics if the slice lengths differ.
 pub fn sub_assign(out: &mut [f32], b: &[f32]) {
     assert_eq!(out.len(), b.len(), "sub_assign length mismatch");
-    par_chunks_mut(out, EW_BLOCK, |start, chunk| {
-        let n = chunk.len();
-        for (o, &y) in chunk.iter_mut().zip(&b[start..start + n]) {
-            *o -= y;
-        }
-    });
+    for (o, &y) in out.iter_mut().zip(b) {
+        *o -= y;
+    }
 }
 
 /// `out[i] += s * b[i]` — the axpy of gradient accumulation and optimiser
-/// updates (parallel, exact per element: plain mul then add, no FMA).
+/// updates (exact per element: plain mul then add, no FMA).
 ///
 /// # Panics
 /// Panics if the slice lengths differ.
 pub fn axpy(s: f32, b: &[f32], out: &mut [f32]) {
     assert_eq!(out.len(), b.len(), "axpy length mismatch");
-    par_chunks_mut(out, EW_BLOCK, |start, chunk| {
-        let n = chunk.len();
-        for (o, &y) in chunk.iter_mut().zip(&b[start..start + n]) {
-            *o += s * y;
-        }
-    });
+    for (o, &y) in out.iter_mut().zip(b) {
+        *o += s * y;
+    }
 }
 
-/// `out[i] = x[i] * s` (parallel, exact per element).
+/// `out[i] = x[i] * s` (exact per element).
 pub fn scale(x: &[f32], s: f32, out: &mut [f32]) {
     assert_eq!(x.len(), out.len(), "scale length mismatch");
-    par_chunks_mut(out, EW_BLOCK, |start, chunk| {
-        let n = chunk.len();
-        for (o, &v) in chunk.iter_mut().zip(&x[start..start + n]) {
-            *o = v * s;
-        }
-    });
+    for (o, &v) in out.iter_mut().zip(x) {
+        *o = v * s;
+    }
 }
 
-/// `out[i] = x[i] + s` (parallel, exact per element).
+/// `out[i] = x[i] + s` (exact per element).
 pub fn add_scalar(x: &[f32], s: f32, out: &mut [f32]) {
     assert_eq!(x.len(), out.len(), "add_scalar length mismatch");
-    par_chunks_mut(out, EW_BLOCK, |start, chunk| {
-        let n = chunk.len();
-        for (o, &v) in chunk.iter_mut().zip(&x[start..start + n]) {
-            *o = v + s;
-        }
-    });
+    for (o, &v) in out.iter_mut().zip(x) {
+        *o = v + s;
+    }
 }
 
-/// `out[i] = x[i] * x[i]` (parallel, exact per element).
+/// `out[i] = x[i] * x[i]` (exact per element).
 pub fn square(x: &[f32], out: &mut [f32]) {
     assert_eq!(x.len(), out.len(), "square length mismatch");
-    par_chunks_mut(out, EW_BLOCK, |start, chunk| {
-        let n = chunk.len();
-        for (o, &v) in chunk.iter_mut().zip(&x[start..start + n]) {
-            *o = v * v;
-        }
-    });
+    for (o, &v) in out.iter_mut().zip(x) {
+        *o = v * v;
+    }
 }
 
-/// `out[i] = max(x[i], 0)` (parallel, exact per element; NaN maps to 0
+/// `out[i] = max(x[i], 0)` (exact per element; NaN maps to 0
 /// like `f32::max`).
 pub fn relu(x: &[f32], out: &mut [f32]) {
     assert_eq!(x.len(), out.len(), "relu length mismatch");
-    par_chunks_mut(out, EW_BLOCK, |start, chunk| {
-        let n = chunk.len();
-        for (o, &v) in chunk.iter_mut().zip(&x[start..start + n]) {
-            *o = v.max(0.0);
-        }
-    });
+    for (o, &v) in out.iter_mut().zip(x) {
+        *o = v.max(0.0);
+    }
 }
 
 /// `out[i] = (a[i] - b[i]) * s` — the fused MSE input-gradient pass
-/// (parallel, exact per element).
+/// (exact per element).
 ///
 /// # Panics
 /// Panics if the slice lengths differ.
 pub fn scaled_diff(a: &[f32], b: &[f32], s: f32, out: &mut [f32]) {
     assert_eq!(a.len(), b.len(), "scaled_diff length mismatch");
     assert_eq!(a.len(), out.len(), "scaled_diff output length mismatch");
-    par_chunks_mut(out, EW_BLOCK, |start, chunk| {
-        let aa = &a[start..start + chunk.len()];
-        let bb = &b[start..start + chunk.len()];
-        for ((o, &x), &y) in chunk.iter_mut().zip(aa).zip(bb) {
-            *o = (x - y) * s;
-        }
-    });
+    for ((o, &x), &y) in out.iter_mut().zip(a).zip(b) {
+        *o = (x - y) * s;
+    }
 }
 
 /// `out[i] = ((a[i] - b[i]) * m[i]) * s` — the fused masked-MSE
-/// input-gradient pass (parallel, exact per element).
+/// input-gradient pass (exact per element).
 ///
 /// # Panics
 /// Panics if the slice lengths differ.
@@ -180,43 +151,34 @@ pub fn masked_scaled_diff(a: &[f32], b: &[f32], m: &[f32], s: f32, out: &mut [f3
     assert_eq!(a.len(), b.len(), "masked_scaled_diff length mismatch");
     assert_eq!(a.len(), m.len(), "masked_scaled_diff mask length mismatch");
     assert_eq!(a.len(), out.len(), "masked_scaled_diff output length mismatch");
-    par_chunks_mut(out, EW_BLOCK, |start, chunk| {
-        let aa = &a[start..start + chunk.len()];
-        let bb = &b[start..start + chunk.len()];
-        let mm = &m[start..start + chunk.len()];
-        for (((o, &x), &y), &w) in chunk.iter_mut().zip(aa).zip(bb).zip(mm) {
-            *o = ((x - y) * w) * s;
-        }
-    });
+    for (((o, &x), &y), &w) in out.iter_mut().zip(a).zip(b).zip(m) {
+        *o = ((x - y) * w) * s;
+    }
 }
 
 /// Sign subgradient of `|a - b|` scaled by `s`: `s` where `a > b`, `-s`
 /// where `a < b`, `0` elsewhere (including NaN). The fused MAE
-/// input-gradient pass (parallel, exact per element).
+/// input-gradient pass (exact per element).
 ///
 /// # Panics
 /// Panics if the slice lengths differ.
 pub fn sign_scaled(a: &[f32], b: &[f32], s: f32, out: &mut [f32]) {
     assert_eq!(a.len(), b.len(), "sign_scaled length mismatch");
     assert_eq!(a.len(), out.len(), "sign_scaled output length mismatch");
-    par_chunks_mut(out, EW_BLOCK, |start, chunk| {
-        let aa = &a[start..start + chunk.len()];
-        let bb = &b[start..start + chunk.len()];
-        for ((o, &x), &y) in chunk.iter_mut().zip(aa).zip(bb) {
-            let d = x - y;
-            *o = if d > 0.0 {
-                s
-            } else if d < 0.0 {
-                -s
-            } else {
-                0.0
-            };
-        }
-    });
+    for ((o, &x), &y) in out.iter_mut().zip(a).zip(b) {
+        let d = x - y;
+        *o = if d > 0.0 {
+            s
+        } else if d < 0.0 {
+            -s
+        } else {
+            0.0
+        };
+    }
 }
 
 /// Broadcast-add of a bias over contiguous rows: `out[r*d + j] += bias[j]`
-/// (parallel over fixed row blocks, exact per element).
+/// (exact per element).
 ///
 /// # Panics
 /// Panics if `out.len()` is not a multiple of `bias.len()`.
@@ -224,14 +186,11 @@ pub fn add_bias(out: &mut [f32], bias: &[f32]) {
     let d = bias.len();
     assert!(d > 0, "add_bias with empty bias");
     assert_eq!(out.len() % d, 0, "add_bias length not a multiple of bias");
-    let rows = out.len() / d;
-    par_rows_mut(out, rows, d, |_b, _r0, chunk| {
-        for row in chunk.chunks_exact_mut(d) {
-            for (o, &bv) in row.iter_mut().zip(bias) {
-                *o += bv;
-            }
+    for row in out.chunks_exact_mut(d) {
+        for (o, &bv) in row.iter_mut().zip(bias) {
+            *o += bv;
         }
-    });
+    }
 }
 
 // ---------------------------------------------------------------------------
@@ -329,7 +288,7 @@ unsafe fn gelu_bwd_body<V: SimdVec>(x: &[f32], dy: &[f32], out: &mut [f32]) {
     }
 }
 
-/// GELU (tanh approximation), tier-dispatched and parallel; bit-identical
+/// GELU (tanh approximation), tier-dispatched; bit-identical
 /// to `gelu_scalar` applied per element on every tier.
 ///
 /// # Panics
@@ -337,13 +296,6 @@ unsafe fn gelu_bwd_body<V: SimdVec>(x: &[f32], dy: &[f32], out: &mut [f32]) {
 pub fn gelu(x: &[f32], out: &mut [f32]) {
     assert_eq!(x.len(), out.len(), "gelu length mismatch");
     let t = super::tier();
-    par_chunks_mut(out, EW_BLOCK, |start, chunk| {
-        gelu_chunk(t, &x[start..start + chunk.len()], chunk);
-    });
-}
-
-#[inline]
-fn gelu_chunk(t: Tier, x: &[f32], out: &mut [f32]) {
     #[cfg(target_arch = "x86_64")]
     {
         #[target_feature(enable = "avx")]
@@ -367,8 +319,8 @@ fn gelu_chunk(t: Tier, x: &[f32], out: &mut [f32]) {
     }
 }
 
-/// Fused GELU backward: `out[i] = dy[i] * gelu'(x[i])`, tier-dispatched
-/// and parallel; bit-identical to the scalar composition on every tier.
+/// Fused GELU backward: `out[i] = dy[i] * gelu'(x[i])`, tier-dispatched;
+/// bit-identical to the scalar composition on every tier.
 ///
 /// # Panics
 /// Panics if the slice lengths differ.
@@ -376,14 +328,6 @@ pub fn gelu_bwd(x: &[f32], dy: &[f32], out: &mut [f32]) {
     assert_eq!(x.len(), dy.len(), "gelu_bwd length mismatch");
     assert_eq!(x.len(), out.len(), "gelu_bwd output length mismatch");
     let t = super::tier();
-    par_chunks_mut(out, EW_BLOCK, |start, chunk| {
-        let end = start + chunk.len();
-        gelu_bwd_chunk(t, &x[start..end], &dy[start..end], chunk);
-    });
-}
-
-#[inline]
-fn gelu_bwd_chunk(t: Tier, x: &[f32], dy: &[f32], out: &mut [f32]) {
     #[cfg(target_arch = "x86_64")]
     {
         #[target_feature(enable = "avx")]

@@ -1,10 +1,9 @@
 //! Normalisation kernels: fused LayerNorm forward/backward and row
-//! softmax, parallel over fixed row blocks and built on the spec'd
-//! reductions of [`super::reduce`], so results are bit-identical across
-//! tiers and thread counts.
+//! softmax, built on the spec'd reductions of [`super::reduce`], so
+//! results are bit-identical across tiers.
 
 use super::reduce::{centered_sumsq_seq, dot_seq, maxv_seq, sum_seq};
-use super::{par_rows, par_rows_map_mut, SendPtr};
+use super::row_blocks;
 
 /// Fused LayerNorm forward over contiguous rows of length `d`:
 ///
@@ -39,30 +38,16 @@ pub fn layernorm_fwd(
     assert_eq!(mean.len(), rows, "layernorm mean length mismatch");
     assert_eq!(rstd.len(), rows, "layernorm rstd length mismatch");
     let t = super::tier();
-    let out_ptr = SendPtr(out.as_mut_ptr());
-    let mean_ptr = SendPtr(mean.as_mut_ptr());
-    let rstd_ptr = SendPtr(rstd.as_mut_ptr());
-    par_rows(rows, d, move |_b, r0, n| {
-        let (out_ptr, mean_ptr, rstd_ptr) = (&out_ptr, &mean_ptr, &rstd_ptr);
-        for r in r0..r0 + n {
-            let row = &x[r * d..(r + 1) * d];
-            let m = sum_seq(t, row) / d as f32;
-            let var = centered_sumsq_seq(t, row, m) / d as f32;
-            let rs = 1.0 / (var + eps).sqrt();
-            // SAFETY: rows (and their per-row stats) are written by exactly
-            // one tile; blocks are disjoint row ranges.
-            unsafe {
-                *mean_ptr.0.add(r) = m;
-                *rstd_ptr.0.add(r) = rs;
-                let o = std::slice::from_raw_parts_mut(out_ptr.0.add(r * d), d);
-                for ((ov, &xv), (&gv, &bv)) in
-                    o.iter_mut().zip(row).zip(gamma.iter().zip(beta))
-                {
-                    *ov = ((xv - m) * rs) * gv + bv;
-                }
-            }
+    for (r, (o, row)) in out.chunks_exact_mut(d).zip(x.chunks_exact(d)).enumerate() {
+        let m = sum_seq(t, row) / d as f32;
+        let var = centered_sumsq_seq(t, row, m) / d as f32;
+        let rs = 1.0 / (var + eps).sqrt();
+        mean[r] = m;
+        rstd[r] = rs;
+        for ((ov, &xv), (&gv, &bv)) in o.iter_mut().zip(row).zip(gamma.iter().zip(beta)) {
+            *ov = ((xv - m) * rs) * gv + bv;
         }
-    });
+    }
 }
 
 /// Fused LayerNorm backward. Given the saved per-row `mean`/`rstd`:
@@ -75,9 +60,8 @@ pub fn layernorm_fwd(
 /// dγ[j] = Σ_rows dy[j]·x̂[j]     dβ[j] = Σ_rows dy[j]
 /// ```
 ///
-/// The `dγ`/`dβ` sums accumulate per row block and fold in block order, so
-/// they are identical for every thread count. `dgamma`/`dbeta` are
-/// overwritten.
+/// The `dγ`/`dβ` sums accumulate per [`row_blocks`] block, and the block
+/// partials fold in block order. `dgamma`/`dbeta` are overwritten.
 ///
 /// # Panics
 /// Panics on any length mismatch.
@@ -104,44 +88,43 @@ pub fn layernorm_bwd(
     assert_eq!(dgamma.len(), d, "layernorm dgamma length mismatch");
     assert_eq!(dbeta.len(), d, "layernorm dbeta length mismatch");
     let t = super::tier();
-    let partials: Vec<(Vec<f32>, Vec<f32>)> =
-        par_rows_map_mut(dx, rows, d, move |_b, r0, chunk| {
-            let mut gsum = vec![0.0f32; d];
-            let mut bsum = vec![0.0f32; d];
-            let mut xh = vec![0.0f32; d];
-            let mut g = vec![0.0f32; d];
-            for (i, dxr) in chunk.chunks_exact_mut(d).enumerate() {
-                let r = r0 + i;
-                let row = &x[r * d..(r + 1) * d];
-                let dyr = &dy[r * d..(r + 1) * d];
-                let (m, rs) = (mean[r], rstd[r]);
-                for (h, &xv) in xh.iter_mut().zip(row) {
-                    *h = (xv - m) * rs;
-                }
-                for ((gv, &dv), &gam) in g.iter_mut().zip(dyr).zip(gamma) {
-                    *gv = dv * gam;
-                }
-                let s1 = sum_seq(t, &g) / d as f32;
-                let s2 = dot_seq(t, &g, &xh) / d as f32;
-                for ((o, &gv), &h) in dxr.iter_mut().zip(&g).zip(&xh) {
-                    *o = ((gv - s1) - h * s2) * rs;
-                }
-                for ((gs, &dv), &h) in gsum.iter_mut().zip(dyr).zip(&xh) {
-                    *gs += dv * h;
-                }
-                for (bs, &dv) in bsum.iter_mut().zip(dyr) {
-                    *bs += dv;
-                }
-            }
-            (gsum, bsum)
-        });
+    let (rows_per_block, _) = row_blocks(rows, d);
     dgamma.fill(0.0);
     dbeta.fill(0.0);
-    for (gsum, bsum) in &partials {
-        for (o, &p) in dgamma.iter_mut().zip(gsum) {
+    let mut gsum = vec![0.0f32; d];
+    let mut bsum = vec![0.0f32; d];
+    let mut xh = vec![0.0f32; d];
+    let mut g = vec![0.0f32; d];
+    for (b, block) in dx.chunks_mut(rows_per_block * d).enumerate() {
+        gsum.fill(0.0);
+        bsum.fill(0.0);
+        for (i, dxr) in block.chunks_exact_mut(d).enumerate() {
+            let r = b * rows_per_block + i;
+            let row = &x[r * d..(r + 1) * d];
+            let dyr = &dy[r * d..(r + 1) * d];
+            let (m, rs) = (mean[r], rstd[r]);
+            for (h, &xv) in xh.iter_mut().zip(row) {
+                *h = (xv - m) * rs;
+            }
+            for ((gv, &dv), &gam) in g.iter_mut().zip(dyr).zip(gamma) {
+                *gv = dv * gam;
+            }
+            let s1 = sum_seq(t, &g) / d as f32;
+            let s2 = dot_seq(t, &g, &xh) / d as f32;
+            for ((o, &gv), &h) in dxr.iter_mut().zip(&g).zip(&xh) {
+                *o = ((gv - s1) - h * s2) * rs;
+            }
+            for ((gs, &dv), &h) in gsum.iter_mut().zip(dyr).zip(&xh) {
+                *gs += dv * h;
+            }
+            for (bs, &dv) in bsum.iter_mut().zip(dyr) {
+                *bs += dv;
+            }
+        }
+        for (o, &p) in dgamma.iter_mut().zip(&gsum) {
             *o += p;
         }
-        for (o, &p) in dbeta.iter_mut().zip(bsum) {
+        for (o, &p) in dbeta.iter_mut().zip(&bsum) {
             *o += p;
         }
     }
@@ -150,7 +133,7 @@ pub fn layernorm_bwd(
 /// Numerically-stable softmax over contiguous rows of length `d`:
 /// row max and row sum use the spec'd reductions, `exp` is the shared
 /// libm call on every tier, and the final scale is one reciprocal
-/// multiply — identical bits for every tier and thread count.
+/// multiply — identical bits for every tier.
 ///
 /// # Panics
 /// Panics on any length mismatch.
@@ -158,21 +141,17 @@ pub fn softmax_rows(x: &[f32], d: usize, out: &mut [f32]) {
     assert!(d > 0, "softmax on empty rows");
     assert_eq!(x.len() % d, 0, "softmax length not a multiple of d");
     assert_eq!(out.len(), x.len(), "softmax output length mismatch");
-    let rows = x.len() / d;
     let t = super::tier();
-    super::par_rows_mut(out, rows, d, move |_b, r0, chunk| {
-        for (i, orow) in chunk.chunks_exact_mut(d).enumerate() {
-            let row = &x[(r0 + i) * d..(r0 + i + 1) * d];
-            let m = maxv_seq(t, row);
-            for (o, &xv) in orow.iter_mut().zip(row) {
-                *o = (xv - m).exp();
-            }
-            let inv = 1.0 / sum_seq(t, orow);
-            for o in orow.iter_mut() {
-                *o *= inv;
-            }
+    for (orow, row) in out.chunks_exact_mut(d).zip(x.chunks_exact(d)) {
+        let m = maxv_seq(t, row);
+        for (o, &xv) in orow.iter_mut().zip(row) {
+            *o = (xv - m).exp();
         }
-    });
+        let inv = 1.0 / sum_seq(t, orow);
+        for o in orow.iter_mut() {
+            *o *= inv;
+        }
+    }
 }
 
 #[cfg(test)]

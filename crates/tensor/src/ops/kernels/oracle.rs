@@ -3,10 +3,10 @@
 //! These are deliberately plain, readable scalar loops that transcribe the
 //! kernel layer's accumulation specification directly (fixed blocks,
 //! 16 interleaved lanes, fixed pairwise lane fold, in-order block fold).
-//! **The oracle defines the semantics**: the dispatched kernels — every
-//! SIMD tier, every thread count — must match these functions bit for
-//! bit, and `tests/kernels_differential.rs` enforces exactly that over
-//! random shapes and NaN/±inf inputs. The oracles share no SIMD
+//! **The oracle defines the semantics**: the dispatched kernels, on every
+//! SIMD tier, must match these functions bit for bit, and
+//! `tests/kernels_differential.rs` enforces exactly that over random
+//! shapes and NaN/±inf inputs. The oracles share no SIMD
 //! machinery, no generics, and no dispatch with the production kernels,
 //! so a bug in that machinery cannot hide.
 
@@ -233,7 +233,7 @@ pub fn layernorm_fwd(
 
 /// Reference for [`super::norm::layernorm_bwd`]. The `dγ`/`dβ` sums
 /// replicate the spec's fixed row-block decomposition ([`super::row_blocks`])
-/// so they match the parallel kernel bit for bit: per-block partial sums,
+/// so they match the kernel bit for bit: per-block partial sums,
 /// folded in block order.
 #[allow(clippy::too_many_arguments)]
 pub fn layernorm_bwd(

@@ -23,9 +23,9 @@
 //! accumulator value is independent of summation order by construction.
 //! The dequantize epilogue (`acc as f32 * (s_row * s_col)`, then bias,
 //! then optional GELU) is a fixed per-element scalar sequence. Results are
-//! therefore bit-identical across every SIMD tier and thread count, and
-//! the differential suite pins the dispatched kernels against
-//! [`linear_i8_oracle`] anyway, exactly like the f32 kernels.
+//! therefore bit-identical across every SIMD tier, and the differential
+//! suite pins the dispatched kernels against [`linear_i8_oracle`] anyway,
+//! exactly like the f32 kernels.
 
 use super::Tier;
 
@@ -318,11 +318,10 @@ pub fn linear_i8_oracle(
     }
 }
 
-/// int8 linear with dequantize-fused epilogue, tier-dispatched and
-/// parallel over rows: `out = dequant(quant(x) · Wq) + b`, optionally
-/// through GELU. Bit-identical to [`linear_i8_oracle`] on every tier and
-/// thread count (integer accumulation is order-exact; the epilogue is a
-/// fixed scalar sequence).
+/// int8 linear with dequantize-fused epilogue, tier-dispatched, one row
+/// at a time: `out = dequant(quant(x) · Wq) + b`, optionally through GELU.
+/// Bit-identical to [`linear_i8_oracle`] on every tier (integer
+/// accumulation is order-exact; the epilogue is a fixed scalar sequence).
 ///
 /// # Panics
 /// Panics on shape mismatches, and if `in_dim` exceeds the overflow-safe
@@ -355,16 +354,11 @@ pub fn linear_i8_into(
     let mut sx = vec![0.0f32; rows];
     quantize_rows_i8(x, rows, in_dim, &mut xq, &mut sx);
     let t = super::tier();
-    let xq_ref = &xq;
-    let sx_ref = &sx;
-    super::par_rows_mut(out, rows, out_dim, |_, r0, chunk| {
-        for (ri, row_out) in chunk.chunks_mut(out_dim).enumerate() {
-            let r = r0 + ri;
-            let xrow = &xq_ref[r * in_dim..(r + 1) * in_dim];
-            row_kernel(t, xrow, w.data, out_dim, sx_ref[r], w.scales, row_out);
-            epilogue_row(row_out, bias, gelu);
-        }
-    });
+    for (r, row_out) in out.chunks_exact_mut(out_dim).enumerate() {
+        let xrow = &xq[r * in_dim..(r + 1) * in_dim];
+        row_kernel(t, xrow, w.data, out_dim, sx[r], w.scales, row_out);
+        epilogue_row(row_out, bias, gelu);
+    }
 }
 
 /// One output row of the int8 GEMM: `out[c] = (Σ_i x[i]·w[i,c]) · sx·sw[c]`.

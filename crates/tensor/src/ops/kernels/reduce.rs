@@ -14,14 +14,12 @@
 //! The SIMD tiers implement step 1 with registers (AVX-512: one 16-lane
 //! register; AVX2: two 8-lane registers covering lanes 0–7 and 8–15) and
 //! steps 2–3 in scalar code shared with the portable tier, so all tiers
-//! produce identical bits. Thread parallelism distributes whole blocks and
-//! never changes any fold order.
+//! produce identical bits.
 
 use super::simd::{SimdVec, F1};
 #[cfg(target_arch = "x86_64")]
 use super::simd::{V16, V8};
-use super::{SendPtr, Tier, LANES, PAR_MIN, RED_BLOCK};
-use crate::pool;
+use super::{Tier, LANES, RED_BLOCK};
 
 /// An additive reduction's per-element term. `a`/`b` are the two input
 /// streams (single-input reductions are called with `b = a` and ignore
@@ -198,10 +196,15 @@ additive_shims!(SseOp, sse_block);
 additive_shims!(SadOp, sad_block);
 additive_shims!(CenteredSqOp, centered_sq_block);
 
-/// Sequential block-fold driver: cuts `[0, n)` into `RED_BLOCK` blocks and
+/// The one block-fold driver: cuts `[0, n)` into `RED_BLOCK` blocks and
 /// folds their partials in block order starting from `init`.
 #[inline]
-fn run_seq(n: usize, init: f32, combine: impl Fn(f32, f32) -> f32, block: impl Fn(usize, usize) -> f32) -> f32 {
+fn run_seq<T>(
+    n: usize,
+    init: T,
+    combine: impl Fn(T, T) -> T,
+    block: impl Fn(usize, usize) -> T,
+) -> T {
     let mut acc = init;
     let mut start = 0;
     while start < n {
@@ -212,89 +215,63 @@ fn run_seq(n: usize, init: f32, combine: impl Fn(f32, f32) -> f32, block: impl F
     acc
 }
 
-/// Parallel block-fold driver: identical block decomposition and fold
-/// order as [`run_seq`]; threads only change which worker computes each
-/// partial.
-fn run_par(
-    n: usize,
-    init: f32,
-    combine: impl Fn(f32, f32) -> f32,
-    block: impl Fn(usize, usize) -> f32 + Sync,
-) -> f32 {
-    let n_blocks = n.div_ceil(RED_BLOCK);
-    let threads = if n >= PAR_MIN { pool::num_threads() } else { 1 };
-    if threads <= 1 || n_blocks <= 1 {
-        return run_seq(n, init, combine, block);
-    }
-    let mut partials = vec![init; n_blocks];
-    let ptr = SendPtr(partials.as_mut_ptr());
-    pool::parallel_tiles(n_blocks, threads, |b| {
-        let ptr = &ptr;
-        let start = b * RED_BLOCK;
-        let end = (start + RED_BLOCK).min(n);
-        // SAFETY: each tile writes exactly one distinct partial slot.
-        unsafe { ptr.0.add(b).write(block(start, end)) };
-    });
-    partials.into_iter().fold(init, combine)
-}
-
 // ---------------------------------------------------------------------------
-// Public API — parallel entry points (Tensor-level callers).
+// Public API — entry points that resolve the tier (Tensor-level callers).
 // ---------------------------------------------------------------------------
 
-/// Sum of all elements (parallel; fixed-order spec).
+/// Sum of all elements (fixed-order spec).
 pub fn sum(x: &[f32]) -> f32 {
     let t = super::tier();
-    run_par(x.len(), 0.0, |a, b| a + b, |s, e| sum_block(t, &x[s..e], &x[s..e], 0.0))
+    run_seq(x.len(), 0.0, |a, b| a + b, |s, e| sum_block(t, &x[s..e], &x[s..e], 0.0))
 }
 
-/// Sum of squares of all elements (parallel).
+/// Sum of squares of all elements.
 pub fn sumsq(x: &[f32]) -> f32 {
     let t = super::tier();
-    run_par(x.len(), 0.0, |a, b| a + b, |s, e| sumsq_block(t, &x[s..e], &x[s..e], 0.0))
+    run_seq(x.len(), 0.0, |a, b| a + b, |s, e| sumsq_block(t, &x[s..e], &x[s..e], 0.0))
 }
 
-/// Dot product `Σ a[i]·b[i]` (parallel).
+/// Dot product `Σ a[i]·b[i]`.
 ///
 /// # Panics
 /// Panics if the slices have different lengths.
 pub fn dot(a: &[f32], b: &[f32]) -> f32 {
     assert_eq!(a.len(), b.len(), "dot length mismatch");
     let t = super::tier();
-    run_par(a.len(), 0.0, |x, y| x + y, |s, e| dot_block(t, &a[s..e], &b[s..e], 0.0))
+    run_seq(a.len(), 0.0, |x, y| x + y, |s, e| dot_block(t, &a[s..e], &b[s..e], 0.0))
 }
 
-/// Sum of squared errors `Σ (a[i]-b[i])²` (parallel).
+/// Sum of squared errors `Σ (a[i]-b[i])²`.
 ///
 /// # Panics
 /// Panics if the slices have different lengths.
 pub fn sse(a: &[f32], b: &[f32]) -> f32 {
     assert_eq!(a.len(), b.len(), "sse length mismatch");
     let t = super::tier();
-    run_par(a.len(), 0.0, |x, y| x + y, |s, e| sse_block(t, &a[s..e], &b[s..e], 0.0))
+    run_seq(a.len(), 0.0, |x, y| x + y, |s, e| sse_block(t, &a[s..e], &b[s..e], 0.0))
 }
 
-/// Sum of absolute errors `Σ |a[i]-b[i]|` (parallel).
+/// Sum of absolute errors `Σ |a[i]-b[i]|`.
 ///
 /// # Panics
 /// Panics if the slices have different lengths.
 pub fn sad(a: &[f32], b: &[f32]) -> f32 {
     assert_eq!(a.len(), b.len(), "sad length mismatch");
     let t = super::tier();
-    run_par(a.len(), 0.0, |x, y| x + y, |s, e| sad_block(t, &a[s..e], &b[s..e], 0.0))
+    run_seq(a.len(), 0.0, |x, y| x + y, |s, e| sad_block(t, &a[s..e], &b[s..e], 0.0))
 }
 
-/// Centered sum of squares `Σ (x[i]-c)²` (parallel).
+/// Centered sum of squares `Σ (x[i]-c)²`.
 pub fn centered_sumsq(x: &[f32], c: f32) -> f32 {
     let t = super::tier();
-    run_par(x.len(), 0.0, |a, b| a + b, |s, e| centered_sq_block(t, &x[s..e], &x[s..e], c))
+    run_seq(x.len(), 0.0, |a, b| a + b, |s, e| centered_sq_block(t, &x[s..e], &x[s..e], c))
 }
 
 /// Masked squared-error pass for imputation losses: returns
 /// `(Σ (m[i]·d)·d, Σ m[i])` with `d = a[i]-b[i]`, fused into one sweep
-/// over the three streams (parallel). The two accumulations are
-/// independent, so fusing them is bit-identical to two separate
-/// reductions under the same spec.
+/// over the three streams. The two accumulations are independent, so
+/// fusing them is bit-identical to two separate reductions under the same
+/// spec.
 ///
 /// # Panics
 /// Panics if the slices have different lengths.
@@ -302,31 +279,12 @@ pub fn masked_sse(a: &[f32], b: &[f32], m: &[f32]) -> (f32, f32) {
     assert_eq!(a.len(), b.len(), "masked_sse length mismatch");
     assert_eq!(a.len(), m.len(), "masked_sse mask length mismatch");
     let t = super::tier();
-    let n = a.len();
-    let n_blocks = n.div_ceil(RED_BLOCK);
-    let threads = if n >= PAR_MIN { pool::num_threads() } else { 1 };
-    let combine = |x: (f32, f32), y: (f32, f32)| (x.0 + y.0, x.1 + y.1);
-    let block = |s: usize, e: usize| masked_sse_block(t, &a[s..e], &b[s..e], &m[s..e]);
-    if threads <= 1 || n_blocks <= 1 {
-        let mut acc = (0.0f32, 0.0f32);
-        let mut start = 0;
-        while start < n {
-            let end = (start + RED_BLOCK).min(n);
-            acc = combine(acc, block(start, end));
-            start = end;
-        }
-        return acc;
-    }
-    let mut partials = vec![(0.0f32, 0.0f32); n_blocks];
-    let ptr = SendPtr(partials.as_mut_ptr());
-    pool::parallel_tiles(n_blocks, threads, |bi| {
-        let ptr = &ptr;
-        let start = bi * RED_BLOCK;
-        let end = (start + RED_BLOCK).min(n);
-        // SAFETY: each tile writes exactly one distinct partial slot.
-        unsafe { ptr.0.add(bi).write(block(start, end)) };
-    });
-    partials.into_iter().fold((0.0, 0.0), combine)
+    run_seq(
+        a.len(),
+        (0.0, 0.0),
+        |x: (f32, f32), y: (f32, f32)| (x.0 + y.0, x.1 + y.1),
+        |s, e| masked_sse_block(t, &a[s..e], &b[s..e], &m[s..e]),
+    )
 }
 
 /// One block of the fused masked-SSE pass: two lane sets updated in one
@@ -389,11 +347,11 @@ fn masked_sse_block(t: Tier, a: &[f32], b: &[f32], m: &[f32]) -> (f32, f32) {
     unsafe { body::<F1, 16>(a, b, m) }
 }
 
-/// Maximum element (parallel). `-inf` for an empty slice. NaN elements are
+/// Maximum element. `-inf` for an empty slice. NaN elements are
 /// skipped; `+0.0`/`-0.0` resolve to the first seen (fixed order).
 pub fn maxv(x: &[f32]) -> f32 {
     let t = super::tier();
-    run_par(
+    run_seq(
         x.len(),
         f32::NEG_INFINITY,
         pick_max,
@@ -401,10 +359,10 @@ pub fn maxv(x: &[f32]) -> f32 {
     )
 }
 
-/// Minimum element (parallel). `+inf` for an empty slice; NaN skipped.
+/// Minimum element. `+inf` for an empty slice; NaN skipped.
 pub fn minv(x: &[f32]) -> f32 {
     let t = super::tier();
-    run_par(
+    run_seq(
         x.len(),
         f32::INFINITY,
         pick_min,
@@ -481,8 +439,8 @@ fn minmax_block<const IS_MAX: bool>(t: Tier, x: &[f32]) -> f32 {
 }
 
 // ---------------------------------------------------------------------------
-// Sequential entry points — for callers that already parallelised an outer
-// loop (per-row normalisations, per-row ACF terms) and must not nest pools.
+// Explicit-tier entry points — for row loops (per-row normalisations,
+// per-row ACF terms) that resolve the tier once, not once per row.
 // ---------------------------------------------------------------------------
 
 /// Sequential [`sum`] with an explicit tier (for row loops inside kernels).
@@ -546,8 +504,9 @@ mod tests {
 
     #[test]
     fn matches_sequential_across_sizes() {
-        // The parallel driver must give the same bits as the sequential
-        // one for every size, including non-multiples of LANES/RED_BLOCK.
+        // The tier-resolving entry points must give the same bits as the
+        // explicit-tier ones for every size, including non-multiples of
+        // LANES/RED_BLOCK.
         let mut rng = Rng::seed_from(7);
         for n in [0usize, 1, 15, 16, 17, 255, 4096, 4097, 40_000] {
             let x: Vec<f32> = (0..n).map(|_| rng.normal()).collect();

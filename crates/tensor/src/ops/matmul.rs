@@ -3,11 +3,10 @@
 //! These are the hot loops of the whole reproduction: every MLP block in
 //! MSD-Mixer and every baseline reduces to `linear` over the last axis. All
 //! products route through the blocked, packed SGEMM in [`crate::ops::gemm`],
-//! which parallelises over fixed row tiles (see [`crate::pool`]) and returns
-//! bit-identical results for every thread count. The transpose-aware
-//! variants [`Tensor::matmul_nt`] / [`Tensor::matmul_tn`] read the
-//! transposed operand through strides during packing, so backward passes
-//! never materialise a transposed copy.
+//! which returns bit-identical results on every kernel tier. The
+//! transpose-aware variants [`Tensor::matmul_nt`] / [`Tensor::matmul_tn`]
+//! read the transposed operand through strides during packing, so backward
+//! passes never materialise a transposed copy.
 
 use crate::ops::gemm::sgemm_batched_strided;
 use crate::shape::numel;

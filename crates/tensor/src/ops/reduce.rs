@@ -2,7 +2,7 @@
 //!
 //! Whole-tensor reductions route through [`crate::ops::kernels::reduce`],
 //! which fixes a single blocked accumulation order so results are
-//! bit-identical for every SIMD tier and thread count.
+//! bit-identical for every SIMD tier.
 
 use crate::ops::kernels::{self, reduce as kred};
 use crate::Tensor;
@@ -11,9 +11,8 @@ use crate::Tensor;
 /// for the reduced shape. `out` is fully overwritten (zeroed first).
 ///
 /// This is the single implementation behind [`Tensor::sum_axis`] and the
-/// compiled-plan executor; the last-axis path uses the spec'd sequential
-/// per-row reduction so results are bit-identical for every SIMD tier and
-/// thread count.
+/// compiled-plan executor; the last-axis path uses the spec'd per-row
+/// reduction so results are bit-identical for every SIMD tier.
 pub fn sum_axis_into(shape: &[usize], src: &[f32], axis: usize, out: &mut [f32]) {
     assert!(axis < shape.len(), "sum axis out of range");
     let inner: usize = shape[axis + 1..].iter().product();
@@ -22,20 +21,11 @@ pub fn sum_axis_into(shape: &[usize], src: &[f32], axis: usize, out: &mut [f32])
     assert_eq!(out.len(), outer * inner, "sum_axis_into output length");
     out.fill(0.0);
     if inner == 1 {
-        // Last-axis reduction: one spec'd sequential sum per row,
-        // parallel over fixed row blocks (who computes a row never
-        // changes what it computes).
+        // Last-axis reduction: one spec'd sum per row.
         let t = kernels::tier();
-        let out_ptr = kernels::SendPtr(out.as_mut_ptr());
-        kernels::par_rows(outer, ext, move |_b, r0, n| {
-            let out_ptr = &out_ptr;
-            for r in r0..r0 + n {
-                // SAFETY: each row index is written by exactly one block.
-                unsafe {
-                    *out_ptr.0.add(r) = kred::sum_seq(t, &src[r * ext..(r + 1) * ext]);
-                }
-            }
-        });
+        for (r, o) in out.iter_mut().enumerate() {
+            *o = kred::sum_seq(t, &src[r * ext..(r + 1) * ext]);
+        }
     } else {
         for o in 0..outer {
             for a in 0..ext {

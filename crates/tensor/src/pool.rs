@@ -1,106 +1,26 @@
-//! A minimal scoped worker pool for data-parallel kernels (std-only).
+//! Intra-op threading: there is none. Every kernel — GEMM, elementwise,
+//! reduction, normalisation — runs on its caller's thread.
 //!
-//! Work is expressed as a fixed set of tiles, claimed by workers from a
-//! shared atomic counter. Because the tile decomposition is chosen by the
-//! caller *independently of the thread count*, and every output element is
-//! written by exactly one tile with a fixed internal accumulation order,
-//! kernels built on this pool produce bit-identical results for every
-//! `MSD_NUM_THREADS` setting — threads only change *which worker* runs a
-//! tile, never *how* a tile is computed.
-//!
-//! Threads are spawned per call with [`std::thread::scope`]. That keeps the
-//! implementation free of global state and `unsafe`, and lets workers borrow
-//! from the caller's stack. Spawn cost (~10 µs/thread) is negligible against
-//! the flop threshold at which callers engage the pool.
+//! The Fig. 3 block multiplies tiny operands (d_model 16 products such as
+//! 5376×2×1), far too small to pay for helper threads spawned per kernel
+//! call; with two intra-op threads on a 2-vCPU host the serving benchmark
+//! lost about a fifth of its throughput and training ran about 2× slower.
+//! Real parallelism lives one level up: serving runs whole requests on
+//! `ServeConfig::workers` threads, each of which executes its kernels
+//! sequentially.
 
-use std::sync::atomic::{AtomicUsize, Ordering};
-
-/// The worker count for parallel kernels.
-///
-/// Reads `MSD_NUM_THREADS` on every call (so tests and applications can
-/// re-tune at runtime), falling back to [`std::thread::available_parallelism`].
-/// Values are clamped to at least 1; unparsable settings fall back to the
-/// default.
-pub fn num_threads() -> usize {
-    match std::env::var("MSD_NUM_THREADS") {
-        Ok(v) => match v.trim().parse::<usize>() {
-            Ok(n) => n.max(1),
-            Err(_) => default_threads(),
-        },
-        Err(_) => default_threads(),
-    }
-}
-
-fn default_threads() -> usize {
-    std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1)
-}
-
-/// Runs `work(tile)` for every tile index in `0..n_tiles`, using up to
-/// `threads` workers. Tiles are claimed dynamically from an atomic counter,
-/// so imbalanced tiles do not stall the whole call.
-///
-/// With `threads <= 1` (or a single tile) everything runs inline on the
-/// caller's thread — the sequential path involves no synchronisation at all.
-pub fn parallel_tiles<F: Fn(usize) + Sync>(n_tiles: usize, threads: usize, work: F) {
-    let threads = threads.min(n_tiles);
-    if threads <= 1 {
-        for t in 0..n_tiles {
-            work(t);
-        }
-        return;
-    }
-    let next = AtomicUsize::new(0);
-    std::thread::scope(|s| {
-        // The calling thread acts as worker 0; spawn the remainder.
-        for _ in 1..threads {
-            s.spawn(|| {
-                loop {
-                    let t = next.fetch_add(1, Ordering::Relaxed);
-                    if t >= n_tiles {
-                        break;
-                    }
-                    work(t);
-                }
-            });
-        }
-        loop {
-            let t = next.fetch_add(1, Ordering::Relaxed);
-            if t >= n_tiles {
-                break;
-            }
-            work(t);
-        }
-    });
+/// The number of threads one kernel call runs on: always 1. Kept so host
+/// records (benchmark headers, bench reports) can state it.
+pub const fn num_threads() -> usize {
+    1
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::{AtomicU32, Ordering};
-
-    #[test]
-    fn every_tile_runs_exactly_once() {
-        for threads in [1usize, 2, 3, 8] {
-            let hits: Vec<AtomicU32> = (0..37).map(|_| AtomicU32::new(0)).collect();
-            parallel_tiles(hits.len(), threads, |t| {
-                hits[t].fetch_add(1, Ordering::Relaxed);
-            });
-            assert!(
-                hits.iter().all(|h| h.load(Ordering::Relaxed) == 1),
-                "threads={threads}"
-            );
-        }
-    }
-
-    #[test]
-    fn zero_tiles_is_a_no_op() {
-        parallel_tiles(0, 4, |_| panic!("no tiles to run"));
-    }
 
     #[test]
     fn num_threads_is_at_least_one() {
-        assert!(num_threads() >= 1);
+        assert_eq!(num_threads(), 1);
     }
 }

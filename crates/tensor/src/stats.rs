@@ -52,7 +52,7 @@ pub fn acf_violation_rate(series: &[f32], max_lag: usize) -> f32 {
 /// Welford's online mean/variance accumulator.
 ///
 /// All arithmetic is sequential `f64`, so the result depends only on the
-/// order of `push` calls — never on `MSD_NUM_THREADS` or the kernel tier.
+/// order of `push` calls — never on the kernel tier.
 /// That makes it safe to use on the streaming hot path under the repo's
 /// replay-determinism contract. `variance` is the *population* variance
 /// (`M2 / n`), matching [`crate::stats`]-style normalisation and the

@@ -2,8 +2,8 @@
 //!
 //! Every dispatched kernel must produce results **bit-identical** to its
 //! naive oracle in `msd_tensor::ops::kernels::oracle`, for every SIMD tier
-//! (forced via `MSD_KERNEL_FORCE`) and every thread count (forced via
-//! `MSD_NUM_THREADS`), over seeded random shapes seeded with NaN and ±inf.
+//! (forced via `MSD_KERNEL_FORCE`), over seeded random shapes seeded with
+//! NaN and ±inf.
 //!
 //! Everything runs inside ONE `#[test]` because the sweep mutates process
 //! environment variables; Rust runs tests in threads by default, and two
@@ -17,7 +17,7 @@
 //! different NaN bits. Whether a value IS NaN, and every non-NaN bit
 //! (including ±inf and signed zeros), is still exact.
 
-use msd_tensor::ops::kernels::{self, ew, norm, oracle, quant, reduce};
+use msd_tensor::ops::kernels::{self, ew, norm, oracle, quant, reduce, Tier};
 use msd_tensor::rng::Rng;
 
 /// Raw bits, with every NaN collapsed to the canonical quiet NaN.
@@ -221,7 +221,7 @@ fn check_quant(rng: &mut Rng, ctx: &str) {
     }
 }
 
-/// Capture whole-run outputs under the CURRENT tier/thread config so the
+/// Capture whole-run outputs under the CURRENT tier so the
 /// sweep can assert cross-config bit-identity (oracle equality alone is
 /// per-config; this pins every config to the exact same bits).
 fn fingerprint(rng: &mut Rng) -> Vec<u32> {
@@ -262,30 +262,35 @@ fn fingerprint(rng: &mut Rng) -> Vec<u32> {
 #[test]
 fn kernels_match_oracle_across_tiers_and_threads() {
     let saved_force = std::env::var("MSD_KERNEL_FORCE").ok();
-    let saved_threads = std::env::var("MSD_NUM_THREADS").ok();
 
     let mut reference_fp: Option<Vec<u32>> = None;
-    for force in ["scalar", "fma", "avx512", "auto"] {
+    let detected = kernels::detected_tier();
+    for (force, want) in [
+        ("scalar", Tier::Scalar),
+        ("fma", detected.min(Tier::Fma)),
+        ("avx512", detected.min(Tier::Avx512)),
+        ("auto", detected),
+    ] {
         std::env::set_var("MSD_KERNEL_FORCE", force);
-        for threads in ["1", "2", "4"] {
-            std::env::set_var("MSD_NUM_THREADS", threads);
-            let ctx = format!("force={force} threads={threads} tier={}", kernels::tier().name());
-            // Same seed for every config: every config sees identical inputs,
-            // so the oracle (and the fingerprint) must agree bit for bit.
-            let mut rng = Rng::seed_from(0xC0FFEE);
-            check_reductions(&mut rng, &ctx);
-            check_elementwise(&mut rng, &ctx);
-            check_norms(&mut rng, &ctx);
-            check_quant(&mut rng, &ctx);
-            let fp = fingerprint(&mut rng);
-            match &reference_fp {
-                None => reference_fp = Some(fp),
-                Some(want) => {
-                    assert_eq!(
-                        &fp, want,
-                        "cross-config fingerprint diverged at {ctx} vs scalar/1-thread"
-                    );
-                }
+        // A tier read that cached the variable would turn every leg into a
+        // silent auto-vs-auto comparison.
+        assert_eq!(kernels::tier(), want, "{force} must take effect");
+        let ctx = format!("force={force} tier={}", want.name());
+        // Same seed for every config: every config sees identical inputs,
+        // so the oracle (and the fingerprint) must agree bit for bit.
+        let mut rng = Rng::seed_from(0xC0FFEE);
+        check_reductions(&mut rng, &ctx);
+        check_elementwise(&mut rng, &ctx);
+        check_norms(&mut rng, &ctx);
+        check_quant(&mut rng, &ctx);
+        let fp = fingerprint(&mut rng);
+        match &reference_fp {
+            None => reference_fp = Some(fp),
+            Some(want) => {
+                assert_eq!(
+                    &fp, want,
+                    "cross-config fingerprint diverged at {ctx} vs scalar"
+                );
             }
         }
     }
@@ -293,9 +298,5 @@ fn kernels_match_oracle_across_tiers_and_threads() {
     match saved_force {
         Some(v) => std::env::set_var("MSD_KERNEL_FORCE", v),
         None => std::env::remove_var("MSD_KERNEL_FORCE"),
-    }
-    match saved_threads {
-        Some(v) => std::env::set_var("MSD_NUM_THREADS", v),
-        None => std::env::remove_var("MSD_NUM_THREADS"),
     }
 }

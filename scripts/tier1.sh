@@ -27,9 +27,9 @@ cargo clippy --workspace --all-targets --offline -- -D warnings
 cargo test --offline --locked -q --manifest-path msdbench/Cargo.toml
 
 # Kernel determinism gate: the oracle-differential suite sweeps every
-# dispatch tier (MSD_KERNEL_FORCE) x thread count against the naive
-# reference oracles; the golden-loss digests pin end-to-end training
-# numerics bit-for-bit. Neither may ever be filtered out.
+# dispatch tier (MSD_KERNEL_FORCE) against the naive reference oracles;
+# the golden-loss digests pin end-to-end training numerics bit-for-bit.
+# Neither may ever be filtered out.
 cargo test -p msd-tensor --test kernels_differential -q --offline
 cargo test -p msd-harness --test golden_losses -q --offline
 
@@ -84,31 +84,29 @@ echo "kill-and-resume smoke OK: resumed run bit-identical"
 
 # Serving gate: the in-process 1000-request smoke (zero lost, zero
 # corrupted, every response bit-identical to sequential predict) and the
-# batch-composition property test across MSD_NUM_THREADS settings. These
-# are the serving runtime's contract and must never be filtered out.
+# batch-composition property test across kernel tiers. These are the
+# serving runtime's contract and must never be filtered out.
 cargo test -p msd-serve -q --offline
 cargo test -p msd-harness --test predict_batch_bitident -q --offline
 
 # Compiled-plan gate: every zoo model's AOT plan must stay bit-identical to
-# per-sample predict across batch compositions, MSD_NUM_THREADS settings,
-# and kernel dispatch tiers — serving runs plans by default, so this is the
-# contract that makes that default safe. Also re-run the plan suite with
-# kernels pinned to the scalar tier: plan execution re-reads
-# MSD_KERNEL_FORCE per dispatch exactly like the tape, and a regression
-# there would only show up under the pin.
+# per-sample predict across batch compositions and kernel dispatch tiers —
+# serving runs plans by default, so this is the contract that makes that
+# default safe. The suite sets MSD_KERNEL_FORCE itself for its reference and
+# for every leg (and asserts each leg runs on the tier it names), so a
+# scalar-pinned re-run would only repeat this one.
 cargo test -p msd-harness --test plan_bitident -q --offline
-MSD_KERNEL_FORCE=scalar cargo test -p msd-harness --test plan_bitident -q --offline
 
 # Quantization gate: the error-budget suite (every zoo model at f16/int8
 # must hold the declared mse/smape/label-agreement budgets against the f32
 # reference) and the int8-lowering bit-identity sweep (lowered plans are
-# bit-identical across kernel tiers, thread counts, and batch
-# compositions). Both re-run with kernels pinned to the scalar tier, since
-# the int8 row kernels dispatch per call exactly like the f32 ones.
+# bit-identical across kernel tiers and batch compositions). The budget
+# suite never sets MSD_KERNEL_FORCE, so it re-runs with kernels pinned to
+# the scalar tier; the int8 sweep sets the tier for every leg itself, like
+# plan_bitident.
 cargo test -p msd-harness --test quant_budget -q --offline
 cargo test -p msd-harness --test plan_int8 -q --offline
 MSD_KERNEL_FORCE=scalar cargo test -p msd-harness --test quant_budget -q --offline
-MSD_KERNEL_FORCE=scalar cargo test -p msd-harness --test plan_int8 -q --offline
 
 # Quant bench: artifact bytes per model and per-sample serve latency per
 # precision tier, every served response byte-compared against the tier's
@@ -148,10 +146,10 @@ echo "serve smoke OK: report in target/BENCH_serve.json"
 
 # Kernel throughput bench: SIMD dispatch kernels vs their naive oracles
 # (byte-compared before timing), plus epoch time and serve-path latency.
-# The bench itself enforces the single-core-safe >=1.1x floor on the fused
-# LayerNorm/GELU kernels; on >=4 cores the same kernels clear 2x. Like the
-# serve bench, a throughput floor is load-sensitive, so one failure earns a
-# single retry. Appends JSONL to target/BENCH_kernels.json (CI artifact).
+# The bench itself enforces a >=1.1x floor on the fused LayerNorm/GELU
+# kernels. Like the serve bench, a throughput floor is load-sensitive, so
+# one failure earns a single retry. Appends JSONL to
+# target/BENCH_kernels.json (CI artifact).
 kernel_bench() {
   rm -f target/BENCH_kernels.json
   cargo bench --offline -p msd-bench --bench extra_kernel_throughput
