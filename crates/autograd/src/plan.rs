@@ -25,6 +25,10 @@
 //!   intervals are inclusive, a step's output region is always disjoint from
 //!   its input regions.
 //!
+//! [`CompiledPlan::profile`] times each step of the same execute loop (the
+//! loop is generic over a per-step observer; `execute` passes a no-op), so
+//! a plan dump can show where a plan's time goes.
+//!
 //! The bit-identity contract: executing a plan calls the *same*
 //! `msd_tensor` kernel entry points (`ops::linear_into`, `ops::kernels::ew`,
 //! `ops::kernels::norm`, ...) in the same order as the tape ops it replaces,
@@ -218,6 +222,23 @@ struct Step {
 
 fn blank_root() -> Root {
     Root::Arena { off: 0, len: 0 }
+}
+
+/// One executed step's timing, from [`CompiledPlan::profile`].
+#[derive(Clone, Debug)]
+pub struct StepProfile {
+    /// Index of the step in [`CompiledPlan::describe`]'s listing.
+    pub step: usize,
+    /// Step kind, as `describe` names it (`Linear`, `MlpBlock`, `Permute`, ...).
+    pub kind: &'static str,
+    /// Output shape.
+    pub shape: Vec<usize>,
+    /// Median wall time of the step, in microseconds.
+    pub us: f64,
+    /// Floating-point operations of the step's matrix products (2 per
+    /// multiply-add), for `Linear`, `LinearGelu` and `MlpBlock`; 0 for
+    /// every other kind.
+    pub flops: usize,
 }
 
 /// A compiled, shape-specialised inference plan. See the module docs.
@@ -736,6 +757,82 @@ impl CompiledPlan {
         inputs: &[Tensor],
         arena: &mut PlanArena,
     ) -> Tensor {
+        self.run(params, inputs, arena, |_| {})
+    }
+
+    /// Times each executed step of `reps` runs of [`execute`](Self::execute)
+    /// (after one warm-up run) and returns one entry per non-alias step, in
+    /// plan order, with its median time. Profiling runs the same loop as
+    /// `execute`, so it measures exactly the kernels serving runs.
+    ///
+    /// # Panics
+    /// As [`execute`](Self::execute), and if `reps` is 0.
+    pub fn profile(
+        &self,
+        params: &dyn ParamSource,
+        inputs: &[Tensor],
+        arena: &mut PlanArena,
+        reps: usize,
+    ) -> Vec<StepProfile> {
+        assert!(reps > 0, "profile needs at least one run");
+        self.execute(params, inputs, arena);
+        let mut samples: Vec<Vec<f64>> = vec![Vec::with_capacity(reps); self.steps.len()];
+        for _ in 0..reps {
+            let mut last = std::time::Instant::now();
+            self.run(params, inputs, arena, |i| {
+                let now = std::time::Instant::now();
+                samples[i].push((now - last).as_secs_f64() * 1e6);
+                last = now;
+            });
+        }
+        let shape_of = |src: Src| -> &[usize] {
+            match src {
+                Src::Input(k) => &self.input_shapes[k],
+                Src::Param(id) => params.param_value(id).shape(),
+                Src::Const(c) => self.consts[c].shape(),
+                Src::Step(i) => &self.steps[i].shape,
+            }
+        };
+        let mut out = Vec::new();
+        for (i, (step, times)) in self.steps.iter().zip(&mut samples).enumerate() {
+            if times.is_empty() {
+                continue; // reshape alias: never executed
+            }
+            times.sort_by(f64::total_cmp);
+            let rows = step.shape[..step.shape.len().saturating_sub(1)].iter().product::<usize>();
+            let flops = match &step.kind {
+                PKind::Linear | PKind::LinearGelu => {
+                    let w = shape_of(step.srcs[1]);
+                    2 * rows * w[0] * w[1]
+                }
+                PKind::Mlp { w2_at, hidden } => {
+                    let (w1, w2) = (shape_of(step.srcs[1]), shape_of(step.srcs[*w2_at]));
+                    2 * rows * (w1[0] * hidden + hidden * w2[1])
+                }
+                _ => 0,
+            };
+            out.push(StepProfile {
+                step: i,
+                kind: step.kind.name(),
+                shape: step.shape.clone(),
+                us: times[times.len() / 2],
+                flops,
+            });
+        }
+        out
+    }
+
+    /// The execute loop, shared by [`execute`](Self::execute) (whose
+    /// `observe` is a no-op that compiles away) and
+    /// [`profile`](Self::profile). `observe(i)` runs right after step `i`
+    /// finishes; reshape aliases are skipped and never observed.
+    fn run(
+        &self,
+        params: &dyn ParamSource,
+        inputs: &[Tensor],
+        arena: &mut PlanArena,
+        mut observe: impl FnMut(usize),
+    ) -> Tensor {
         assert_eq!(inputs.len(), self.input_shapes.len(), "plan input count");
         for (t, s) in inputs.iter().zip(&self.input_shapes) {
             // Length, not shape: prelude tensors may carry a pre-reshape
@@ -778,7 +875,7 @@ impl CompiledPlan {
             }
         };
 
-        for step in &self.steps {
+        for (i, step) in self.steps.iter().enumerate() {
             if matches!(step.kind, PKind::Reshape) {
                 continue; // zero-copy alias
             }
@@ -954,6 +1051,7 @@ impl CompiledPlan {
                     norm::softmax_rows(a, *in_s.last().unwrap(), out);
                 }
             }
+            observe(i);
         }
 
         let (shape, data) = src_view(self.out_src);
@@ -1210,6 +1308,36 @@ mod tests {
         let mut arena = PlanArena::new();
         assert_bits(&plan.execute(&params, &[xa], &mut arena), &va);
         assert_bits(&plan.execute(&params, &[xb], &mut arena), &vb);
+    }
+
+    #[test]
+    fn profile_times_every_executed_step_and_counts_product_flops() {
+        let params = Params(vec![
+            randn(&[6, 10], 1).scale(0.3),
+            randn(&[10], 2),
+            randn(&[10, 4], 3).scale(0.3),
+            randn(&[4], 4),
+        ]);
+        let f = |g: &Graph, x: Var, p: &[Var]| {
+            let h = g.linear_gelu(x, p[0], Some(p[1]));
+            let y = g.linear(h, p[2], Some(p[3]));
+            let y = g.reshape(y, &[2, 3, 4]);
+            g.permute(y, &[0, 2, 1])
+        };
+        let xa = randn(&[6, 6], 30);
+        let xb = randn(&[6, 6], 31);
+        let (plan, va, _) = compile(&params, &xa, &xb, f).unwrap();
+        let mut arena = PlanArena::new();
+        let steps = plan.profile(&params, std::slice::from_ref(&xa), &mut arena, 3);
+        let kinds: Vec<&str> = steps.iter().map(|s| s.kind).collect();
+        // The reshape is an alias: never executed, never profiled.
+        assert_eq!(kinds, ["MlpBlock", "Permute"], "{}", plan.describe());
+        assert_eq!(steps[0].flops, 2 * 6 * (6 * 10 + 10 * 4));
+        assert_eq!(steps[1].flops, 0);
+        assert_eq!(steps[1].shape, [2, 4, 3]);
+        assert!(steps.iter().all(|s| s.us >= 0.0));
+        // Profiling leaves the arena serving the same bits.
+        assert_bits(&plan.execute(&params, &[xa], &mut arena), &va);
     }
 
     #[test]

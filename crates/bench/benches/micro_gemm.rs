@@ -1,14 +1,15 @@
-//! Micro-benchmark for the blocked SGEMM against the naive reference.
+//! Micro-benchmark for the SGEMM against the naive reference.
 //!
 //! Times `Tensor::matmul` (cache-blocked, register-tiled, packed, on the
 //! calling thread) next to `naive_gemm` (the seed's i-k-j triple loop, kept
-//! in-tree as the bitwise ground truth) across representative sizes, plus
-//! the transpose-aware variants at the headline 256³ shape.
+//! in-tree as the reference) at square sizes; then the products the
+//! `serve_mixer` MSD-Mixer plan runs, called the way the plan calls them;
+//! then the transpose-aware variants at the headline 256³ shape.
 //!
 //! Run with `cargo bench -p msd-bench --bench micro_gemm`.
 
 use msd_bench::timing::bench;
-use msd_tensor::ops::gemm::naive_gemm;
+use msd_tensor::ops::gemm::{naive_gemm, sgemm_strided};
 use msd_tensor::rng::Rng;
 use msd_tensor::Tensor;
 
@@ -24,7 +25,6 @@ fn main() {
         (128, 128, 128),
         (256, 256, 256),
         (512, 512, 512),
-        (96, 336, 512), // mixer-shaped: batch·channels × seq × hidden
     ] {
         let a_raw: Vec<f32> = (0..m * k).map(|_| rng.normal()).collect();
         let b_raw: Vec<f32> = (0..k * n).map(|_| rng.normal()).collect();
@@ -42,6 +42,40 @@ fn main() {
             gflops(m, k, n, blocked.median),
             gflops(m, k, n, naive.median),
             naive.median / blocked.median,
+        );
+    }
+
+    // Products of the serve_mixer plan (MSD-Mixer, C = 7, L = H = 96,
+    // d_model 16, full batches of 8), as m×k×n: five from the Fig. 3
+    // block's mixing MLPs and projections, the n = 16 patch embedding
+    // 5376×1×16 and the largest head Linear. Timed as `linear_into` calls
+    // the kernel, writing into a reused output. n < 16 takes the small-n
+    // path; the last two stay on the blocked kernel, so both sides of the
+    // path choice are timed.
+    for &(m, k, n) in &[
+        (5376, 16, 1),
+        (5376, 2, 1),
+        (2688, 16, 2),
+        (1344, 8, 4),
+        (768, 14, 7),
+        (5376, 1, 16),
+        (56, 1536, 96),
+    ] {
+        let a: Vec<f32> = (0..m * k).map(|_| rng.normal()).collect();
+        let b: Vec<f32> = (0..k * n).map(|_| rng.normal()).collect();
+        let mut c = vec![0.0f32; m * n];
+        let fast = bench(&format!("sgemm {m}x{k}x{n} serve_mixer"), || {
+            sgemm_strided(m, k, n, &a, k, 1, &b, n, 1, &mut c);
+            std::hint::black_box(&mut c);
+        });
+        let naive = bench(&format!("sgemm {m}x{k}x{n} naive"), || {
+            std::hint::black_box(naive_gemm(m, k, n, &a, &b));
+        });
+        println!(
+            "  -> {:.2} GFLOP/s vs {:.2} naive  (speedup {:.2}x)\n",
+            gflops(m, k, n, fast.median),
+            gflops(m, k, n, naive.median),
+            naive.median / fast.median,
         );
     }
 

@@ -31,7 +31,8 @@ fn usage() -> ! {
          'smoke' trains a tiny model (with one injected NaN batch) to\n\
          exercise the telemetry + recovery path in seconds;\n\
          'plan-dump' compiles each task-general model into an inference\n\
-         plan and prints its ordered ops, fusions, and arena size;\n\
+         plan and prints its ordered ops, fusions, and arena size, then\n\
+         profiles MSD-Mixer's plan per step at batch 1 and 8;\n\
          'ckpt-smoke' trains a tiny deterministic forecaster for the\n\
          kill-and-resume bit-identity check"
     );
@@ -362,6 +363,110 @@ fn run_plan_dump() {
                 print!("{}", plan.describe());
             }
             Err(e) => println!("  int8 store not plan-compilable: {e}"),
+        }
+    }
+    print_plan_profile();
+}
+
+/// Profiles the MSD-Mixer plan at msdbench serve_mixer's shape (C = 7,
+/// L = H = 96, d_model 16) at batch 1 and 8, one step at a time: the
+/// median µs of each step, its share of the plan (the sum of step
+/// medians), and the GFLOP/s of its matrix products against a 512³
+/// `sgemm_strided` peak (the fastest of seven runs) measured first on this
+/// thread. A per-kind summary follows each table.
+fn print_plan_profile() {
+    use msd_harness::ModelSpec;
+    use msd_mixer::variants::Variant;
+    use msd_nn::{Model, ParamStore, Task};
+    use msd_tensor::ops::gemm::sgemm_strided;
+    use msd_tensor::rng::Rng;
+    use msd_tensor::Tensor;
+    use std::time::Instant;
+
+    let s = 512;
+    let mut rng = Rng::seed_from(0x9EA4);
+    let a: Vec<f32> = (0..s * s).map(|_| rng.normal()).collect();
+    let b: Vec<f32> = (0..s * s).map(|_| rng.normal()).collect();
+    let mut c = vec![0.0f32; s * s];
+    let fastest = (0..7)
+        .map(|_| {
+            let t = Instant::now();
+            sgemm_strided(s, s, s, &a, s, 1, &b, s, 1, &mut c);
+            t.elapsed().as_secs_f64()
+        })
+        .fold(f64::INFINITY, f64::min);
+    let peak = 2.0 * (s * s * s) as f64 / fastest / 1e9;
+
+    let (channels, len, d_model) = (7, 96, 16);
+    let mut store = ParamStore::new();
+    let model = ModelSpec::MsdMixer(Variant::Full).build(
+        &mut store,
+        &mut rng,
+        channels,
+        len,
+        Task::Forecast { horizon: len },
+        d_model,
+    );
+    println!(
+        "== plan profile: {} ([b, {channels}, {len}] -> horizon {len}, d_model {d_model}); \
+         sgemm_strided {s}³ peak {peak:.1} GFLOP/s",
+        model.name()
+    );
+    for batch in [1, 8] {
+        let shape = [batch, channels, len];
+        let plan = model
+            .compile_plan(&store, &shape)
+            .expect("MSD-Mixer compiles");
+        let x = Tensor::randn(&shape, 1.0, &mut rng);
+        let mut arena = msd_autograd::PlanArena::new();
+        let steps = plan.profile(&store, &model.plan_prelude(&x), &mut arena, 200 / batch);
+        let total: f64 = steps.iter().map(|st| st.us).sum();
+        let gflops = |flops: usize, us: f64| {
+            if flops == 0 {
+                "-".to_string()
+            } else {
+                let g = flops as f64 / us / 1e3;
+                format!("{g:.1} ({:.0}%)", 100.0 * g / peak)
+            }
+        };
+        println!(
+            "-- batch {batch}: {} steps, {total:.1} µs (sum of step medians)",
+            steps.len()
+        );
+        println!(
+            "  {:<5} {:<12} {:<18} {:>9} {:>6}  GFLOP/s (of peak)",
+            "step", "kind", "shape", "µs", "share"
+        );
+        for st in &steps {
+            println!(
+                "  %{:<4} {:<12} {:<18} {:>9.1} {:>5.1}%  {}",
+                st.step,
+                st.kind,
+                format!("{:?}", st.shape),
+                st.us,
+                100.0 * st.us / total,
+                gflops(st.flops, st.us)
+            );
+        }
+        let mut kinds: Vec<(&str, usize, f64, usize)> = Vec::new();
+        for st in &steps {
+            match kinds.iter_mut().find(|k| k.0 == st.kind) {
+                Some(k) => {
+                    k.1 += 1;
+                    k.2 += st.us;
+                    k.3 += st.flops;
+                }
+                None => kinds.push((st.kind, 1, st.us, st.flops)),
+            }
+        }
+        kinds.sort_by(|x, y| y.2.total_cmp(&x.2));
+        println!("  by kind:");
+        for (kind, count, us, flops) in kinds {
+            println!(
+                "    {kind:<12} {count:>4} steps {us:>9.1} µs {:>5.1}%  {}",
+                100.0 * us / total,
+                gflops(flops, us)
+            );
         }
     }
 }

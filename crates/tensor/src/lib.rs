@@ -12,8 +12,9 @@
 //! * linear algebra: [`Tensor::matmul`] (2-D and batched), the
 //!   transpose-aware [`Tensor::matmul_nt`] / [`Tensor::matmul_tn`], and
 //!   fused [`Tensor::linear`] (`x · W + b` over the last axis) — all backed
-//!   by the blocked, SIMD-dispatched SGEMM in [`ops::gemm`], which runs on
-//!   the caller's thread like every other kernel (see [`pool`]);
+//!   by the SIMD-dispatched SGEMM in [`ops::gemm`] (blocked, with a small-n
+//!   path for products of fewer than 16 columns), which runs on the
+//!   caller's thread like every other kernel (see [`pool`]);
 //! * elementwise arithmetic and activations;
 //! * reductions along arbitrary axes.
 //!

@@ -1,5 +1,6 @@
-//! Blocked, packed, register-tiled SGEMM — the compute engine behind
-//! [`Tensor::matmul`], its transpose-aware variants, and [`Tensor::linear`].
+//! Blocked, packed, register-tiled SGEMM, with a small-n path for products
+//! of fewer than 16 columns — the compute engine behind [`Tensor::matmul`],
+//! its transpose-aware variants, and [`Tensor::linear`].
 //!
 //! # Design
 //!
@@ -17,13 +18,29 @@
 //! same packing routines serve `A·B`, `A·Bᵀ` and `Aᵀ·B` — transposed
 //! backward-pass products never materialise a transposed copy.
 //!
+//! # Small-n path
+//!
+//! MSD-Mixer's Fig. 3 block multiplies by tiny weights (5376×16×1,
+//! 1344×8×4, ...). With fewer than `NR` columns the blocked kernel spends
+//! most of each tile on padding, so when C has `n < NR` columns and at least
+//! 16 rows, [`sgemm_strided`] vectorises over rows of C instead: one vector
+//! lane per row, one accumulator per output column (up to 8 columns per
+//! pass), one A load and then one B broadcast and one FMA per column for
+//! each k term. It reads both operands in place through their strides and
+//! never touches the scratch arena. The body is written once against the
+//! kernel layer's `SimdVec` and instantiated per tier. Products with
+//! `n ≥ NR`, or fewer than 16 rows, stay on the blocked kernel.
+//!
 //! # Determinism and exactness
 //!
-//! Every output element accumulates its k products in ascending-k order with
-//! one fused multiply-add per term: the AVX path uses `vfmadd` and the
-//! portable path uses [`f32::mul_add`], which is correctly rounded and
-//! therefore **bit-identical** to the hardware instruction. The dispatcher
-//! can pick either kernel and the result does not change. Products run on
+//! Every output element starts at 0.0 and accumulates its k products in
+//! ascending-k order with one fused multiply-add per term, on both paths:
+//! the AVX paths use `vfmadd` and the portable path uses [`f32::mul_add`],
+//! which is correctly rounded and therefore **bit-identical** to the
+//! hardware instruction. The dispatcher can pick either kernel, and the
+//! small-n rule either path, and the result does not change; the
+//! `kernels_differential` suite pins each element to this contract's
+//! oracle (`kernels::oracle::gemm`) on every tier. Products run on
 //! the caller's thread ([`crate::pool`] explains why there is no intra-op
 //! threading). Relative to the naive triple loop ([`naive_gemm`]) the fused
 //! product differs by at most one rounding per term (FMA skips the intermediate
@@ -31,6 +48,8 @@
 //! within a small tolerance while determinism tests compare bit for bit.
 //! Zero inputs are *not* short-circuited: NaN and infinity propagate exactly
 //! as IEEE arithmetic dictates.
+
+use crate::ops::kernels::simd::{SimdVec, F1};
 
 /// Microkernel tile height (rows of C per register block).
 pub const MR: usize = 6;
@@ -91,6 +110,26 @@ pub fn sgemm_strided(
     }
     debug_assert!((m - 1) * a_rs + (k - 1) * a_cs < a.len());
     debug_assert!((k - 1) * b_rs + (n - 1) * b_cs < b.len());
+    // Resolve the ISA tier once per product, not per microkernel call: the
+    // dispatcher re-reads `MSD_KERNEL_FORCE` on every resolution, which is
+    // far too expensive for the inner loop.
+    let isa = isa_level();
+    // Lane offsets of the small-n path's strided A load are `i32`s.
+    if n < NR && m >= SMALL_N_MIN_M && (a_rs == 1 || a_rs <= i32::MAX as usize / SMALL_N_MIN_M) {
+        let o = SmallN {
+            m,
+            k,
+            n,
+            a: a.as_ptr(),
+            a_rs,
+            a_cs,
+            b: b.as_ptr(),
+            b_rs,
+            b_cs,
+        };
+        small_n(isa, o, a, b, c);
+        return;
+    }
 
     // Packing buffers come from a per-thread scratch arena reused across
     // calls: repeated products (every training step) would otherwise spend
@@ -137,10 +176,6 @@ pub fn sgemm_strided(
 
     let packed_b = &*packed_b;
     let c_ptr = c.as_mut_ptr();
-    // Resolve the ISA tier once per product, not per microkernel call: the
-    // dispatcher re-reads `MSD_KERNEL_FORCE` on every resolution, which is
-    // far too expensive for the inner loop.
-    let isa = isa_level();
     let a_regions = packed_a_all.chunks_exact_mut(a_tile_len).take(n_tiles);
     for (tile, a_region) in a_regions.enumerate() {
         let i0 = tile * MC;
@@ -208,6 +243,150 @@ pub fn sgemm_strided(
             k0 += kc;
             first_slab = false;
         }
+    }
+}
+
+/// Fewest rows of C the small-n path takes: one full 16-lane vector, so
+/// every tier covers the rows with whole vectors (a ragged last block
+/// overlaps its predecessor instead of running a tail).
+const SMALL_N_MIN_M: usize = 16;
+/// Columns of C per small-n pass: one accumulator each, plus the A vector
+/// and a B broadcast, stays inside the 16 AVX2 registers.
+const SMALL_N_COLS: usize = 8;
+
+/// The operands of one small-n product, as raw pointers into views whose
+/// bounds [`small_n`] has checked.
+#[derive(Clone, Copy)]
+struct SmallN {
+    m: usize,
+    k: usize,
+    n: usize,
+    a: *const f32,
+    a_rs: usize,
+    a_cs: usize,
+    b: *const f32,
+    b_rs: usize,
+    b_cs: usize,
+}
+
+/// The small-n path: C has fewer than `NR` columns, so the blocked kernel
+/// would spend most of each `MR × NR` tile on padding and packing.
+/// Vectorises over rows of C instead: lane `l` holds row `i + l`, and each
+/// output column keeps one accumulator. Per k term it does one A load (a
+/// gather unless A's rows are adjacent), then one B broadcast and one fused
+/// multiply-add per column. That is the microkernels' own chain (ascending
+/// k, one FMA per term, from 0.0), so the result is bit-identical to the
+/// blocked path on every tier. Operands are read in place: nothing is
+/// packed and the scratch arena is not touched.
+fn small_n(isa: IsaLevel, o: SmallN, a: &[f32], b: &[f32], c: &mut [f32]) {
+    // The body reads through raw pointers: prove every index in range,
+    // overflow included.
+    let last = |rows: usize, rs: usize, cols: usize, cs: usize| {
+        (rows - 1)
+            .checked_mul(rs)?
+            .checked_add((cols - 1).checked_mul(cs)?)
+    };
+    assert!(
+        last(o.m, o.a_rs, o.k, o.a_cs).is_some_and(|l| l < a.len()),
+        "sgemm: A view out of bounds"
+    );
+    assert!(
+        last(o.k, o.b_rs, o.n, o.b_cs).is_some_and(|l| l < b.len()),
+        "sgemm: B view out of bounds"
+    );
+    let c = c.as_mut_ptr();
+    #[cfg(target_arch = "x86_64")]
+    {
+        use crate::ops::kernels::simd::{V16, V8};
+        #[target_feature(enable = "avx2", enable = "fma")]
+        unsafe fn fma(o: SmallN, c: *mut f32) {
+            small_n_body::<V8>(o, c)
+        }
+        #[target_feature(enable = "avx512f")]
+        unsafe fn avx512(o: SmallN, c: *mut f32) {
+            small_n_body::<V16>(o, c)
+        }
+        match isa {
+            // SAFETY: the views were bounds-checked above, `c` holds m·n
+            // elements (asserted by the caller), m ≥ SMALL_N_MIN_M ≥ 16
+            // lanes, the caller bounded 15·a_rs by i32::MAX, and dispatch
+            // only selects a tier the CPU supports.
+            IsaLevel::Avx512 => return unsafe { avx512(o, c) },
+            IsaLevel::Fma => return unsafe { fma(o, c) },
+            IsaLevel::Baseline => {}
+        }
+    }
+    // SAFETY: as above; one-lane vectors need no ISA extension.
+    unsafe { small_n_body::<F1>(o, c) }
+}
+
+/// Runs the small-n product in passes of up to `SMALL_N_COLS` columns.
+///
+/// # Safety
+/// Every `A[i, p]` and `B[p, j]` of `o`'s views is in bounds, `c` is
+/// writable for `m·n` elements, `m ≥ V::W`, `(V::W - 1)·a_rs` fits an
+/// `i32`, and the CPU supports `V`.
+#[inline(always)]
+unsafe fn small_n_body<V: SimdVec>(o: SmallN, c: *mut f32) {
+    let mut j0 = 0;
+    while j0 < o.n {
+        let cols = (o.n - j0).min(SMALL_N_COLS);
+        match cols {
+            1 => small_n_pass::<V, 1>(o, c, j0),
+            2 => small_n_pass::<V, 2>(o, c, j0),
+            3 => small_n_pass::<V, 3>(o, c, j0),
+            4 => small_n_pass::<V, 4>(o, c, j0),
+            5 => small_n_pass::<V, 5>(o, c, j0),
+            6 => small_n_pass::<V, 6>(o, c, j0),
+            7 => small_n_pass::<V, 7>(o, c, j0),
+            _ => small_n_pass::<V, SMALL_N_COLS>(o, c, j0),
+        }
+        j0 += cols;
+    }
+}
+
+/// Columns `j0..j0 + N` of C, one block of `V::W` rows at a time.
+///
+/// # Safety
+/// As [`small_n_body`], and `j0 + N ≤ n`.
+#[inline(always)]
+unsafe fn small_n_pass<V: SimdVec, const N: usize>(o: SmallN, c: *mut f32, j0: usize) {
+    debug_assert!(V::W <= NR && o.m >= V::W && j0 + N <= o.n);
+    let mut i0 = 0;
+    while i0 < o.m {
+        // A ragged last block slides back to end at row m: it recomputes
+        // some rows of the block before it, with the same bits.
+        let i = i0.min(o.m - V::W);
+        let a_rows = o.a.add(i * o.a_rs);
+        let b_cols = o.b.add(j0 * o.b_cs);
+        let mut acc = [V::splat(0.0); N];
+        let mut term = |p: usize, av: V| {
+            let b_row = b_cols.add(p * o.b_rs);
+            for (j, acc) in acc.iter_mut().enumerate() {
+                *acc = V::fmadd(av, V::splat(*b_row.add(j * o.b_cs)), *acc);
+            }
+        };
+        if o.a_rs == 1 {
+            for p in 0..o.k {
+                term(p, V::load(a_rows.add(p * o.a_cs)));
+            }
+        } else {
+            for p in 0..o.k {
+                term(p, V::load_strided(a_rows.add(p * o.a_cs), o.a_rs));
+            }
+        }
+        // Lanes are rows: transpose the block out into row-major C.
+        let mut lanes = [[0.0f32; NR]; N];
+        for (acc, lane) in acc.iter().zip(&mut lanes) {
+            acc.store(lane.as_mut_ptr());
+        }
+        let c_block = c.add(i * o.n + j0);
+        for l in 0..V::W {
+            for (j, lane) in lanes.iter().enumerate() {
+                *c_block.add(l * o.n + j) = lane[l];
+            }
+        }
+        i0 += V::W;
     }
 }
 

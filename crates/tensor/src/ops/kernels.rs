@@ -55,7 +55,7 @@ pub mod norm;
 pub mod oracle;
 pub mod quant;
 pub mod reduce;
-mod simd;
+pub(crate) mod simd;
 
 /// Number of virtual accumulator lanes in the reduction specification.
 /// Chosen to match one AVX-512 register (and two AVX2 registers) so every

@@ -303,3 +303,33 @@ pub fn softmax_rows(x: &[f32], d: usize, out: &mut [f32]) {
         }
     }
 }
+
+/// Reference for [`crate::ops::gemm::sgemm_strided`] (same strided views):
+/// each output element starts at 0.0 and adds its k terms in ascending
+/// order, one correctly rounded fused multiply-add per term. That is the
+/// whole GEMM contract; both the blocked kernel and the small-n path must
+/// match it bit for bit on every tier.
+#[allow(clippy::too_many_arguments)]
+pub fn gemm(
+    m: usize,
+    k: usize,
+    n: usize,
+    a: &[f32],
+    a_rs: usize,
+    a_cs: usize,
+    b: &[f32],
+    b_rs: usize,
+    b_cs: usize,
+    c: &mut [f32],
+) {
+    assert_eq!(c.len(), m * n, "gemm output size");
+    for i in 0..m {
+        for j in 0..n {
+            let mut acc = 0.0f32;
+            for p in 0..k {
+                acc = a[i * a_rs + p * a_cs].mul_add(b[p * b_rs + j * b_cs], acc);
+            }
+            c[i * n + j] = acc;
+        }
+    }
+}

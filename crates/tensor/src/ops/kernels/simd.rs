@@ -13,9 +13,11 @@
 
 /// A pack of `W` f32 lanes with the handful of operations kernels need.
 ///
-/// All operations are exact per-element IEEE-754 single ops (no FMA
-/// contraction, no reassociation), so every implementation produces the
-/// same bits for the same lanes.
+/// All operations are exact per-element IEEE-754 single ops (no implicit
+/// FMA contraction, no reassociation), so every implementation produces the
+/// same bits for the same lanes. [`fmadd`](SimdVec::fmadd) is the one fused
+/// operation, and it is explicit: one correctly rounded `a·b + c` per lane
+/// on every implementation.
 pub(crate) trait SimdVec: Copy {
     /// Lane count.
     const W: usize;
@@ -25,6 +27,11 @@ pub(crate) trait SimdVec: Copy {
     unsafe fn load(p: *const f32) -> Self;
     /// Unaligned store of `W` consecutive f32s.
     unsafe fn store(self, p: *mut f32);
+    /// Lane `l` reads `*p.add(l * stride)`; the caller guarantees
+    /// `(W - 1) · stride` fits an `i32` (the x86 gathers index with one).
+    unsafe fn load_strided(p: *const f32, stride: usize) -> Self;
+    /// Lanewise fused `a·b + c` with a single rounding (`f32::mul_add`).
+    unsafe fn fmadd(a: Self, b: Self, c: Self) -> Self;
     /// Lanewise `a + b`.
     unsafe fn add(a: Self, b: Self) -> Self;
     /// Lanewise `a - b`.
@@ -64,6 +71,14 @@ impl SimdVec for F1 {
     #[inline(always)]
     unsafe fn store(self, p: *mut f32) {
         *p = self.0;
+    }
+    #[inline(always)]
+    unsafe fn load_strided(p: *const f32, _stride: usize) -> Self {
+        F1(*p)
+    }
+    #[inline(always)]
+    unsafe fn fmadd(a: Self, b: Self, c: Self) -> Self {
+        F1(a.0.mul_add(b.0, c.0))
     }
     #[inline(always)]
     unsafe fn add(a: Self, b: Self) -> Self {
@@ -145,6 +160,20 @@ mod x86 {
         unsafe fn store(self, p: *mut f32) {
             _mm256_storeu_ps(p, self.0)
         }
+        /// Needs AVX2 (gather) on top of AVX.
+        #[inline(always)]
+        unsafe fn load_strided(p: *const f32, stride: usize) -> Self {
+            let idx = _mm256_mullo_epi32(
+                _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7),
+                _mm256_set1_epi32(stride as i32),
+            );
+            V8(_mm256_i32gather_ps::<4>(p, idx))
+        }
+        /// Needs the FMA extension on top of AVX.
+        #[inline(always)]
+        unsafe fn fmadd(a: Self, b: Self, c: Self) -> Self {
+            V8(_mm256_fmadd_ps(a.0, b.0, c.0))
+        }
         #[inline(always)]
         unsafe fn add(a: Self, b: Self) -> Self {
             V8(_mm256_add_ps(a.0, b.0))
@@ -205,6 +234,18 @@ mod x86 {
         #[inline(always)]
         unsafe fn store(self, p: *mut f32) {
             _mm512_storeu_ps(p, self.0)
+        }
+        #[inline(always)]
+        unsafe fn load_strided(p: *const f32, stride: usize) -> Self {
+            let idx = _mm512_mullo_epi32(
+                _mm512_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15),
+                _mm512_set1_epi32(stride as i32),
+            );
+            V16(_mm512_i32gather_ps::<4>(idx, p))
+        }
+        #[inline(always)]
+        unsafe fn fmadd(a: Self, b: Self, c: Self) -> Self {
+            V16(_mm512_fmadd_ps(a.0, b.0, c.0))
         }
         #[inline(always)]
         unsafe fn add(a: Self, b: Self) -> Self {

@@ -3,10 +3,17 @@
 //! MSD-Mixer's temporal patching (Sec. III-C) is built entirely from these:
 //! zero left-padding so the length divides the patch size, a reshape into
 //! `[C, L', p]`, and permutes that rotate the mixing axis into last position
-//! for the MLP blocks.
+//! for the MLP blocks. The `*_into` forms write into a caller's buffer and
+//! are shared with the compiled-plan executor; [`permute_into`] allocates
+//! nothing up to rank 8, so a plan's permute steps cost no heap traffic.
 
-use crate::shape::{numel, strides_for};
+use crate::shape::numel;
 use crate::Tensor;
+
+/// Ranks up to this size keep [`permute_into`]'s working state on the
+/// stack; a larger rank (none occurs in this workspace) falls back to one
+/// heap buffer.
+const INLINE_RANK: usize = 8;
 
 /// Writes the permutation of `src` (shape `in_shape`, axes reordered by
 /// `perm`) into `out`, which must hold exactly `numel(in_shape)` elements.
@@ -14,48 +21,136 @@ use crate::Tensor;
 /// This is the single implementation behind [`Tensor::permute`] and the
 /// compiled-plan executor, so both paths produce identical bytes.
 ///
+/// The permutation is reduced first: unit axes are dropped, and input axes
+/// that stay adjacent (in order) in the output merge into one. What is left
+/// is either a plain copy or a walk over the reduced output axes whose two
+/// innermost axes run as a tight double loop. Every MSD-Mixer permute
+/// reduces to a copy or a batched 2-D transpose. Nothing is heap-allocated
+/// for ranks up to 8.
+///
 /// # Panics
 /// Panics if `perm` is not a permutation of `0..ndim` or `out` has the wrong
 /// length.
 pub fn permute_into(in_shape: &[usize], src: &[f32], perm: &[usize], out: &mut [f32]) {
     let nd = in_shape.len();
     assert_eq!(perm.len(), nd, "permute rank mismatch");
-    let mut seen = vec![false; nd];
-    for &p in perm {
-        assert!(p < nd && !seen[p], "invalid permutation {:?}", perm);
-        seen[p] = true;
+    for (i, &p) in perm.iter().enumerate() {
+        assert!(
+            p < nd && !perm[..i].contains(&p),
+            "invalid permutation {:?}",
+            perm
+        );
     }
-    assert_eq!(out.len(), numel(in_shape), "permute_into output length");
-    if nd == 0 {
-        out.copy_from_slice(src);
+    let len = numel(in_shape);
+    assert_eq!(out.len(), len, "permute_into output length");
+    if len == 0 {
         return;
     }
-    let in_strides = strides_for(in_shape);
-    let out_shape: Vec<usize> = perm.iter().map(|&p| in_shape[p]).collect();
-    // Stride to walk the *input* buffer in output order.
-    let walk: Vec<usize> = perm.iter().map(|&p| in_strides[p]).collect();
-    // Odometer walk over output coordinates, tracking the input offset
-    // incrementally so each element costs O(1) amortised.
-    let mut coords = vec![0usize; nd];
+
+    let mut inline = [0usize; 5 * INLINE_RANK];
+    let mut heap = Vec::new();
+    let work: &mut [usize] = if nd <= INLINE_RANK {
+        &mut inline[..5 * nd]
+    } else {
+        heap.resize(5 * nd, 0);
+        &mut heap
+    };
+    let (compact, work) = work.split_at_mut(nd);
+    let (first, work) = work.split_at_mut(nd);
+    let (extent, work) = work.split_at_mut(nd);
+    let (stride, coords) = work.split_at_mut(nd);
+
+    // Number the non-unit input axes 0, 1, ... in input order.
+    let mut kept = 0;
+    for (c, &e) in compact.iter_mut().zip(in_shape) {
+        if e != 1 {
+            *c = kept;
+            kept += 1;
+        }
+    }
+    // Group the non-unit axes in output order: an axis whose compact
+    // number follows the previous one's extends that group.
+    let mut groups = 0;
+    let mut prev = usize::MAX;
+    for &p in perm {
+        if in_shape[p] == 1 {
+            continue;
+        }
+        let c = compact[p];
+        if groups == 0 || prev + 1 != c {
+            first[groups] = c;
+            extent[groups] = 1;
+            groups += 1;
+        }
+        extent[groups - 1] *= in_shape[p];
+        prev = c;
+    }
+    if groups <= 1 {
+        out.copy_from_slice(&src[..len]);
+        return;
+    }
+    // Each group's stride in the input: the product of the extents of the
+    // groups that come after it in input order.
+    for g in 0..groups {
+        stride[g] = (0..groups)
+            .filter(|&h| first[h] > first[g])
+            .map(|h| extent[h])
+            .product();
+    }
+
+    // Odometer over the outer reduced axes; the last two run as one 2-D
+    // block per step.
+    let (rows, row_stride) = (extent[groups - 2], stride[groups - 2]);
+    let (cols, col_stride) = (extent[groups - 1], stride[groups - 1]);
+    let outer = groups - 2;
     let mut offset = 0usize;
-    let mut idx = 0usize;
-    loop {
-        out[idx] = src[offset];
-        idx += 1;
-        // Increment the innermost coordinate, carrying as needed.
-        let mut axis = nd;
-        loop {
-            if axis == 0 {
-                return;
-            }
-            axis -= 1;
+    for block in out.chunks_exact_mut(rows * cols) {
+        copy_block(&src[offset..], rows, row_stride, cols, col_stride, block);
+        // Advance the outer coordinates, innermost first, with carry.
+        for axis in (0..outer).rev() {
             coords[axis] += 1;
-            offset += walk[axis];
-            if coords[axis] < out_shape[axis] {
+            offset += stride[axis];
+            if coords[axis] < extent[axis] {
                 break;
             }
-            offset -= walk[axis] * out_shape[axis];
+            offset -= stride[axis] * extent[axis];
             coords[axis] = 0;
+        }
+    }
+}
+
+/// Writes the `rows × cols` block `block[r·cols + c] = src[r·rs + c·cs]`.
+/// Contiguous rows copy as runs; otherwise the longer of the two axes is
+/// the inner loop, so the per-loop overhead is paid on the shorter one.
+fn copy_block(src: &[f32], rows: usize, rs: usize, cols: usize, cs: usize, block: &mut [f32]) {
+    if cs == 1 {
+        for (r, dst) in block.chunks_exact_mut(cols).enumerate() {
+            dst.copy_from_slice(&src[r * rs..r * rs + cols]);
+        }
+        return;
+    }
+    assert_eq!(block.len(), rows * cols, "permute block length");
+    assert!(
+        (rows - 1) * rs + (cols - 1) * cs < src.len(),
+        "permute block out of range"
+    );
+    let (s, d) = (src.as_ptr(), block.as_mut_ptr());
+    // SAFETY: the largest index read is (rows-1)·rs + (cols-1)·cs, which
+    // the assert above bounds by src.len(); the largest written is
+    // rows·cols - 1 < block.len().
+    unsafe {
+        if rows >= cols {
+            for c in 0..cols {
+                for r in 0..rows {
+                    *d.add(r * cols + c) = *s.add(r * rs + c * cs);
+                }
+            }
+        } else {
+            for r in 0..rows {
+                for c in 0..cols {
+                    *d.add(r * cols + c) = *s.add(r * rs + c * cs);
+                }
+            }
         }
     }
 }

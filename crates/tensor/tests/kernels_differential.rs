@@ -1,9 +1,9 @@
 //! Differential test suite for the kernel dispatch layer.
 //!
-//! Every dispatched kernel must produce results **bit-identical** to its
-//! naive oracle in `msd_tensor::ops::kernels::oracle`, for every SIMD tier
-//! (forced via `MSD_KERNEL_FORCE`), over seeded random shapes seeded with
-//! NaN and ±inf.
+//! Every dispatched kernel, GEMM included, must produce results
+//! **bit-identical** to its naive oracle in
+//! `msd_tensor::ops::kernels::oracle`, for every SIMD tier (forced via
+//! `MSD_KERNEL_FORCE`), over seeded random shapes seeded with NaN and ±inf.
 //!
 //! Everything runs inside ONE `#[test]` because the sweep mutates process
 //! environment variables; Rust runs tests in threads by default, and two
@@ -17,6 +17,7 @@
 //! different NaN bits. Whether a value IS NaN, and every non-NaN bit
 //! (including ±inf and signed zeros), is still exact.
 
+use msd_tensor::ops::gemm::sgemm_strided;
 use msd_tensor::ops::kernels::{self, ew, norm, oracle, quant, reduce, Tier};
 use msd_tensor::rng::Rng;
 
@@ -221,6 +222,42 @@ fn check_quant(rng: &mut Rng, ctx: &str) {
     }
 }
 
+/// GEMM against its contract oracle, on shapes that straddle the small-n
+/// path's choice (n < 16 with m ≥ 16) and the blocked kernel's tile and
+/// slab edges, reading the operands the way `matmul`, `matmul_nt`,
+/// `matmul_tn` and a padded view pass them. Some rows of A carry NaN, ±inf
+/// and ±0.
+fn check_gemm(rng: &mut Rng, ctx: &str) {
+    for &m in &[1usize, 5, 6, 15, 16, 17, 97] {
+        for &n in &[1usize, 2, 4, 7, 8, 14, 15, 16, 17] {
+            for &k in &[1usize, 2, 16, 255, 256, 257] {
+                // (name, A row/col stride, A length, B row/col stride, B length)
+                let layouts = [
+                    ("nn", (k, 1), m * k, (n, 1), k * n),
+                    ("nt", (k, 1), m * k, (1, k), n * k),
+                    ("tn", (1, m), k * m, (n, 1), k * n),
+                    ("padded", (k + 3, 1), m * (k + 3), (n + 2, 1), k * (n + 2)),
+                ];
+                for (name, (a_rs, a_cs), a_len, (b_rs, b_cs), b_len) in layouts {
+                    let mut a = gen(rng, a_len, false);
+                    for i in (1..m).step_by(4) {
+                        for p in 0..k {
+                            a[i * a_rs + p * a_cs] = gen(rng, 1, true)[0];
+                        }
+                    }
+                    let b = gen(rng, b_len, false);
+                    let mut got = vec![f32::NAN; m * n];
+                    let mut want = vec![0.0f32; m * n];
+                    sgemm_strided(m, k, n, &a, a_rs, a_cs, &b, b_rs, b_cs, &mut got);
+                    oracle::gemm(m, k, n, &a, a_rs, a_cs, &b, b_rs, b_cs, &mut want);
+                    let c = ctx.to_string() + &format!(" gemm {name} {m}x{k}x{n}");
+                    assert_slice_bits("gemm", &got, &want, &c);
+                }
+            }
+        }
+    }
+}
+
 /// Capture whole-run outputs under the CURRENT tier so the
 /// sweep can assert cross-config bit-identity (oracle equality alone is
 /// per-config; this pins every config to the exact same bits).
@@ -256,6 +293,13 @@ fn fingerprint(rng: &mut Rng) -> Vec<u32> {
     let mut qo = vec![0.0f32; rows * n];
     quant::linear_i8_into(&xa, rows, k, w.view(), Some(&bias), true, &mut qo);
     fp.extend(qo.iter().map(|v| canon(*v)));
+    // A small-n product (n < 16, m ≥ 16), as `Tensor::linear` passes it.
+    let (m, k, n) = (97usize, 40usize, 7usize);
+    let a = gen(rng, m * k, false);
+    let b = gen(rng, k * n, false);
+    let mut go = vec![0.0f32; m * n];
+    sgemm_strided(m, k, n, &a, k, 1, &b, n, 1, &mut go);
+    fp.extend(go.iter().map(|v| canon(*v)));
     fp
 }
 
@@ -283,6 +327,7 @@ fn kernels_match_oracle_across_tiers_and_threads() {
         check_elementwise(&mut rng, &ctx);
         check_norms(&mut rng, &ctx);
         check_quant(&mut rng, &ctx);
+        check_gemm(&mut rng, &ctx);
         let fp = fingerprint(&mut rng);
         match &reference_fp {
             None => reference_fp = Some(fp),

@@ -4,6 +4,7 @@
 //! over deterministic seeds, so the properties run fully offline with no
 //! external property-testing dependency.
 
+use msd_tensor::ops::permute_into;
 use msd_tensor::{allclose, rng::Rng, strides_for, Tensor};
 
 /// A deterministic small shape of rank 1..=4 with dims in 1..6.
@@ -60,6 +61,61 @@ fn permute_preserves_multiset() {
         a.sort_by(f32::total_cmp);
         b.sort_by(f32::total_cmp);
         assert_eq!(a, b);
+    }
+}
+
+/// `permute_into` places every element by the index formula: the element
+/// at input coordinates `c` lands at output coordinates
+/// `(c[perm[0]], c[perm[1]], …)`. Ranks 0–6 with about a third of the
+/// axes of extent 1 (the kernel drops those and merges axes that stay
+/// adjacent), plus ranks 9–10, which take the kernel's heap fallback.
+/// Unlike the round-trip and multiset properties above, this one fails for
+/// a kernel that returns its input unchanged.
+#[test]
+fn permute_places_every_element_by_index_formula() {
+    for seed in 0..512 {
+        let mut rng = Rng::seed_from(seed);
+        let rank = if seed % 64 == 63 {
+            9 + rng.below(2)
+        } else {
+            rng.below(7)
+        };
+        let shape: Vec<usize> = (0..rank)
+            .map(|_| {
+                if rng.below(3) == 0 {
+                    1
+                } else {
+                    2 + rng.below(3)
+                }
+            })
+            .collect();
+        let mut perm: Vec<usize> = (0..rank).collect();
+        rng.shuffle(&mut perm);
+        let n: usize = shape.iter().product();
+        let src: Vec<f32> = (0..n).map(|i| i as f32).collect();
+        let mut out = vec![f32::NAN; n];
+        permute_into(&shape, &src, &perm, &mut out);
+
+        let in_strides = strides_for(&shape);
+        let out_shape: Vec<usize> = perm.iter().map(|&p| shape[p]).collect();
+        let out_strides = strides_for(&out_shape);
+        for (i, &v) in src.iter().enumerate() {
+            let coords: Vec<usize> = in_strides
+                .iter()
+                .zip(&shape)
+                .map(|(&st, &e)| (i / st) % e)
+                .collect();
+            let o: usize = perm
+                .iter()
+                .zip(&out_strides)
+                .map(|(&p, &st)| coords[p] * st)
+                .sum();
+            assert_eq!(
+                out[o].to_bits(),
+                v.to_bits(),
+                "shape {shape:?} perm {perm:?}: input {coords:?} misplaced"
+            );
+        }
     }
 }
 
