@@ -104,7 +104,7 @@ fn main() {
             t_plan * 1e6,
             t_tape * 1e6,
             speedup,
-            plan.arena_len()
+            plan.arena_len(1)
         )
         .expect("append plan row");
         println!(

@@ -312,8 +312,9 @@ fn run_case_study(scale: Scale) {
 }
 
 /// Compiles every task-general model into an inference plan for a small
-/// forecasting shape and dumps the plan: ordered kernel steps, fusion
-/// decisions, and the solved arena size — first for the f32 store, then
+/// forecasting shape and dumps the plan: ordered kernel steps with their
+/// batch-proportional axes marked, fusion decisions, and the solved arena
+/// as `S·b + F` lanes — first for the f32 store, then
 /// re-loaded from an int8 artifact and lowered, so the dump shows the
 /// artifact tier and each step's kernel precision (`[int8]` suffix).
 /// Models whose forwards are not yet plan-compilable report the typed
@@ -329,7 +330,7 @@ fn run_plan_dump() {
         let mut store = ParamStore::new();
         let mut rng = Rng::seed_from(0xD0 + i as u64);
         let model = spec.build(&mut store, &mut rng, channels, input_len, task.clone(), d_model);
-        println!("== {} ([1, {channels}, {input_len}] -> horizon {horizon})", model.name());
+        println!("== {} ([b, {channels}, {input_len}] -> horizon {horizon})", model.name());
         println!("-- artifact tier: {}", store.tier());
         let plan = match model.compile_plan(&store, &[1, channels, input_len]) {
             Ok(plan) => plan,
@@ -368,7 +369,7 @@ fn run_plan_dump() {
     print_plan_profile();
 }
 
-/// Profiles the MSD-Mixer plan at msdbench serve_mixer's shape (C = 7,
+/// Profiles one MSD-Mixer plan at msdbench serve_mixer's shape (C = 7,
 /// L = H = 96, d_model 16) at batch 1 and 8, one step at a time: the
 /// median µs of each step, its share of the plan (the sum of step
 /// medians), and the GFLOP/s of its matrix products against a 512³
@@ -412,12 +413,17 @@ fn print_plan_profile() {
          sgemm_strided {s}³ peak {peak:.1} GFLOP/s",
         model.name()
     );
+    // One plan serves both batches.
+    let plan = model
+        .compile_plan(&store, &[1, channels, len])
+        .expect("MSD-Mixer compiles");
+    println!(
+        "   one plan: arena {} f32 at batch 1, {} at batch 8",
+        plan.arena_len(1),
+        plan.arena_len(8)
+    );
     for batch in [1, 8] {
-        let shape = [batch, channels, len];
-        let plan = model
-            .compile_plan(&store, &shape)
-            .expect("MSD-Mixer compiles");
-        let x = Tensor::randn(&shape, 1.0, &mut rng);
+        let x = Tensor::randn(&[batch, channels, len], 1.0, &mut rng);
         let mut arena = msd_autograd::PlanArena::new();
         let steps = plan.profile(&store, &model.plan_prelude(&x), &mut arena, 200 / batch);
         let total: f64 = steps.iter().map(|st| st.us).sum();

@@ -262,6 +262,8 @@ fn main() {
         let mut bad_status = 0usize;
         let mut tolerated = 0usize;
         let mut versions = std::collections::BTreeMap::<(String, u32), usize>::new();
+        // One reference per model and version, built on first use.
+        let mut references = std::collections::HashMap::new();
         for (i, resp) in outcome.responses.iter().enumerate() {
             let Some(resp) = resp else { continue }; // counted via lost()
             match resp.status {
@@ -282,7 +284,10 @@ fn main() {
                         mismatches += 1;
                         continue;
                     }
-                    let want = demo.reference_tiered(version, expect_tier, x);
+                    let want = references
+                        .entry((*m, version))
+                        .or_insert_with(|| demo.reference_tiered(version, expect_tier))
+                        .predict(x);
                     let got = match wire::decode_tensor(&resp.body) {
                         Ok(t) => t,
                         Err(e) => {

@@ -90,17 +90,21 @@ fn serve_tier(
         .expect("artifact round-trips");
     assert_eq!(store.tier(), tier);
 
-    // Sequential references through the same numeric path serving uses.
+    // Sequential references through the same numeric path serving uses:
+    // at int8, one lowered plan for every input.
+    let plan = (tier == PrecisionTier::Int8).then(|| {
+        let plan = model
+            .compile_plan(&store, &[1, CHANNELS, INPUT_LEN])
+            .expect("compile");
+        assert!(plan.int8_steps() > 0, "{}: nothing lowered", spec.name());
+        plan
+    });
     let mut arena = PlanArena::new();
     let references: Vec<Tensor> = inputs
         .iter()
-        .map(|x| match tier {
-            PrecisionTier::Int8 => {
-                let plan = model.compile_plan(&store, x.shape()).expect("compile");
-                assert!(plan.int8_steps() > 0, "{}: nothing lowered", spec.name());
-                model.predict_plan(&plan, &store, x, &mut arena)
-            }
-            _ => model.predict(&store, x),
+        .map(|x| match &plan {
+            Some(plan) => model.predict_plan(plan, &store, x, &mut arena),
+            None => model.predict(&store, x),
         })
         .collect();
 

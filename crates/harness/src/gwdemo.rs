@@ -14,7 +14,7 @@
 //! drills; [`DemoModel::reference`] answers "what must version `v` predict
 //! for input `i`" in any process.
 
-use msd_autograd::PlanArena;
+use msd_autograd::{CompiledPlan, PlanArena};
 use msd_gateway::ModelFactory;
 use msd_nn::{ArtifactReader, ArtifactWriter, DynModel, Model, ParamStore, PrecisionTier, Task};
 use msd_tensor::rng::Rng;
@@ -137,21 +137,45 @@ impl DemoModel {
     /// plans are bit-identical to it); for int8 it is the compiled plan,
     /// which `compile_plan` lowers onto the int8 kernels — valid
     /// cross-process because the int8 path is bit-identical across kernel
-    /// tiers and batch compositions (integer accumulation).
-    pub fn reference_tiered(&self, version: u32, tier: PrecisionTier, x: &Tensor) -> Tensor {
+    /// tiers and batch compositions (integer accumulation). The model is
+    /// built, and its plan compiled, once for every input it answers.
+    pub fn reference_tiered(&self, version: u32, tier: PrecisionTier) -> TieredReference {
         let bytes = self.params(version, tier);
         let (model, mut store) = self.build(self.seed(version));
         ArtifactReader::decode(&bytes)
             .and_then(|r| r.load_into(&mut store))
             .expect("demo artifact round-trips");
-        match tier {
-            PrecisionTier::F32 | PrecisionTier::F16 => model.predict(&store, x),
-            PrecisionTier::Int8 => {
-                let plan = model
-                    .compile_plan(&store, x.shape())
-                    .expect("demo models compile");
-                model.predict_plan(&plan, &store, x, &mut PlanArena::new())
-            }
+        let plan = (tier == PrecisionTier::Int8).then(|| {
+            model
+                .compile_plan(&store, &[1, self.channels, self.input_len])
+                .expect("demo models compile")
+        });
+        TieredReference {
+            model,
+            store,
+            plan,
+            arena: PlanArena::new(),
+        }
+    }
+}
+
+/// One demo model version's sequential reference at one tier, from
+/// [`DemoModel::reference_tiered`].
+pub struct TieredReference {
+    model: crate::AnyModel,
+    store: ParamStore,
+    /// The lowered plan, for an int8 tier.
+    plan: Option<CompiledPlan>,
+    arena: PlanArena,
+}
+
+impl TieredReference {
+    /// The bits a gateway serving this version and tier must answer `x`
+    /// with.
+    pub fn predict(&mut self, x: &Tensor) -> Tensor {
+        match &self.plan {
+            Some(plan) => self.model.predict_plan(plan, &self.store, x, &mut self.arena),
+            None => self.model.predict(&self.store, x),
         }
     }
 }
@@ -205,8 +229,8 @@ mod tests {
                 assert_eq!(reader.tier(), tier, "{}", m.name);
                 // Two independent rebuilds (standing in for two processes)
                 // agree to the bit.
-                let a = m.reference_tiered(1, tier, &x);
-                let b = m.reference_tiered(1, tier, &x);
+                let a = m.reference_tiered(1, tier).predict(&x);
+                let b = m.reference_tiered(1, tier).predict(&x);
                 assert!(
                     a.data()
                         .iter()
@@ -218,7 +242,7 @@ mod tests {
             }
             // The f32 tiered reference is the plain reference.
             let plain = m.reference(1, &x);
-            let f32t = m.reference_tiered(1, PrecisionTier::F32, &x);
+            let f32t = m.reference_tiered(1, PrecisionTier::F32).predict(&x);
             assert!(plain
                 .data()
                 .iter()

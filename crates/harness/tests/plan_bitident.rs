@@ -1,7 +1,7 @@
-//! The compiled-plan serving gate: for every task-general model, a
+//! The compiled-plan serving gate: for every task-general model, the one
 //! [`CompiledPlan`] produced by `Model::compile_plan` must be bit-identical
-//! to per-sample `Model::predict` — across batch compositions and every
-//! kernel dispatch tier (`MSD_KERNEL_FORCE`).
+//! to per-sample `Model::predict` — at every batch size from 1 to 8, across
+//! batch compositions and every kernel dispatch tier (`MSD_KERNEL_FORCE`).
 //!
 //! The reference is computed once with kernels pinned to the scalar tier;
 //! plans compiled and executed under every tier must reproduce it bit for
@@ -75,6 +75,9 @@ fn compiled_plans_bit_identical_to_predict_for_all_models_tiers_threads() {
             let plan = model
                 .compile_plan(&store, &[1, channels, input_len])
                 .unwrap_or_else(|e| panic!("{}: compile failed: {e}", label("")));
+            // The batch named at compile time does not matter.
+            let plan8 = model.compile_plan(&store, &[8, channels, input_len]).unwrap();
+            assert_eq!(plan8.describe(), plan.describe(), "{}", label("[8, C, L] plan"));
 
             // One arena recycled across the whole sweep, per-sample.
             let mut arena = PlanArena::new();
@@ -83,24 +86,20 @@ fn compiled_plans_bit_identical_to_predict_for_all_models_tiers_threads() {
                 assert_bits_equal(&got, &reference[i], &label(&format!("sample={i}")));
             }
 
-            // Batched compositions: a plan compiled for [B, C, L] must
-            // reproduce the packed tape prediction bit for bit, and
-            // unpack to the per-sample references.
+            // Batched compositions: the same plan, run on a packed random
+            // composition of every batch size from 1 to 8, must unpack to
+            // the per-sample references bit for bit.
             let mut comp_rng = Rng::seed_from(31);
-            for trial in 0..4 {
-                let size = 1 + comp_rng.below(pool);
+            for size in 1..=8 {
                 let picks: Vec<usize> = (0..size).map(|_| comp_rng.below(pool)).collect();
                 let batch: Vec<&Tensor> = picks.iter().map(|&i| &samples[i]).collect();
                 let packed = Tensor::concat(&batch, 0);
-                let bplan = model
-                    .compile_plan(&store, packed.shape())
-                    .unwrap_or_else(|e| panic!("{}: batch compile failed: {e}", label("")));
-                let full = model.predict_plan(&bplan, &store, &packed, &mut arena);
+                let full = model.predict_plan(&plan, &store, &packed, &mut arena);
                 for (slot, &i) in picks.iter().enumerate() {
                     assert_bits_equal(
                         &full.narrow(0, slot, 1),
                         &reference[i],
-                        &label(&format!("trial={trial} slot={slot} sample={i}")),
+                        &label(&format!("batch={size} slot={slot} sample={i}")),
                     );
                 }
             }

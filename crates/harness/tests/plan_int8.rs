@@ -1,9 +1,10 @@
-//! The int8-lowering gate: for every task-general model, the plan
+//! The int8-lowering gate: for every task-general model, the one plan
 //! `Model::compile_plan` returns for an int8-tier store (lowered onto the
 //! int8 kernels) must be bit-identical across every `MSD_KERNEL_FORCE`
-//! tier and every batch composition — integer accumulation is order-exact
-//! and the dequant epilogue is a fixed scalar sequence, so the lowered path
-//! has *no* tier-dependent numerics to tolerate.
+//! tier, every batch size from 1 to 8 and every batch composition —
+//! integer accumulation is order-exact and the dequant epilogue is a fixed
+//! scalar sequence, so the lowered path has *no* tier-dependent numerics to
+//! tolerate.
 //!
 //! The store under test is a genuine int8-tier artifact round trip
 //! (`ArtifactWriter` → `ArtifactReader`), not a hand-built quant table, so
@@ -172,20 +173,19 @@ fn lowered_plans_bit_identical_across_tiers_threads_and_batches() {
 
             // Batch-composition invariance: dynamic per-row activation
             // quantization means a sample's row is identical no matter
-            // which batch it rides in.
+            // which batch it rides in. The same plan runs a packed random
+            // composition of every batch size from 1 to 8.
             let mut comp_rng = Rng::seed_from(41);
-            for trial in 0..3 {
-                let size = 1 + comp_rng.below(pool);
+            for size in 1..=8 {
                 let picks: Vec<usize> = (0..size).map(|_| comp_rng.below(pool)).collect();
                 let batch: Vec<&Tensor> = picks.iter().map(|&i| &samples[i]).collect();
                 let packed = Tensor::concat(&batch, 0);
-                let bplan = compile_lowered(packed.shape());
-                let full = model.predict_plan(&bplan, &store, &packed, &mut arena);
+                let full = model.predict_plan(&plan, &store, &packed, &mut arena);
                 for (slot, &i) in picks.iter().enumerate() {
                     assert_bits_equal(
                         &full.narrow(0, slot, 1),
                         &reference[i],
-                        &label(&format!("trial={trial} slot={slot} sample={i}")),
+                        &label(&format!("batch={size} slot={slot} sample={i}")),
                     );
                 }
             }

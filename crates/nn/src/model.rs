@@ -7,8 +7,8 @@
 //! a default task loss derived from the model's [`Task`], batched inference
 //! ([`Model::predict_batch`]) whose outputs are **bit-identical** to
 //! per-sample [`Model::predict`] calls — the property the serving runtime
-//! is gated on — and compiled plans ([`Model::compile_plan`]) that serve
-//! every precision tier.
+//! is gated on — and compiled plans ([`Model::compile_plan`]), one per
+//! model, that serve every batch size and precision tier.
 
 use crate::{Ctx, ParamStore, PrecisionTier, Task};
 use msd_autograd::plan::{CompiledPlan, PlanArena, PlanError};
@@ -164,17 +164,22 @@ pub trait Model {
         vec![x.clone()]
     }
 
-    /// Compiles the eval forward for inputs of shape `x_shape` into a
-    /// [`CompiledPlan`].
+    /// Compiles the eval forward for samples of shape `x_shape[1..]` into a
+    /// [`CompiledPlan`] that runs at every batch size.
     ///
-    /// The forward is traced with two distinct random probe inputs; the two
-    /// tapes must agree structurally and their op payloads must be either
-    /// constant across probes or declared in [`Model::plan_prelude`]. The
-    /// compiled plan is then executed on both probes *plus a fresh third
-    /// probe* and byte-compared against [`Model::predict`] — a plan that
-    /// compiles is already proven bit-identical on three inputs before the
-    /// caller ever uses it. Any failure returns a typed [`PlanError`]; no
-    /// error path can yield a plan with wrong numerics.
+    /// The batch is a pure leading axis, so `x_shape[0]` does not matter:
+    /// `[1, C, L]` and `[8, C, L]` give the same plan. The forward is traced
+    /// on random probes at batches 1 and 2; the two tapes must agree
+    /// structurally, every dimension must be fixed or proportional to the
+    /// batch, and op payloads must be either constant across the traces or
+    /// declared in [`Model::plan_prelude`] (the rules are in
+    /// `msd_autograd::plan`). The compiled plan is then executed on both
+    /// probes *plus a fresh probe at batch 3* and byte-compared against
+    /// [`Model::predict`]. Batch 3 is never traced, so it tests the scaling
+    /// rule itself — a plan that compiles is already proven bit-identical
+    /// at three batch sizes before the caller ever uses it. Any failure
+    /// returns a typed [`PlanError`]; no error path can yield a plan with
+    /// wrong numerics.
     ///
     /// The plan owns the store's precision tier: for an int8-tier store the
     /// verified f32 plan is then lowered onto the int8 kernels
@@ -185,11 +190,14 @@ pub trait Model {
         store: &ParamStore,
         x_shape: &[usize],
     ) -> Result<CompiledPlan, PlanError> {
-        let probe = |seed: u64| {
-            let mut rng = Rng::seed_from(seed);
-            Tensor::randn(x_shape, 1.0, &mut rng)
+        let Some((_, sample)) = x_shape.split_first() else {
+            return Err(PlanError::NotBatchAffine("input shape has no batch axis".into()));
         };
-        let (xa, xb) = (probe(0x51AB), probe(0x51AC));
+        let probe = |batch: usize, seed: u64| {
+            let shape: Vec<usize> = std::iter::once(batch).chain(sample.iter().copied()).collect();
+            Tensor::randn(&shape, 1.0, &mut Rng::seed_from(seed))
+        };
+        let (xa, xb) = (probe(1, 0x51AB), probe(2, 0x51AC));
         let ga = Graph::eval();
         let oa = eval_forward(self, &ga, store, &xa);
         let gb = Graph::eval();
@@ -202,13 +210,13 @@ pub trait Model {
             &self.plan_prelude(&xa),
             &self.plan_prelude(&xb),
         )?;
-        // Probe-verify: the third probe guards against a leaf that was
-        // coincidentally byte-equal across the two trace probes being
-        // misclassified as constant.
+        // Probe-verify at batches 1, 2 and 3. The batch-3 probe's fresh
+        // data also guards against a leaf that was coincidentally
+        // byte-equal across the two traces being taken for a constant.
         let mut arena = PlanArena::new();
-        for (i, x) in [xa, xb, probe(0x51AD)].iter().enumerate() {
-            let want = self.predict(store, x);
-            let got = plan.execute(store, &self.plan_prelude(x), &mut arena);
+        for x in [xa, xb, probe(3, 0x51AD)] {
+            let want = self.predict(store, &x);
+            let got = plan.execute(store, &self.plan_prelude(&x), &mut arena);
             if want.shape() != got.shape()
                 || want
                     .data()
@@ -217,7 +225,8 @@ pub trait Model {
                     .any(|(a, b)| a.to_bits() != b.to_bits())
             {
                 return Err(PlanError::Verification(format!(
-                    "plan output differs from tape predict on probe {i}"
+                    "plan output differs from tape predict at batch {}",
+                    x.shape()[0]
                 )));
             }
         }
@@ -227,9 +236,9 @@ pub trait Model {
         Ok(plan)
     }
 
-    /// Runs a plan compiled by [`Model::compile_plan`] on `x`. For f32 and
-    /// f16 stores it is bit-identical to [`Model::predict`] for the shape
-    /// the plan was compiled for.
+    /// Runs a plan compiled by [`Model::compile_plan`] on `x`, at whatever
+    /// batch `x` carries. For f32 and f16 stores it is bit-identical to
+    /// [`Model::predict`].
     fn predict_plan(
         &self,
         plan: &CompiledPlan,
@@ -371,11 +380,13 @@ mod tests {
     fn compiled_plan_is_bit_identical_to_predict() {
         let mut store = ParamStore::new();
         let toy = Toy::new(&mut store);
+        // The batch named at compile time does not matter: one plan serves
+        // every batch.
         let plan = toy.compile_plan(&store, &[3, 2, 3]).expect("toy must compile");
         let mut arena = PlanArena::new();
-        for i in 0..4 {
-            let mut rng = Rng::seed_from(600 + i);
-            let x = Tensor::randn(&[3, 2, 3], 1.0, &mut rng);
+        for (i, batch) in [3, 1, 5, 2].into_iter().enumerate() {
+            let mut rng = Rng::seed_from(600 + i as u64);
+            let x = Tensor::randn(&[batch, 2, 3], 1.0, &mut rng);
             let want = toy.predict(&store, &x);
             let got = toy.predict_plan(&plan, &store, &x, &mut arena);
             assert_eq!(want.shape(), got.shape());

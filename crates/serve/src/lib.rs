@@ -6,7 +6,9 @@
 //! [`msd_nn::Model`] trait: callers submit single samples, the runtime
 //! packs same-shape requests into micro-batches, evaluates each batch with
 //! one tape-free forward pass on a worker pool, and splits the result back
-//! into per-request responses.
+//! into per-request responses. The forward pass runs a compiled plan
+//! ([`msd_nn::Model::compile_plan`]) keyed by the per-sample shape: one
+//! plan per model serves every batch size.
 //!
 //! The design contract, in order of importance:
 //!
@@ -64,9 +66,10 @@ use msd_nn::{Model, ParamStore, PrecisionTier};
 use msd_tensor::Tensor;
 use stats::StatsInner;
 
-/// Compiled plans shared by the worker pool, keyed by packed batch shape.
-/// `None` caches a failed compile so that shape permanently takes the tape
-/// path with no per-batch retry cost.
+/// Compiled plans shared by the worker pool, keyed by the per-sample
+/// request shape (`[1, C, L]`): one plan runs every batch size. `None`
+/// caches a failed compile so that shape permanently takes the tape path
+/// with no per-batch retry cost.
 type PlanCache = Mutex<HashMap<Vec<usize>, Option<Arc<CompiledPlan>>>>;
 
 /// Tuning knobs for [`Server::start`].
@@ -291,8 +294,9 @@ impl Server {
         let use_plans = cfg.use_plans;
         let chaos = cfg.chaos.clone().or_else(Chaos::from_env);
         // Compiled plans are pool-global: compilation is expensive (traces
-        // plus probe verification at the full batch shape), so a shape must
-        // compile at most once per server, not once per worker.
+        // at batches 1 and 2 plus probe verification at 1, 2 and 3), so a
+        // sample shape compiles at most once per server, not once per
+        // worker or per batch size.
         let plan_cache: Arc<PlanCache> = Arc::new(Mutex::new(HashMap::new()));
         let workers = (0..workers)
             .map(|i| {
@@ -558,10 +562,11 @@ fn expire(shared: &Shared, r: Request) {
 /// Evaluates batches until the batch queue closes.
 ///
 /// With `use_plans` set, workers evaluate through the pool-shared
-/// [`PlanCache`]: a packed batch shape compiles at most once per *server*
-/// (the first worker to see it compiles under the cache lock; peers block
-/// briefly, then reuse the `Arc`'d plan), and each worker keeps a private
-/// lock-free mirror so the steady-state hot path never touches the mutex.
+/// [`PlanCache`]: a sample shape compiles at most once per *server* (the
+/// first worker to see it compiles under the cache lock; peers block
+/// briefly, then reuse the `Arc`'d plan) and that one plan runs every batch
+/// size, and each worker keeps a private lock-free mirror so the
+/// steady-state hot path never touches the mutex.
 /// A failed compile caches the typed failure, so that shape permanently
 /// takes the tape path ([`Model::predict_batch`]) with no per-batch retry
 /// cost. For f32 and f16 stores plan answers are bit-identical to the tape
@@ -625,17 +630,17 @@ fn worker_loop(
                 // Pack exactly like `predict_batch` so shapes (and answers)
                 // are byte-for-byte the same on both paths.
                 let packed = Tensor::concat(&xs.iter().collect::<Vec<_>>(), 0);
-                let shape = packed.shape().to_vec();
-                let plan = match plans.get(&shape) {
+                let shape = xs[0].shape();
+                let plan = match plans.get(shape) {
                     Some(p) => p.clone(),
                     None => {
                         let p = plan_cache
                             .lock()
                             .unwrap_or_else(|p| p.into_inner())
-                            .entry(shape.clone())
-                            .or_insert_with(|| model.compile_plan(store, &shape).ok().map(Arc::new))
+                            .entry(shape.to_vec())
+                            .or_insert_with(|| model.compile_plan(store, shape).ok().map(Arc::new))
                             .clone();
-                        plans.insert(shape, p.clone());
+                        plans.insert(shape.to_vec(), p.clone());
                         p
                     }
                 };

@@ -1,14 +1,19 @@
 //! Compiled-plan execution knobs: by default the workers serve single-sample
-//! traffic through a [`CompiledPlan`]; `ServeConfig::use_plans = false`
-//! falls back to the tape. For an f32 store the responses must be
-//! bit-identical to sequential `Model::predict` either way — the knob may
-//! only move the `plan_batches` counter. An int8-tier store has no tape
-//! fallback: it is refused with the knob off, and a batch whose plan cannot
-//! compile fails with a typed error instead of an f32 answer.
+//! traffic through a [`CompiledPlan`], one per sample shape for every batch
+//! size; `ServeConfig::use_plans = false` falls back to the tape. For an
+//! f32 store the responses must be bit-identical to sequential
+//! `Model::predict` either way — the knob may only move the `plan_batches`
+//! counter. An int8-tier store has no tape fallback: it is refused with the
+//! knob off, and a batch whose plan cannot compile fails with a typed error
+//! instead of an f32 answer.
+//!
+//! [`CompiledPlan`]: msd_autograd::CompiledPlan
 
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::Arc;
 use std::time::Duration;
 
-use msd_autograd::PlanArena;
+use msd_autograd::{CompiledPlan, PlanArena, PlanError};
 use msd_nn::{
     ArtifactReader, ArtifactWriter, Ctx, Linear, Model, ModelOutput, ParamStore, PrecisionTier,
     Task,
@@ -68,6 +73,48 @@ impl Model for Unplannable {
     }
     fn forward(&self, ctx: &Ctx, x: &Tensor) -> ModelOutput {
         self.0.forward(ctx, &x.map(|v| 2.0 * v))
+    }
+}
+
+/// [`Affine`] over its batch with a constant row stacked on (`[b + 1, ..]`)
+/// and cut off again: every sample is still answered on its own, but no
+/// plan can scale the `b + 1` rows, so serving takes the tape.
+struct RowPadded(Affine);
+
+impl Model for RowPadded {
+    fn name(&self) -> &str {
+        "row-padded"
+    }
+    fn task(&self) -> &Task {
+        &self.0.task
+    }
+    fn forward(&self, ctx: &Ctx, x: &Tensor) -> ModelOutput {
+        let a = &self.0;
+        let b = x.shape()[0];
+        let v = ctx.g.input(x.reshape(&[b, a.in_len]));
+        let row = ctx.g.input(Tensor::zeros(&[1, a.in_len]));
+        let y = a.lin.forward(ctx, ctx.g.concat(&[v, row], 0));
+        let y = ctx.g.narrow(y, 0, 0, b);
+        ModelOutput::pred_only(ctx.g.reshape(y, &[b, a.out_channels, 4]))
+    }
+}
+
+/// [`Affine`] counting its `compile_plan` calls.
+struct Counted(Affine, Arc<AtomicUsize>);
+
+impl Model for Counted {
+    fn name(&self) -> &str {
+        "counted"
+    }
+    fn task(&self) -> &Task {
+        &self.0.task
+    }
+    fn forward(&self, ctx: &Ctx, x: &Tensor) -> ModelOutput {
+        self.0.forward(ctx, x)
+    }
+    fn compile_plan(&self, store: &ParamStore, x_shape: &[usize]) -> Result<CompiledPlan, PlanError> {
+        self.1.fetch_add(1, Ordering::SeqCst);
+        self.0.compile_plan(store, x_shape)
     }
 }
 
@@ -214,4 +261,52 @@ fn int8_batch_without_a_plan_fails_typed_instead_of_answering_from_the_tape() {
     let stats = server.shutdown();
     assert_eq!(stats.failed, inputs.len() as u64);
     assert_eq!(stats.completed, 0);
+}
+
+#[test]
+fn one_compile_serves_every_batch_size() {
+    let compiles = Arc::new(AtomicUsize::new(0));
+    let mut store = ParamStore::new();
+    let model = Counted(affine(&mut store), Arc::clone(&compiles));
+    let inputs = inputs(4);
+    let (reference, _) = sequential_baseline(&model, &store, &inputs);
+    // One worker and a window far longer than a burst of submissions, so
+    // round `k` is answered as exactly one batch of `k`.
+    let cfg = ServeConfig {
+        max_batch: 4,
+        max_wait: Duration::from_millis(250),
+        workers: 1,
+        ..ServeConfig::default()
+    };
+    let server = Server::start(model, store, cfg).unwrap();
+    for k in 1..=4 {
+        let pending: Vec<_> = inputs[..k]
+            .iter()
+            .map(|x| server.submit(x.clone()).expect("queue has room"))
+            .collect();
+        for (i, p) in pending.into_iter().enumerate() {
+            let y = p.wait().expect("request must succeed");
+            assert_bits_equal(&y, &reference[i], &format!("batch {k} req {i}"));
+        }
+    }
+    let stats = server.shutdown();
+    assert_eq!(stats.batches, 4, "one batch of each size 1..=4: {stats:?}");
+    assert_eq!(stats.plan_batches, stats.batches, "every batch planned");
+    assert_eq!(compiles.load(Ordering::SeqCst), 1, "one compile for every batch size");
+}
+
+#[test]
+fn a_model_no_plan_can_scale_is_answered_through_the_tape() {
+    let mut store = ParamStore::new();
+    let model = RowPadded(affine(&mut store));
+    match model.compile_plan(&store, &[1, 2, 6]) {
+        Err(PlanError::NotBatchAffine(m)) => assert!(m.contains("Concat"), "{m}"),
+        Err(e) => panic!("expected NotBatchAffine, got {e}"),
+        Ok(_) => panic!("a [b + 1, ..] forward must not compile"),
+    }
+    let inputs = inputs(24);
+    let (reference, _) = sequential_baseline(&model, &store, &inputs);
+    let stats = serve_and_check((model, store), true, &inputs, &reference, "row-padded");
+    assert_eq!(stats.plan_batches, 0, "no plan, so every batch takes the tape");
+    assert!(stats.mean_batch > 1.0, "batches still form: {stats:?}");
 }

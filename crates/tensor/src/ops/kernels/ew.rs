@@ -177,8 +177,16 @@ pub fn sign_scaled(a: &[f32], b: &[f32], s: f32, out: &mut [f32]) {
     }
 }
 
+/// Rows of a short bias repeated into [`add_bias`]'s stack pattern.
+const BIAS_PATTERN_ROWS: usize = 16;
+
 /// Broadcast-add of a bias over contiguous rows: `out[r*d + j] += bias[j]`
 /// (exact per element).
+///
+/// A row loop shorter than a vector does not vectorise, so a bias of
+/// `d < 16` is first repeated into a 16-row pattern on the stack and added
+/// a whole pattern at a time, which does; each element still gets exactly
+/// one add of its own bias entry, so the bits are the plain loop's.
 ///
 /// # Panics
 /// Panics if `out.len()` is not a multiple of `bias.len()`.
@@ -186,10 +194,29 @@ pub fn add_bias(out: &mut [f32], bias: &[f32]) {
     let d = bias.len();
     assert!(d > 0, "add_bias with empty bias");
     assert_eq!(out.len() % d, 0, "add_bias length not a multiple of bias");
-    for row in out.chunks_exact_mut(d) {
-        for (o, &bv) in row.iter_mut().zip(bias) {
-            *o += bv;
+    if d >= BIAS_PATTERN_ROWS {
+        for row in out.chunks_exact_mut(d) {
+            for (o, &bv) in row.iter_mut().zip(bias) {
+                *o += bv;
+            }
         }
+        return;
+    }
+    let mut buf = [0.0f32; BIAS_PATTERN_ROWS * BIAS_PATTERN_ROWS];
+    let pattern = &mut buf[..BIAS_PATTERN_ROWS * d];
+    for row in pattern.chunks_exact_mut(d) {
+        row.copy_from_slice(bias);
+    }
+    let pattern = &*pattern;
+    let mut chunks = out.chunks_exact_mut(pattern.len());
+    for chunk in &mut chunks {
+        for (o, &p) in chunk.iter_mut().zip(pattern) {
+            *o += p;
+        }
+    }
+    // The tail is whole rows, so the pattern's prefix lines up with it.
+    for (o, &p) in chunks.into_remainder().iter_mut().zip(pattern) {
+        *o += p;
     }
 }
 

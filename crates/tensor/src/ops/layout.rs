@@ -213,12 +213,13 @@ pub fn narrow_into(
 
 /// Concatenates `(shape, data)` parts along `axis` into `out`. All non-axis
 /// extents must match. Shared by [`Tensor::concat`] and the plan executor.
-pub fn concat_into(parts: &[(&[usize], &[f32])], axis: usize, out: &mut [f32]) {
+pub fn concat_into<S: AsRef<[usize]>>(parts: &[(S, &[f32])], axis: usize, out: &mut [f32]) {
     assert!(!parts.is_empty(), "concat of zero tensors");
-    let first = parts[0].0;
+    let first = parts[0].0.as_ref();
     assert!(axis < first.len(), "concat axis out of range");
     let mut total = 0usize;
     for (s, _) in parts {
+        let s = s.as_ref();
         assert_eq!(s.len(), first.len(), "concat rank mismatch");
         for (i, (&a, &b)) in s.iter().zip(first).enumerate() {
             if i != axis {
@@ -233,7 +234,7 @@ pub fn concat_into(parts: &[(&[usize], &[f32])], axis: usize, out: &mut [f32]) {
     let mut idx = 0usize;
     for o in 0..outer {
         for (s, d) in parts {
-            let block = s[axis] * inner;
+            let block = s.as_ref()[axis] * inner;
             out[idx..idx + block].copy_from_slice(&d[o * block..(o + 1) * block]);
             idx += block;
         }

@@ -160,6 +160,20 @@ fn check_elementwise(rng: &mut Rng, ctx: &str) {
         oracle::add_bias(&mut want, &bias);
         assert_slice_bits("add_bias", &got, &want, &c);
     }
+    // add_bias of short rows (the 16-row stack pattern) and of rows at and
+    // past its width, whole patterns plus every tail length.
+    for d in [1usize, 2, 4, 7, 8, 14, 15, 16, 17, 96] {
+        for rows in [1usize, 5, 16, 97, 768] {
+            let base = gen(rng, rows * d, true);
+            let bias = gen(rng, d, true);
+            let c = ctx.to_string() + &format!(" rows={rows} d={d}");
+            let mut got = base.clone();
+            let mut want = base;
+            ew::add_bias(&mut got, &bias);
+            oracle::add_bias(&mut want, &bias);
+            assert_slice_bits("add_bias", &got, &want, &c);
+        }
+    }
 }
 
 fn check_norms(rng: &mut Rng, ctx: &str) {

@@ -89,10 +89,11 @@ echo "kill-and-resume smoke OK: resumed run bit-identical"
 cargo test -p msd-serve -q --offline
 cargo test -p msd-harness --test predict_batch_bitident -q --offline
 
-# Compiled-plan gate: every zoo model's AOT plan must stay bit-identical to
-# per-sample predict across batch compositions and kernel dispatch tiers —
-# serving runs plans by default, so this is the contract that makes that
-# default safe. The suite sets MSD_KERNEL_FORCE itself for its reference and
+# Compiled-plan gate: every zoo model's one AOT plan, compiled at [1, C, L],
+# must stay bit-identical to per-sample predict at every batch size from 1
+# to 8, across batch compositions and kernel dispatch tiers — serving runs
+# one plan per model for every batch by default, so this is the contract
+# that makes that default safe. The suite sets MSD_KERNEL_FORCE itself for its reference and
 # for every leg (and asserts each leg runs on the tier it names), so a
 # scalar-pinned re-run would only repeat this one.
 cargo test -p msd-harness --test plan_bitident -q --offline
