@@ -44,8 +44,8 @@
 //! *same* `msd_tensor` kernel entry points (`ops::linear_into`,
 //! `ops::kernels::ew`, `ops::kernels::norm`, ...) on the same shapes and in
 //! the same order as the tape ops it replaces at batch `b`, so results are
-//! bit-identical to `Graph`-based eval for every SIMD tier
-//! (`MSD_KERNEL_FORCE` is re-read per dispatch).
+//! bit-identical to `Graph`-based eval for every SIMD tier (each kernel
+//! dispatches on the executing thread's `kernels::tier()`).
 
 use std::fmt;
 use std::ops::Deref;
@@ -790,11 +790,6 @@ impl CompiledPlan {
         batch * self.sample_lanes + self.fixed_lanes
     }
 
-    /// Number of plan steps (reshape aliases included).
-    pub fn num_steps(&self) -> usize {
-        self.steps.len()
-    }
-
     /// Human-readable fusion decisions, for debugging and plan dumps.
     pub fn fusions(&self) -> &[String] {
         &self.fusions
@@ -834,7 +829,7 @@ impl CompiledPlan {
         lowered
     }
 
-    /// Total kernel steps in the plan.
+    /// Number of plan steps (reshape aliases included).
     pub fn steps(&self) -> usize {
         self.steps.len()
     }
@@ -1658,7 +1653,7 @@ mod tests {
         assert!(d.contains("arena: 48·b + 0 f32"), "{d}");
         assert_eq!(plan.arena_len(1), 48);
         assert_eq!(plan.arena_len(8), 8 * 48);
-        assert!(plan.num_steps() >= 1);
+        assert!(plan.steps() >= 1);
     }
 
     #[test]

@@ -17,7 +17,7 @@ use msd_harness::{fit, ForecastSource, ModelSpec, TrainConfig};
 use msd_data::{Split, SlidingWindows};
 use msd_mixer::variants::Variant;
 use msd_nn::{Model, ParamStore, Task};
-use msd_tensor::ops::kernels::{ew, norm, oracle, reduce};
+use msd_tensor::ops::kernels::{detected_tier, ew, norm, oracle, reduce, with_tier};
 use msd_tensor::rng::Rng;
 use msd_tensor::Tensor;
 
@@ -86,7 +86,10 @@ fn main() {
     // The floor gate measures the real dispatch tier: a CI matrix entry
     // that pins MSD_KERNEL_FORCE=scalar would otherwise compare the scalar
     // tier against the scalar oracle and trivially miss the floor.
-    std::env::set_var("MSD_KERNEL_FORCE", "auto");
+    with_tier(detected_tier(), run);
+}
+
+fn run() {
     let out_path =
         std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../target/BENCH_kernels.json");
     if let Some(dir) = out_path.parent() {

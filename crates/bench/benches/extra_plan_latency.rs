@@ -16,6 +16,7 @@ use std::time::Instant;
 use msd_autograd::PlanArena;
 use msd_harness::ModelSpec;
 use msd_nn::{Model, ParamStore, Task};
+use msd_tensor::ops::kernels::{detected_tier, with_tier};
 use msd_tensor::rng::Rng;
 use msd_tensor::Tensor;
 
@@ -33,7 +34,10 @@ fn time_best(k: usize, mut f: impl FnMut()) -> f64 {
 
 fn main() {
     // Measure the real dispatch tier, matching production serving.
-    std::env::set_var("MSD_KERNEL_FORCE", "auto");
+    with_tier(detected_tier(), run);
+}
+
+fn run() {
     let out_path =
         std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../target/BENCH_kernels.json");
     if let Some(dir) = out_path.parent() {

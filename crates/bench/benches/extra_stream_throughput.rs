@@ -16,10 +16,15 @@ use std::time::Instant;
 
 use msd_serve::percentile;
 use msd_stream::{DriftScenario, ScenarioConfig, StreamConfig, StreamEngine};
+use msd_tensor::ops::kernels::{detected_tier, with_tier};
 
 fn main() {
-    // Measure the real dispatch tier, matching production serving.
-    std::env::set_var("MSD_KERNEL_FORCE", "auto");
+    // Measure the real dispatch tier, matching production serving: the
+    // engine's serve workers inherit it through `Server::start`.
+    with_tier(detected_tier(), run);
+}
+
+fn run() {
     let out_path =
         std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../target/BENCH_stream.json");
     if let Some(dir) = out_path.parent() {

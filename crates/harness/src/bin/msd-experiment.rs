@@ -54,8 +54,10 @@ fn main() {
     let mut it = args.iter();
     while let Some(arg) = it.next() {
         match arg.as_str() {
+            // Telemetry is TrainMonitor config, not TrainConfig. Runs at
+            // msd-experiment start-up, before any other thread exists.
+            #[allow(clippy::disallowed_methods)]
             "--telemetry" => match it.next() {
-                // Telemetry is TrainMonitor config, not TrainConfig.
                 Some(v) => std::env::set_var("MSD_TELEMETRY", v),
                 None => usage(),
             },

@@ -92,6 +92,7 @@ pub fn run_variant(variant: Variant, scale: Scale) -> AblationRow {
 /// Computes (or loads) all five Table XII columns.
 pub fn results(scale: Scale) -> Vec<AblationRow> {
     super::cache::load_or_compute(
+        &super::cache_dir(),
         "ablation",
         scale,
         |r: &AblationRow| {

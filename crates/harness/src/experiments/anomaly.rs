@@ -113,6 +113,7 @@ pub fn run_single(spec: &AnomalySpec, model_spec: ModelSpec, scale: Scale) -> De
 /// Computes (or loads) every Table IX row.
 pub fn results(scale: Scale) -> Vec<AnomalyRow> {
     super::cache::load_or_compute(
+        &super::cache_dir(),
         "anomaly",
         scale,
         |r: &AnomalyRow| {

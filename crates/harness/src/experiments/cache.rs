@@ -2,7 +2,7 @@
 //! the Table II overview can aggregate per-table results without
 //! recomputing them, and re-running a bench is idempotent.
 
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 
 /// The cache directory: `$MSD_RESULTS_DIR`, or `target/msd-results` under
 /// the workspace root (found by walking up from the current directory —
@@ -25,11 +25,6 @@ pub fn cache_dir() -> PathBuf {
     }
 }
 
-/// Removes every cached result (all scales).
-pub fn clear_cache() {
-    let _ = std::fs::remove_dir_all(cache_dir());
-}
-
 /// Cache file schema version. Bump whenever the row format, the experiment
 /// protocol, or the training numerics change in a way that makes previously
 /// cached tables wrong: stale caches then invalidate (recompute) instead of
@@ -41,19 +36,20 @@ fn schema_header() -> String {
     format!("#msd-cache v{SCHEMA_VERSION}")
 }
 
-/// Loads rows for `family`+`scale` if cached, otherwise computes them with
-/// `compute` and writes the cache. Rows round-trip through a simple CSV
+/// Loads rows for `family`+`scale` from the cache in `dir` if present,
+/// otherwise computes them with `compute` and writes the cache there.
+/// Callers pass [`cache_dir`]. Rows round-trip through a simple CSV
 /// representation provided by the callers; `from_fields` returns `None` for
 /// a malformed row (truncated write, corrupt file), which discards the
 /// whole cache and falls back to recompute — it must never panic.
 pub(crate) fn load_or_compute<R>(
+    dir: &Path,
     family: &str,
     scale: crate::Scale,
     to_fields: impl Fn(&R) -> Vec<String>,
     from_fields: impl Fn(&[String]) -> Option<R>,
     compute: impl FnOnce() -> Vec<R>,
 ) -> Vec<R> {
-    let dir = cache_dir();
     let path = dir.join(format!("{family}-{}.csv", scale.name()));
     if let Ok(content) = std::fs::read_to_string(&path) {
         if let Some(rows) = parse_cache(&content, &from_fields) {
@@ -68,7 +64,7 @@ pub(crate) fn load_or_compute<R>(
         }
     }
     let rows = compute();
-    let _ = std::fs::create_dir_all(&dir);
+    let _ = std::fs::create_dir_all(dir);
     let mut out = schema_header();
     out.push('\n');
     for r in &rows {
@@ -124,22 +120,17 @@ mod tests {
         })
     }
 
-    /// Runs `body` with `MSD_RESULTS_DIR` pointing at a fresh directory.
-    /// One global lock: the env var is process-wide and tests run in
-    /// parallel threads.
-    fn with_temp_cache(name: &str, body: impl FnOnce()) {
-        static ENV_LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
-        let _guard = ENV_LOCK.lock().unwrap();
-        std::env::set_var("MSD_RESULTS_DIR", std::env::temp_dir().join(name));
-        clear_cache();
-        body();
-        clear_cache();
-        std::env::remove_var("MSD_RESULTS_DIR");
+    /// Runs `body` on a fresh cache directory of its own.
+    fn with_temp_cache(name: &str, body: impl FnOnce(&Path)) {
+        let dir = std::env::temp_dir().join(format!("{name}-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        body(&dir);
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
     fn cache_round_trips_and_skips_recompute() {
-        with_temp_cache("msd_cache_test", || {
+        with_temp_cache("msd_cache_test", |dir| {
             let compute_calls = std::cell::Cell::new(0);
             let compute = || {
                 compute_calls.set(compute_calls.get() + 1);
@@ -148,8 +139,8 @@ mod tests {
                     v: 1.5,
                 }]
             };
-            let first = load_or_compute("unit", crate::Scale::Smoke, to_f, from_f, compute);
-            let second = load_or_compute("unit", crate::Scale::Smoke, to_f, from_f, || {
+            let first = load_or_compute(dir, "unit", crate::Scale::Smoke, to_f, from_f, compute);
+            let second = load_or_compute(dir, "unit", crate::Scale::Smoke, to_f, from_f, || {
                 compute_calls.set(compute_calls.get() + 1);
                 vec![]
             });
@@ -160,12 +151,12 @@ mod tests {
 
     #[test]
     fn corrupt_row_falls_back_to_recompute() {
-        with_temp_cache("msd_cache_corrupt_test", || {
+        with_temp_cache("msd_cache_corrupt_test", |dir| {
             let rows = vec![Row { a: "x".into(), v: 1.5 }];
             let r = rows.clone();
-            load_or_compute("unit", crate::Scale::Smoke, to_f, from_f, move || r);
+            load_or_compute(dir, "unit", crate::Scale::Smoke, to_f, from_f, move || r);
             // Truncate the last row mid-field, as a crashed writer would.
-            let path = cache_dir().join("unit-smoke.csv");
+            let path = dir.join("unit-smoke.csv");
             let mut content = std::fs::read_to_string(&path).unwrap();
             content.truncate(content.len() - 4);
             content.push_str("not-a-number\n");
@@ -173,29 +164,28 @@ mod tests {
             let recomputed = vec![Row { a: "y".into(), v: 2.5 }];
             let r = recomputed.clone();
             let got =
-                load_or_compute("unit", crate::Scale::Smoke, to_f, from_f, move || r);
+                load_or_compute(dir, "unit", crate::Scale::Smoke, to_f, from_f, move || r);
             assert_eq!(got, recomputed, "corrupt cache must recompute, not panic");
         });
     }
 
     #[test]
     fn missing_or_stale_schema_header_invalidates() {
-        with_temp_cache("msd_cache_header_test", || {
-            let dir = cache_dir();
-            std::fs::create_dir_all(&dir).unwrap();
+        with_temp_cache("msd_cache_header_test", |dir| {
+            std::fs::create_dir_all(dir).unwrap();
             // A pre-versioning cache file: valid rows, no header.
             std::fs::write(dir.join("unit-smoke.csv"), "x,1.5\n").unwrap();
             let fresh = vec![Row { a: "new".into(), v: 9.0 }];
             let r = fresh.clone();
             let got =
-                load_or_compute("unit", crate::Scale::Smoke, to_f, from_f, move || r);
+                load_or_compute(dir, "unit", crate::Scale::Smoke, to_f, from_f, move || r);
             assert_eq!(got, fresh, "headerless cache must be treated as stale");
             // An old-version header likewise invalidates.
             std::fs::write(dir.join("unit-smoke.csv"), "#msd-cache v1\nx,1.5\n").unwrap();
             let fresh2 = vec![Row { a: "newer".into(), v: 10.0 }];
             let r = fresh2.clone();
             let got =
-                load_or_compute("unit", crate::Scale::Smoke, to_f, from_f, move || r);
+                load_or_compute(dir, "unit", crate::Scale::Smoke, to_f, from_f, move || r);
             assert_eq!(got, fresh2);
             // And the rewritten file now carries the current header.
             let content = std::fs::read_to_string(dir.join("unit-smoke.csv")).unwrap();

@@ -102,6 +102,7 @@ fn component_std(s: &Tensor) -> f32 {
 /// Runs the full Figure 4 comparison: with vs without the Residual Loss.
 pub fn results(scale: Scale) -> Vec<CaseStudyResult> {
     super::cache::load_or_compute(
+        &super::cache_dir(),
         "case_study",
         scale,
         |r: &CaseStudyResult| {

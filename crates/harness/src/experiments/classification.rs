@@ -53,6 +53,7 @@ pub fn run_single(spec: &ClassSpec, model_spec: ModelSpec, scale: Scale) -> f32 
 /// Computes (or loads) every Table XI cell.
 pub fn results(scale: Scale) -> Vec<ClassificationRow> {
     super::cache::load_or_compute(
+        &super::cache_dir(),
         "classification",
         scale,
         |r: &ClassificationRow| {

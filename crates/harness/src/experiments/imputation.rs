@@ -82,6 +82,7 @@ pub fn run_single(
 /// Computes (or loads) every Table VII row.
 pub fn results(scale: Scale) -> Vec<ImputationRow> {
     super::cache::load_or_compute(
+        &super::cache_dir(),
         "imputation",
         scale,
         |r: &ImputationRow| {

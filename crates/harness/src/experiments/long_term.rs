@@ -77,6 +77,7 @@ pub fn run_single(
 /// task-general models.
 pub fn results(scale: Scale) -> Vec<LongTermRow> {
     super::cache::load_or_compute(
+        &super::cache_dir(),
         "long_term",
         scale,
         |r: &LongTermRow| {

@@ -15,4 +15,4 @@ pub mod short_term;
 
 mod cache;
 
-pub use cache::{cache_dir, clear_cache};
+pub use cache::cache_dir;

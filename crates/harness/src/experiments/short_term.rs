@@ -183,6 +183,7 @@ pub fn score_forecasts(
 /// Computes (or loads) every Table VI row.
 pub fn results(scale: Scale) -> Vec<ShortTermRow> {
     super::cache::load_or_compute(
+        &super::cache_dir(),
         "short_term",
         scale,
         |r: &ShortTermRow| {

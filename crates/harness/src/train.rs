@@ -275,6 +275,8 @@ impl TrainConfigBuilder {
     /// fallback layer. This is the one sanctioned writer of those
     /// variables; `msd-experiment` uses it to turn its typed flags into
     /// process-wide settings.
+    // Runs at msd-experiment start-up, before any other thread exists.
+    #[allow(clippy::disallowed_methods)]
     pub fn install_env(&self) {
         if let Some(v) = self.max_retries {
             std::env::set_var("MSD_MAX_RETRIES", v.to_string());

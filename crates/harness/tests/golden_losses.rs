@@ -14,23 +14,17 @@
 //! printed digests into the constants below — the failure message includes
 //! the full per-epoch loss bits to make the diff reviewable.
 //!
-//! Each sweep mutates the process-wide `MSD_KERNEL_FORCE`, and the test
-//! harness runs the two `#[test]`s on parallel threads, so every
-//! [`check_golden`] call holds a file-local lock: one test's scalar leg can
-//! never run under the other's auto setting, nor restore the other's value.
+//! Each tier is a [`with_tier`] scope on the test's own thread, so the two
+//! `#[test]`s run in parallel without touching each other's tier, and each
+//! leg asserts that its kernels dispatch to the tier it names.
 
 use msd_data::{classification_datasets, ClassSpec, Split, SlidingWindows};
 use msd_harness::{fit, ClassifySource, ForecastSource, ModelSpec, TrainConfig};
 use msd_mixer::variants::Variant;
 use msd_nn::{ParamStore, Task};
-use msd_tensor::ops::kernels::{detected_tier, tier, Tier};
+use msd_tensor::ops::kernels::{detected_tier, tier, with_tier, Tier};
 use msd_tensor::rng::Rng;
 use msd_tensor::Tensor;
-
-/// Serializes the env mutations of [`check_golden`] across the test
-/// threads. Poison-tolerant: a failed digest in one test must not turn the
-/// other into a lock panic.
-static ENV_LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
 
 /// Blessed digest of the forecasting run's loss curves.
 const GOLDEN_FORECAST: u64 = 0x8982_c0bb_8faf_e690;
@@ -55,44 +49,26 @@ fn bits_of(curve: &[f32]) -> Vec<String> {
     curve.iter().map(|l| format!("{l}={:#010x}", l.to_bits())).collect()
 }
 
-/// Sets `MSD_KERNEL_FORCE` and asserts that kernels now dispatch to the tier
-/// it names: a tier read that cached the variable would turn the scalar leg
-/// into a silent auto-vs-auto comparison.
-fn force_tier(force: &str) {
-    std::env::set_var("MSD_KERNEL_FORCE", force);
-    let want = match force {
-        "scalar" => Tier::Scalar,
-        _ => detected_tier(),
-    };
-    assert_eq!(tier(), want, "MSD_KERNEL_FORCE={force} must take effect");
-}
-
 /// Runs `run` on the scalar and the detected kernel tier, asserts both
 /// digests match each other and the blessed constant.
 fn check_golden(name: &str, golden: u64, run: impl Fn() -> (Vec<f32>, Vec<f32>)) {
-    let _env = ENV_LOCK.lock().unwrap_or_else(|p| p.into_inner());
-    let saved_force = std::env::var("MSD_KERNEL_FORCE").ok();
-
     let mut digests = Vec::new();
-    for force in ["scalar", "auto"] {
-        force_tier(force);
-        let (train, val) = run();
+    for want in [Tier::Scalar, detected_tier()] {
+        let (train, val) = with_tier(want, || {
+            assert_eq!(tier(), want, "the leg must run on the tier it names");
+            run()
+        });
         let d = digest(&[&train, &val]);
-        digests.push((force, d, train, val));
-    }
-
-    match saved_force {
-        Some(v) => std::env::set_var("MSD_KERNEL_FORCE", v),
-        None => std::env::remove_var("MSD_KERNEL_FORCE"),
+        digests.push((want.name(), d, train, val));
     }
 
     let (_, d0, train0, val0) = &digests[0];
-    for (force, d, train, val) in &digests[1..] {
+    for (leg, d, train, val) in &digests[1..] {
         assert_eq!(
             d, d0,
             "{name}: loss digest differs between kernel tiers \
-             (force={force}): determinism contract broken.\n\
-             reference train bits: {:?}\nthis env train bits: {:?}",
+             (tier={leg}): determinism contract broken.\n\
+             reference train bits: {:?}\nthis tier's train bits: {:?}",
             bits_of(train0),
             bits_of(train)
         );

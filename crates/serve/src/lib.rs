@@ -63,6 +63,7 @@ use std::time::{Duration, Instant};
 use events::EventSink;
 use msd_autograd::{CompiledPlan, PlanArena};
 use msd_nn::{Model, ParamStore, PrecisionTier};
+use msd_tensor::ops::kernels;
 use msd_tensor::Tensor;
 use stats::StatsInner;
 
@@ -246,7 +247,11 @@ pub struct Server {
 
 impl Server {
     /// Spawns the batcher and worker threads and starts serving `model`
-    /// with the (frozen) parameters in `store`.
+    /// with the (frozen) parameters in `store`. The workers run on the
+    /// kernel tier ([`msd_tensor::ops::kernels::tier`]) of the calling
+    /// thread. A server that a gateway builds for an HTTP swap is started
+    /// on a connection thread, so it runs on the process tier even when the
+    /// gateway itself was set up inside a `with_tier` scope.
     ///
     /// Fails with `InvalidInput` for an int8-tier store with
     /// `cfg.use_plans` off (the tape cannot answer at int8), and otherwise
@@ -298,6 +303,9 @@ impl Server {
         // sample shape compiles at most once per server, not once per
         // worker or per batch size.
         let plan_cache: Arc<PlanCache> = Arc::new(Mutex::new(HashMap::new()));
+        // Workers are the threads that evaluate the model: they run on the
+        // kernel tier of the thread that started the server.
+        let tier = kernels::tier();
         let workers = (0..workers)
             .map(|i| {
                 let engine = Arc::clone(&engine);
@@ -308,7 +316,9 @@ impl Server {
                 std::thread::Builder::new()
                     .name(format!("msd-serve-worker-{i}"))
                     .spawn(move || {
-                        worker_loop(&engine, &rx, &shared, use_plans, &plan_cache, chaos)
+                        kernels::with_tier(tier, || {
+                            worker_loop(&engine, &rx, &shared, use_plans, &plan_cache, chaos)
+                        })
                     })
                     .expect("spawn worker thread")
             })

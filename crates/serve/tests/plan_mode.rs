@@ -5,12 +5,13 @@
 //! `Model::predict` either way — the knob may only move the `plan_batches`
 //! counter. An int8-tier store has no tape fallback: it is refused with the
 //! knob off, and a batch whose plan cannot compile fails with a typed error
-//! instead of an f32 answer.
+//! instead of an f32 answer. Workers evaluate on the kernel tier of the
+//! thread that started the server.
 //!
 //! [`CompiledPlan`]: msd_autograd::CompiledPlan
 
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
 use msd_autograd::{CompiledPlan, PlanArena, PlanError};
@@ -20,6 +21,7 @@ use msd_nn::{
 };
 use msd_serve::loadgen::sequential_baseline;
 use msd_serve::{ServeConfig, ServeError, ServeStats, Server};
+use msd_tensor::ops::kernels::{self, with_tier, Tier};
 use msd_tensor::rng::Rng;
 use msd_tensor::Tensor;
 
@@ -115,6 +117,22 @@ impl Model for Counted {
     fn compile_plan(&self, store: &ParamStore, x_shape: &[usize]) -> Result<CompiledPlan, PlanError> {
         self.1.fetch_add(1, Ordering::SeqCst);
         self.0.compile_plan(store, x_shape)
+    }
+}
+
+/// [`Affine`] recording the kernel tier of every forward it runs.
+struct TierProbe(Affine, Arc<Mutex<Vec<Tier>>>);
+
+impl Model for TierProbe {
+    fn name(&self) -> &str {
+        "tier-probe"
+    }
+    fn task(&self) -> &Task {
+        &self.0.task
+    }
+    fn forward(&self, ctx: &Ctx, x: &Tensor) -> ModelOutput {
+        self.1.lock().unwrap().push(kernels::tier());
+        self.0.forward(ctx, x)
     }
 }
 
@@ -309,4 +327,32 @@ fn a_model_no_plan_can_scale_is_answered_through_the_tape() {
     let stats = serve_and_check((model, store), true, &inputs, &reference, "row-padded");
     assert_eq!(stats.plan_batches, 0, "no plan, so every batch takes the tape");
     assert!(stats.mean_batch > 1.0, "batches still form: {stats:?}");
+}
+
+#[test]
+fn workers_run_on_the_tier_of_the_thread_that_started_the_server() {
+    let seen = Arc::new(Mutex::new(Vec::new()));
+    let mut store = ParamStore::new();
+    let model = TierProbe(affine(&mut store), Arc::clone(&seen));
+    // A scope tier unlike the process tier (they coincide only on a
+    // scalar-only host), so workers left on the process tier would show.
+    let other = if kernels::tier() == Tier::Scalar {
+        kernels::detected_tier()
+    } else {
+        Tier::Scalar
+    };
+    // Tape mode: every batch runs the forward on a worker.
+    let server = with_tier(other, || {
+        Server::start(model, store, plan_cfg(false)).unwrap()
+    });
+    for x in inputs(6) {
+        server.infer(x).expect("request must succeed");
+    }
+    assert_eq!(server.shutdown().completed, 6);
+    let seen = seen.lock().unwrap();
+    assert!(!seen.is_empty(), "no forward ran");
+    assert!(
+        seen.iter().all(|&t| t == other),
+        "want {other:?}, worker tiers: {seen:?}"
+    );
 }

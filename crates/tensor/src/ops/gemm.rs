@@ -110,9 +110,8 @@ pub fn sgemm_strided(
     }
     debug_assert!((m - 1) * a_rs + (k - 1) * a_cs < a.len());
     debug_assert!((k - 1) * b_rs + (n - 1) * b_cs < b.len());
-    // Resolve the ISA tier once per product, not per microkernel call: the
-    // dispatcher re-reads `MSD_KERNEL_FORCE` on every resolution, which is
-    // far too expensive for the inner loop.
+    // Resolve the ISA tier once per product and pass it down, so no
+    // microkernel call pays the dispatcher's lookup.
     let isa = isa_level();
     // Lane offsets of the small-n path's strided A load are `i32`s.
     if n < NR && m >= SMALL_N_MIN_M && (a_rs == 1 || a_rs <= i32::MAX as usize / SMALL_N_MIN_M) {
@@ -479,8 +478,8 @@ enum IsaLevel {
     Baseline,
 }
 
-/// Resolves the gemm ISA tier through the shared kernel dispatcher so
-/// `MSD_KERNEL_FORCE` governs gemm exactly like every other kernel. All
+/// Resolves the gemm ISA tier through the shared kernel dispatcher, so a
+/// forced or scoped tier governs gemm exactly like every other kernel. All
 /// gemm tiers are bit-identical by design (the scalar path uses
 /// correctly-rounded `f32::mul_add` to mirror the FMA units), so forcing
 /// the tier only changes speed, never bits.

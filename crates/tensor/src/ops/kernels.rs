@@ -6,10 +6,13 @@
 //!
 //! Every kernel picks one of three implementation tiers at runtime —
 //! AVX-512, AVX2 (the FMA tier), or portable scalar — via [`tier`]. The
-//! detected ISA is probed once per process; the `MSD_KERNEL_FORCE`
-//! environment variable (`scalar`, `fma`/`avx2`, `avx512`, `auto`) is read
-//! on every dispatch so tests can flip tiers at runtime. Forcing a tier
-//! above what the machine supports clamps to the detected level.
+//! tier is resolved once per process and scoped per thread: the detected
+//! ISA, lowered by the `MSD_KERNEL_FORCE` environment variable (`scalar`,
+//! `fma`/`avx2`, `avx512`, `auto`) read at the first dispatch, is the
+//! process tier; [`with_tier`] overrides it for one closure on the calling
+//! thread, which is how tests and benches sweep tiers inside one process.
+//! Forcing a tier above what the machine supports clamps to the detected
+//! level.
 //!
 //! # Determinism contract
 //!
@@ -48,6 +51,7 @@
 //! its oracle (NaNs canonicalised before comparing, per the carve-out
 //! above), across every tier.
 
+use std::cell::Cell;
 use std::sync::OnceLock;
 
 pub mod ew;
@@ -115,25 +119,61 @@ pub fn detected_tier() -> Tier {
     })
 }
 
-/// The tier kernels dispatch to right now: the detected tier, clamped by
-/// the `MSD_KERNEL_FORCE` environment variable if set.
+thread_local! {
+    /// The tier of the innermost [`with_tier`] scope open on this thread.
+    static SCOPED: Cell<Option<Tier>> = const { Cell::new(None) };
+}
+
+/// The tier kernels dispatch to on the calling thread: the tier of the
+/// innermost [`with_tier`] scope if one is open, else the process tier.
 ///
-/// Recognised values: `scalar`, `fma` (alias `avx2`), `avx512`, `auto`
-/// (same as unset). Unknown values fall back to `auto`. The variable is
-/// re-read on every call so tests and benches can flip the tier at
-/// runtime; a forced tier above the machine's capability clamps down to
-/// [`detected_tier`].
+/// The process tier is [`detected_tier`], lowered by the
+/// `MSD_KERNEL_FORCE` environment variable, which is read once, at the
+/// first call in the process. Recognised values (case and surrounding
+/// whitespace ignored): `scalar`, `fma` (alias `avx2`), `avx512`, `auto`
+/// (same as unset). Unknown values fall back to `auto`; a forced tier above
+/// the machine's capability clamps down to [`detected_tier`].
 pub fn tier() -> Tier {
-    let detected = detected_tier();
-    match std::env::var("MSD_KERNEL_FORCE") {
-        Ok(v) => match v.trim().to_ascii_lowercase().as_str() {
-            "scalar" => Tier::Scalar,
-            "fma" | "avx2" => detected.min(Tier::Fma),
-            "avx512" => detected.min(Tier::Avx512),
-            _ => detected,
-        },
-        Err(_) => detected,
+    SCOPED.with(Cell::get).unwrap_or_else(|| {
+        static PROCESS: OnceLock<Tier> = OnceLock::new();
+        *PROCESS.get_or_init(|| {
+            parse_force(
+                std::env::var("MSD_KERNEL_FORCE").ok().as_deref(),
+                detected_tier(),
+            )
+        })
+    })
+}
+
+/// The tier an `MSD_KERNEL_FORCE` value selects on a machine whose highest
+/// tier is `detected` (`None`: the variable is unset).
+fn parse_force(value: Option<&str>, detected: Tier) -> Tier {
+    let forced = match value.map(|v| v.trim().to_ascii_lowercase()).as_deref() {
+        Some("scalar") => Tier::Scalar,
+        Some("fma" | "avx2") => Tier::Fma,
+        Some("avx512") => Tier::Avx512,
+        _ => detected,
+    };
+    forced.min(detected)
+}
+
+/// Runs `f` with the calling thread's kernels dispatching to `t`, clamped
+/// to [`detected_tier`], and returns its result. The previous tier comes
+/// back when `f` returns or unwinds, so scopes nest. Threads that `f`
+/// spawns do not inherit the scope: they run on the process tier unless
+/// they open a scope of their own. Serve workers are the one exception
+/// (`Server::start` runs them on its caller's tier), and only for servers
+/// started on this thread: those a gateway builds for an HTTP swap start
+/// on a connection thread and run on the process tier.
+pub fn with_tier<R>(t: Tier, f: impl FnOnce() -> R) -> R {
+    struct Restore(Option<Tier>);
+    impl Drop for Restore {
+        fn drop(&mut self) {
+            SCOPED.with(|s| s.set(self.0));
+        }
     }
+    let _restore = Restore(SCOPED.with(|s| s.replace(Some(t.min(detected_tier())))));
+    f()
 }
 
 /// The fixed row-block decomposition for a `rows × row_len` problem:
@@ -152,14 +192,77 @@ pub fn row_blocks(rows: usize, row_len: usize) -> (usize, usize) {
 mod tests {
     use super::*;
 
+    const TIERS: [Tier; 3] = [Tier::Scalar, Tier::Fma, Tier::Avx512];
+
     #[test]
     fn tier_force_is_clamped_and_lenient() {
-        // Can't mutate the process env safely in parallel tests, but the
-        // ordering invariants are static.
-        assert!(Tier::Scalar < Tier::Fma);
-        assert!(Tier::Fma < Tier::Avx512);
-        assert!(tier() <= detected_tier());
-        assert_eq!(Tier::Avx512.name(), "avx512");
+        assert!(Tier::Scalar < Tier::Fma && Tier::Fma < Tier::Avx512);
+        let values: [(Option<&str>, Option<Tier>); 9] = [
+            (Some("scalar"), Some(Tier::Scalar)),
+            (Some("fma"), Some(Tier::Fma)),
+            (Some("avx2"), Some(Tier::Fma)),
+            (Some("avx512"), Some(Tier::Avx512)),
+            (Some(" AVX2\n"), Some(Tier::Fma)),
+            (Some("\tScalar "), Some(Tier::Scalar)),
+            (Some("auto"), None),
+            (Some("sse9"), None),
+            (None, None),
+        ];
+        for detected in TIERS {
+            for (value, forced) in values {
+                let want = forced.map_or(detected, |f| f.min(detected));
+                assert_eq!(
+                    parse_force(value, detected),
+                    want,
+                    "{value:?} on {detected:?}"
+                );
+            }
+        }
+        assert_eq!(TIERS.map(Tier::name), ["scalar", "fma", "avx512"]);
+        // Every tier's name is the value that forces it.
+        for t in TIERS {
+            assert_eq!(parse_force(Some(t.name()), Tier::Avx512), t);
+        }
+    }
+
+    #[test]
+    fn with_tier_sets_nests_restores_and_clamps() {
+        let process = tier();
+        let top = detected_tier();
+        assert!(process <= top);
+        for t in TIERS {
+            with_tier(t, || {
+                assert_eq!(tier(), t.min(top), "{t:?}");
+                with_tier(Tier::Scalar, || assert_eq!(tier(), Tier::Scalar));
+                assert_eq!(tier(), t.min(top), "{t:?} after a nested scope");
+            });
+            assert_eq!(tier(), process, "{t:?} scope must restore on return");
+        }
+        with_tier(Tier::Scalar, || {
+            let unwound = std::panic::catch_unwind(|| {
+                with_tier(Tier::Avx512, || panic!("leg failed"));
+            });
+            assert!(unwound.is_err());
+            assert_eq!(tier(), Tier::Scalar, "scope must restore on unwind");
+        });
+        assert_eq!(tier(), process);
+    }
+
+    #[test]
+    fn spawned_threads_run_on_the_process_tier() {
+        let process = tier();
+        // A scope tier unlike the process tier (they coincide only on a
+        // scalar-only host), so a thread that inherited it would show.
+        let other = if process == Tier::Scalar {
+            detected_tier()
+        } else {
+            Tier::Scalar
+        };
+        let seen = with_tier(other, || {
+            assert_eq!(tier(), other);
+            std::thread::spawn(tier).join().unwrap()
+        });
+        assert_eq!(seen, process);
     }
 
     #[test]

@@ -2,12 +2,9 @@
 //!
 //! Every dispatched kernel, GEMM included, must produce results
 //! **bit-identical** to its naive oracle in
-//! `msd_tensor::ops::kernels::oracle`, for every SIMD tier (forced via
-//! `MSD_KERNEL_FORCE`), over seeded random shapes seeded with NaN and ±inf.
-//!
-//! Everything runs inside ONE `#[test]` because the sweep mutates process
-//! environment variables; Rust runs tests in threads by default, and two
-//! tests flipping `MSD_KERNEL_FORCE` concurrently would race.
+//! `msd_tensor::ops::kernels::oracle`, for every SIMD tier (each a
+//! `kernels::with_tier` scope on the test's own thread), over seeded random
+//! shapes seeded with NaN and ±inf.
 //!
 //! Comparison is on raw bits with ONE carve-out: NaN payload/sign is
 //! canonicalised before comparing. When both operands of `x + y` are NaN,
@@ -319,43 +316,38 @@ fn fingerprint(rng: &mut Rng) -> Vec<u32> {
 
 #[test]
 fn kernels_match_oracle_across_tiers_and_threads() {
-    let saved_force = std::env::var("MSD_KERNEL_FORCE").ok();
-
     let mut reference_fp: Option<Vec<u32>> = None;
     let detected = kernels::detected_tier();
-    for (force, want) in [
+    for (leg, asked) in [
         ("scalar", Tier::Scalar),
-        ("fma", detected.min(Tier::Fma)),
-        ("avx512", detected.min(Tier::Avx512)),
+        ("fma", Tier::Fma),
+        ("avx512", Tier::Avx512),
         ("auto", detected),
     ] {
-        std::env::set_var("MSD_KERNEL_FORCE", force);
-        // A tier read that cached the variable would turn every leg into a
-        // silent auto-vs-auto comparison.
-        assert_eq!(kernels::tier(), want, "{force} must take effect");
-        let ctx = format!("force={force} tier={}", want.name());
-        // Same seed for every config: every config sees identical inputs,
-        // so the oracle (and the fingerprint) must agree bit for bit.
-        let mut rng = Rng::seed_from(0xC0FFEE);
-        check_reductions(&mut rng, &ctx);
-        check_elementwise(&mut rng, &ctx);
-        check_norms(&mut rng, &ctx);
-        check_quant(&mut rng, &ctx);
-        check_gemm(&mut rng, &ctx);
-        let fp = fingerprint(&mut rng);
-        match &reference_fp {
-            None => reference_fp = Some(fp),
-            Some(want) => {
-                assert_eq!(
-                    &fp, want,
-                    "cross-config fingerprint diverged at {ctx} vs scalar"
-                );
+        let want = asked.min(detected);
+        kernels::with_tier(asked, || {
+            // A leg that ran on another tier would turn the sweep into a
+            // silent auto-vs-auto comparison.
+            assert_eq!(kernels::tier(), want, "{leg} must take effect");
+            let ctx = format!("leg={leg} tier={}", want.name());
+            // Same seed for every config: every config sees identical inputs,
+            // so the oracle (and the fingerprint) must agree bit for bit.
+            let mut rng = Rng::seed_from(0xC0FFEE);
+            check_reductions(&mut rng, &ctx);
+            check_elementwise(&mut rng, &ctx);
+            check_norms(&mut rng, &ctx);
+            check_quant(&mut rng, &ctx);
+            check_gemm(&mut rng, &ctx);
+            let fp = fingerprint(&mut rng);
+            match &reference_fp {
+                None => reference_fp = Some(fp),
+                Some(want) => {
+                    assert_eq!(
+                        &fp, want,
+                        "cross-config fingerprint diverged at {ctx} vs scalar"
+                    );
+                }
             }
-        }
-    }
-
-    match saved_force {
-        Some(v) => std::env::set_var("MSD_KERNEL_FORCE", v),
-        None => std::env::remove_var("MSD_KERNEL_FORCE"),
+        });
     }
 }

@@ -9,7 +9,9 @@ cd "$(dirname "$0")/.."
 cargo build --workspace --release --offline
 cargo test --workspace -q --offline
 
-# Lint gate: the workspace is kept clippy-clean, warnings are errors.
+# Lint gate: the workspace is kept clippy-clean, warnings are errors. The
+# root clippy.toml also bans std::env::set_var/remove_var: nothing writes
+# the process environment except msd-experiment's start-up flags.
 # Fail fast with a clear message when the clippy component is missing —
 # otherwise cargo emits a confusing "no such command" late in the run.
 if ! cargo clippy --version >/dev/null 2>&1; then
@@ -27,9 +29,10 @@ cargo clippy --workspace --all-targets --offline -- -D warnings
 cargo test --offline --locked -q --manifest-path msdbench/Cargo.toml
 
 # Kernel determinism gate: the oracle-differential suite sweeps every
-# dispatch tier (MSD_KERNEL_FORCE) against the naive reference oracles;
-# the golden-loss digests pin end-to-end training numerics bit-for-bit.
-# Neither may ever be filtered out.
+# dispatch tier (one kernels::with_tier scope per leg) against the naive
+# reference oracles; the golden-loss digests pin end-to-end training
+# numerics bit-for-bit on the scalar and the detected tier. Neither may
+# ever be filtered out.
 cargo test -p msd-tensor --test kernels_differential -q --offline
 cargo test -p msd-harness --test golden_losses -q --offline
 
@@ -93,18 +96,19 @@ cargo test -p msd-harness --test predict_batch_bitident -q --offline
 # must stay bit-identical to per-sample predict at every batch size from 1
 # to 8, across batch compositions and kernel dispatch tiers — serving runs
 # one plan per model for every batch by default, so this is the contract
-# that makes that default safe. The suite sets MSD_KERNEL_FORCE itself for its reference and
-# for every leg (and asserts each leg runs on the tier it names), so a
-# scalar-pinned re-run would only repeat this one.
+# that makes that default safe. The suite scopes the tier itself
+# (kernels::with_tier) for its reference and for every leg, and asserts
+# each leg runs on the tier it names, so a scalar-pinned re-run would only
+# repeat this one.
 cargo test -p msd-harness --test plan_bitident -q --offline
 
 # Quantization gate: the error-budget suite (every zoo model at f16/int8
 # must hold the declared mse/smape/label-agreement budgets against the f32
 # reference) and the int8-lowering bit-identity sweep (lowered plans are
 # bit-identical across kernel tiers and batch compositions). The budget
-# suite never sets MSD_KERNEL_FORCE, so it re-runs with kernels pinned to
-# the scalar tier; the int8 sweep sets the tier for every leg itself, like
-# plan_bitident.
+# suite runs on the process tier, so it re-runs with the whole process
+# pinned to the scalar tier through MSD_KERNEL_FORCE; the int8 sweep scopes
+# the tier for every leg itself, like plan_bitident.
 cargo test -p msd-harness --test quant_budget -q --offline
 cargo test -p msd-harness --test plan_int8 -q --offline
 MSD_KERNEL_FORCE=scalar cargo test -p msd-harness --test quant_budget -q --offline
