@@ -20,16 +20,41 @@ use msd_tensor::ops::kernels::{detected_tier, with_tier};
 use msd_tensor::rng::Rng;
 use msd_tensor::Tensor;
 
-/// Best-of-k wall time for `f`, in seconds, after one warmup call.
-fn time_best(k: usize, mut f: impl FnMut()) -> f64 {
-    f();
+/// Best single-call wall time of `calls` calls of `f`, in seconds.
+fn time_best(calls: usize, f: &mut impl FnMut()) -> f64 {
     let mut best = f64::INFINITY;
-    for _ in 0..k {
+    for _ in 0..calls {
         let t0 = Instant::now();
         f();
         best = best.min(t0.elapsed().as_secs_f64());
     }
     best
+}
+
+/// Best single-call wall times of `plan` and `tape`, in seconds, over
+/// `rounds` rounds of `calls` calls per side, after one warmup call each.
+/// The sides alternate in short rounds (plan first on even rounds, tape
+/// first on odd ones), so a host stall of a few hundred microseconds costs
+/// both sides a round instead of reading as one side's slowdown.
+fn time_best_alternating(
+    rounds: usize,
+    calls: usize,
+    mut plan: impl FnMut(),
+    mut tape: impl FnMut(),
+) -> (f64, f64) {
+    plan();
+    tape();
+    let (mut best_plan, mut best_tape) = (f64::INFINITY, f64::INFINITY);
+    for round in 0..rounds {
+        if round % 2 == 0 {
+            best_plan = best_plan.min(time_best(calls, &mut plan));
+            best_tape = best_tape.min(time_best(calls, &mut tape));
+        } else {
+            best_tape = best_tape.min(time_best(calls, &mut tape));
+            best_plan = best_plan.min(time_best(calls, &mut plan));
+        }
+    }
+    (best_plan, best_tape)
 }
 
 fn main() {
@@ -50,7 +75,8 @@ fn run() {
         .expect("open target/BENCH_kernels.json");
 
     let (channels, input_len, horizon, d_model) = (2usize, 48usize, 12usize, 8usize);
-    let reps = 200;
+    // 200 timed calls per side, in 20 alternating rounds of 10.
+    let (rounds, calls) = (20, 10);
 
     println!("plan vs tape, single-sample predict ([1, {channels}, {input_len}])");
     println!(
@@ -91,12 +117,16 @@ fn run() {
             );
         }
 
-        let t_plan = time_best(reps, || {
-            std::hint::black_box(model.predict_plan(&plan, &store, &x, &mut arena));
-        });
-        let t_tape = time_best(reps, || {
-            std::hint::black_box(model.predict(&store, &x));
-        });
+        let (t_plan, t_tape) = time_best_alternating(
+            rounds,
+            calls,
+            || {
+                std::hint::black_box(model.predict_plan(&plan, &store, &x, &mut arena));
+            },
+            || {
+                std::hint::black_box(model.predict(&store, &x));
+            },
+        );
         let speedup = t_tape / t_plan;
         worst = worst.min(speedup);
         log_speedup_sum += speedup.ln();

@@ -158,6 +158,8 @@ pub mod paper {
 /// `fit`, which honours `MSD_TELEMETRY`: when the variable is set, the
 /// banner says where the JSONL event log of those runs is going, so an
 /// instrumented bench run is visibly instrumented.
+// Reads MSD_TELEMETRY.
+#[allow(clippy::disallowed_methods)]
 pub fn banner(table: &str) -> msd_harness::Scale {
     let scale = msd_harness::Scale::from_env();
     println!();

@@ -71,8 +71,8 @@ use msd_serve::{json_escape, Chaos, ServeConfig};
 /// Tuning knobs for [`Gateway::bind`].
 #[derive(Clone, Debug)]
 pub struct GatewayConfig {
-    /// Per-replica serving runtime configuration (queue bound, batcher,
-    /// worker pool).
+    /// Per-replica serving runtime configuration (queue bound, batching
+    /// rules, worker pool).
     pub serve: ServeConfig,
     /// Replica `Server`s per model (≥ 1); the router shards keys across
     /// them.

@@ -370,11 +370,13 @@ pub struct GatewayBenchRow {
 }
 
 impl GatewayBenchRow {
-    /// Summarises `outcome` into a row.
+    /// Summarises `outcome` into a row; `fault_plan` is the `MSD_CHAOS` spec
+    /// the target ran under (empty = none).
     pub fn from_outcome(
         scenario: &str,
         spec: &TcpLoadSpec,
         outcome: &TcpRunOutcome,
+        fault_plan: &str,
     ) -> GatewayBenchRow {
         let ok = outcome.count_status(200);
         let rejected = outcome.count_status(429);
@@ -400,7 +402,7 @@ impl GatewayBenchRow {
             attempts: outcome.attempts_total,
             retries: outcome.retries_total,
             hedges: 0,
-            fault_plan: std::env::var("MSD_CHAOS").unwrap_or_default(),
+            fault_plan: fault_plan.to_string(),
         }
     }
 
@@ -482,7 +484,7 @@ mod tests {
             seed: 7,
             ..TcpLoadSpec::default()
         };
-        let row = GatewayBenchRow::from_outcome("mix", &spec, &outcome);
+        let row = GatewayBenchRow::from_outcome("mix", &spec, &outcome, "");
         assert_eq!(row.ok + row.rejected + row.failed + row.lost, row.requests);
         assert_eq!(row.lost, 1);
         assert_eq!(row.attempts, 4);
@@ -495,7 +497,7 @@ mod tests {
         assert_eq!(json.matches('{').count(), 1, "{json}");
 
         // A scenario name with a quote stays one well-formed string field.
-        let quoted = GatewayBenchRow::from_outcome("m\"ix", &spec, &outcome).to_json();
+        let quoted = GatewayBenchRow::from_outcome("m\"ix", &spec, &outcome, "").to_json();
         assert!(quoted.starts_with("{\"scenario\":\"m\\\"ix\","), "{quoted}");
     }
 

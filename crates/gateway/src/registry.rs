@@ -120,8 +120,8 @@ pub enum GatewayError {
         retry_after_secs: u64,
     },
     /// The request's deadline expired before an answer was produced —
-    /// either shed by the replica's batcher or timed out at the gateway's
-    /// wait. Maps to HTTP 504.
+    /// either shed unevaluated by a replica worker or timed out at the
+    /// gateway's wait. Maps to HTTP 504; both count as breaker errors.
     DeadlineExceeded,
     /// The replica answered with an internal serving error (worker panic).
     Internal(String),
@@ -145,7 +145,7 @@ impl std::fmt::Display for GatewayError {
 impl std::error::Error for GatewayError {}
 
 /// The `Retry-After` hint (seconds) for a shed request: one second of
-/// floor, plus the batcher's full wait window, plus one second per full
+/// floor, plus the replica's full coalescing window, plus one second per full
 /// queue's worth of requests already in flight, clamped to 30 s so a
 /// misconfigured gateway can never tell clients to go away for minutes.
 /// Pure so the known-answer test pins the exact values clients see.
@@ -342,10 +342,11 @@ impl Registry {
     /// `deadline` is the caller-supplied absolute deadline (from the
     /// `X-Msd-Deadline-Ms` header); `None` falls back to the registry's
     /// default. The gateway waits a short grace past the deadline —
-    /// `2 × max_wait + 50 ms` — so a batcher-shed request surfaces as the
-    /// replica's typed `DeadlineExceeded` rather than a gateway-side
-    /// timeout; only a genuinely wedged replica hits the timeout path,
-    /// which counts as a breaker error.
+    /// `2 × max_wait + 50 ms` — so a request the replica sheds usually
+    /// surfaces as its typed `DeadlineExceeded`. A replica sheds an expired
+    /// request when a worker next collects, so one whose workers all stay
+    /// busy past the grace hits the gateway-side timeout instead. Both are
+    /// a 504 and both count as a breaker error.
     pub fn predict(
         &self,
         name: &str,

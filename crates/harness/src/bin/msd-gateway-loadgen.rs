@@ -181,6 +181,10 @@ fn main() {
         }
     }
     let target = target.unwrap_or_else(|| usage());
+    // The fault plan the target gateway was started under, recorded in each
+    // report row so a chaos row is never compared against a clean one.
+    #[allow(clippy::disallowed_methods)] // reads MSD_CHAOS
+    let fault_plan = std::env::var("MSD_CHAOS").unwrap_or_default();
 
     // Request i exercises demo model i % fleet with its i-th seeded input;
     // the key spreads deterministically across replicas.
@@ -327,7 +331,12 @@ fn main() {
             }
         }
         let lost = outcome.lost();
-        let row = GatewayBenchRow::from_outcome(&format!("demo-mix-r{rate}"), &spec, &outcome);
+        let row = GatewayBenchRow::from_outcome(
+            &format!("demo-mix-r{rate}"),
+            &spec,
+            &outcome,
+            &fault_plan,
+        );
         let line = row.to_json();
         println!("{line}");
         writeln!(report, "{line}").expect("append report line");

@@ -7,6 +7,8 @@ use std::path::{Path, PathBuf};
 /// The cache directory: `$MSD_RESULTS_DIR`, or `target/msd-results` under
 /// the workspace root (found by walking up from the current directory —
 /// bench binaries run with the *package* directory as cwd).
+// Reads MSD_RESULTS_DIR.
+#[allow(clippy::disallowed_methods)]
 pub fn cache_dir() -> PathBuf {
     if let Ok(dir) = std::env::var("MSD_RESULTS_DIR") {
         return PathBuf::from(dir);

@@ -16,6 +16,8 @@ impl Scale {
     /// Reads `MSD_SCALE` from the environment (`smoke`/`fast`/`full`),
     /// defaulting to [`Scale::Fast`]. Unknown values fall back to `Fast`
     /// with a warning on stderr.
+    // Reads MSD_SCALE.
+    #[allow(clippy::disallowed_methods)]
     pub fn from_env() -> Self {
         match std::env::var("MSD_SCALE").as_deref() {
             Ok("smoke") => Scale::Smoke,

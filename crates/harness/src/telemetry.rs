@@ -336,6 +336,8 @@ impl TrainMonitor {
     /// JSONL; otherwise equivalent to [`TrainMonitor::disabled`]. A path
     /// that cannot be opened disables the sink with a warning on stderr
     /// rather than failing the run.
+    // Reads MSD_TELEMETRY.
+    #[allow(clippy::disallowed_methods)]
     pub fn from_env() -> Self {
         match std::env::var("MSD_TELEMETRY") {
             Ok(path) if !path.is_empty() => Self::to_path(&path).unwrap_or_else(|e| {

@@ -138,6 +138,9 @@ pub struct TrainConfigBuilder {
 
 /// Parses an environment variable, falling back to `default` when unset or
 /// malformed.
+// Reads the variable named by `key`: MSD_MAX_RETRIES, MSD_LR_BACKOFF,
+// MSD_CHECKPOINT_EVERY or MSD_CHECKPOINT_KEEP (see `build`).
+#[allow(clippy::disallowed_methods)]
 fn env_or<T: std::str::FromStr>(key: &str, default: T) -> T {
     std::env::var(key)
         .ok()
@@ -232,6 +235,9 @@ impl TrainConfigBuilder {
 
     /// Resolves the config: defaults ← `MSD_*` env fallback ← explicit
     /// builder values.
+    // Reads MSD_CHECKPOINT_DIR, MSD_RESUME and MSD_KILL_AFTER (the other
+    // variables through `env_or`).
+    #[allow(clippy::disallowed_methods)]
     pub fn build(&self) -> TrainConfig {
         let d = TrainConfig::default();
         TrainConfig {

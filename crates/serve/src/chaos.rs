@@ -278,6 +278,8 @@ impl Chaos {
     ///
     /// Panics on a malformed spec: a chaos run must never silently degrade
     /// to a clean run.
+    // Reads MSD_CHAOS and MSD_CHAOS_LOG.
+    #[allow(clippy::disallowed_methods)]
     pub fn from_env() -> Option<Arc<Chaos>> {
         static GLOBAL: OnceLock<Option<Arc<Chaos>>> = OnceLock::new();
         GLOBAL

@@ -32,16 +32,18 @@
 //! ## Anatomy
 //!
 //! ```text
-//! submit() --try_send--> [bounded queue] --> batcher --> [batch queue] --> workers
-//!    |                                        (groups same-shape requests      |
-//!    |                                         until max_batch or max_wait)    |
-//!    '<------------------- per-request response channel <-----------------'
+//! submit() --try_send--> [bounded queue] --> idle worker: collect, evaluate
+//!    |                   (one Mutex; the     (same-shape requests until
+//!    |                    holder collects)    max_batch or max_wait)   |
+//!    '<------------------- per-request response channel <-------------'
 //! ```
 //!
-//! The batcher is a single thread, so batch composition is deterministic
-//! given an arrival order. Counters ([`ServeStats`]) are always on; JSONL
-//! telemetry ([`ServeEvent`]) is opt-in via [`ServeConfig::events_path`]
-//! and mirrors the training telemetry schema.
+//! The workers share the queue's receiving end behind one lock: whichever
+//! worker is idle collects the next batch, releases the lock, and evaluates
+//! it. Batches are collected one at a time, so the batching rules see
+//! requests in arrival order. Counters ([`ServeStats`]) are always on;
+//! JSONL telemetry ([`ServeEvent`]) is opt-in via
+//! [`ServeConfig::events_path`] and mirrors the training telemetry schema.
 
 pub mod chaos;
 mod events;
@@ -76,11 +78,11 @@ type PlanCache = Mutex<HashMap<Vec<usize>, Option<Arc<CompiledPlan>>>>;
 /// Tuning knobs for [`Server::start`].
 #[derive(Clone, Debug)]
 pub struct ServeConfig {
-    /// Largest micro-batch the batcher will pack (≥ 1).
+    /// Largest micro-batch a worker will collect (≥ 1).
     pub max_batch: usize,
-    /// Longest a seed request waits for companions before its batch is
-    /// dispatched anyway. Zero disables coalescing entirely: every request
-    /// ships as a batch of one.
+    /// Longest a seed request waits for companions, counted from its
+    /// admission, before its batch is evaluated anyway. Zero disables
+    /// coalescing entirely: every request ships as a batch of one.
     pub max_wait: Duration,
     /// Bound of the admission queue; a full queue rejects with
     /// [`ServeError::Overloaded`].
@@ -128,7 +130,7 @@ impl Default for ServeConfig {
 impl ServeConfig {
     /// Preset for one-at-a-time callers (the streaming scorer): coalescing
     /// off (`max_wait` zero), a single worker, and batches of one. A
-    /// sequential caller gains nothing from the batcher window — it only
+    /// sequential caller gains nothing from the coalescing window — it only
     /// adds `max_wait` of dead time per request — and one worker keeps the
     /// evaluation order identical to the submission order, which the stream
     /// replay-determinism gate relies on. Plans stay on: they are
@@ -180,10 +182,10 @@ impl std::error::Error for ServeError {}
 struct Request {
     x: Tensor,
     admitted: Instant,
-    /// Absolute deadline; `None` never expires. Checked by the batcher
-    /// before packing and by workers before evaluating, so an expired
-    /// request is shed instead of burning model time on an answer nobody
-    /// is waiting for.
+    /// Absolute deadline; `None` never expires. Checked when a worker
+    /// collects the request and again just before it evaluates the batch,
+    /// so an expired request is shed instead of burning model time on an
+    /// answer nobody is waiting for.
     deadline: Option<Instant>,
     resp: SyncSender<Result<Tensor, ServeError>>,
 }
@@ -205,15 +207,6 @@ impl Pending {
         self.rx.recv().unwrap_or(Err(ServeError::Canceled))
     }
 
-    /// Returns the response if it has already arrived.
-    pub fn try_wait(&mut self) -> Option<Result<Tensor, ServeError>> {
-        match self.rx.try_recv() {
-            Ok(r) => Some(r),
-            Err(std::sync::mpsc::TryRecvError::Empty) => None,
-            Err(std::sync::mpsc::TryRecvError::Disconnected) => Some(Err(ServeError::Canceled)),
-        }
-    }
-
     /// Blocks for at most `timeout`, returning `None` if no response
     /// arrived in time. Non-consuming: the handle stays valid, so a caller
     /// can poll again, give up, or fall back to [`Pending::wait`] — it
@@ -229,24 +222,37 @@ impl Pending {
     }
 }
 
-/// State shared by the intake, the batcher, and every worker.
+/// State shared by [`Server::submit`] and every worker.
 struct Shared {
     stats: StatsInner,
     events: EventSink,
+    /// Largest batch a worker collects ([`ServeConfig::max_batch`], ≥ 1).
+    max_batch: usize,
+    /// Coalescing window, anchored at the seed's admission
+    /// ([`ServeConfig::max_wait`]).
+    max_wait: Duration,
+}
+
+/// The admission queue's receiving end, shared by the workers behind one
+/// lock: whichever idle worker holds it collects the next batch.
+struct Intake {
+    rx: Receiver<Request>,
+    /// A different-shape arrival that closed the previous batch; it seeds
+    /// the next one, even after the queue has closed.
+    parked: Option<Request>,
 }
 
 /// The running inference server. Dropping it (or calling
 /// [`Server::shutdown`]) drains all in-flight work before returning.
 pub struct Server {
     intake: Option<SyncSender<Request>>,
-    batcher: Option<JoinHandle<()>>,
     workers: Vec<JoinHandle<()>>,
     shared: Arc<Shared>,
     default_deadline: Option<Duration>,
 }
 
 impl Server {
-    /// Spawns the batcher and worker threads and starts serving `model`
+    /// Spawns `cfg.workers` worker threads and starts serving `model`
     /// with the (frozen) parameters in `store`. The workers run on the
     /// kernel tier ([`msd_tensor::ops::kernels::tier`]) of the calling
     /// thread. A server that a gateway builds for an HTTP swap is started
@@ -267,8 +273,6 @@ impl Server {
                 "an int8-tier store is served only through compiled plans (use_plans is off)",
             ));
         }
-        let max_batch = cfg.max_batch.max(1);
-        let workers = cfg.workers.max(1);
         let events = match &cfg.events_path {
             Some(path) => EventSink::to_path(path)?,
             None => EventSink::disabled(),
@@ -276,26 +280,18 @@ impl Server {
         let shared = Arc::new(Shared {
             stats: StatsInner::default(),
             events,
+            max_batch: cfg.max_batch.max(1),
+            max_wait: cfg.max_wait,
         });
         let engine: Arc<(Box<dyn Model + Send + Sync>, ParamStore)> =
             Arc::new((Box::new(model), store));
 
-        let (intake_tx, intake_rx) = sync_channel::<Request>(cfg.queue_cap.max(1));
-        // The batch queue is bounded by the worker count: if every worker
-        // is busy, the batcher blocks here, the admission queue fills, and
-        // intake starts rejecting — backpressure propagates to callers as
-        // typed errors instead of unbounded memory growth.
-        let (batch_tx, batch_rx) = sync_channel::<Vec<Request>>(workers);
-        let batch_rx = Arc::new(Mutex::new(batch_rx));
-
-        let batcher = {
-            let shared = Arc::clone(&shared);
-            let max_wait = cfg.max_wait;
-            std::thread::Builder::new()
-                .name("msd-serve-batcher".into())
-                .spawn(move || batcher_loop(intake_rx, batch_tx, max_batch, max_wait, &shared))
-                .expect("spawn batcher thread")
-        };
+        // While every worker is busy evaluating, nobody collects: the
+        // admission queue fills and intake starts rejecting, so
+        // backpressure reaches callers as typed errors instead of unbounded
+        // memory growth.
+        let (intake_tx, rx) = sync_channel::<Request>(cfg.queue_cap.max(1));
+        let intake = Arc::new(Mutex::new(Intake { rx, parked: None }));
         let use_plans = cfg.use_plans;
         let chaos = cfg.chaos.clone().or_else(Chaos::from_env);
         // Compiled plans are pool-global: compilation is expensive (traces
@@ -306,10 +302,10 @@ impl Server {
         // Workers are the threads that evaluate the model: they run on the
         // kernel tier of the thread that started the server.
         let tier = kernels::tier();
-        let workers = (0..workers)
+        let workers = (0..cfg.workers.max(1))
             .map(|i| {
                 let engine = Arc::clone(&engine);
-                let rx = Arc::clone(&batch_rx);
+                let intake = Arc::clone(&intake);
                 let shared = Arc::clone(&shared);
                 let plan_cache = Arc::clone(&plan_cache);
                 let chaos = chaos.clone();
@@ -317,7 +313,7 @@ impl Server {
                     .name(format!("msd-serve-worker-{i}"))
                     .spawn(move || {
                         kernels::with_tier(tier, || {
-                            worker_loop(&engine, &rx, &shared, use_plans, &plan_cache, chaos)
+                            worker_loop(&engine, &intake, &shared, use_plans, &plan_cache, chaos)
                         })
                     })
                     .expect("spawn worker thread")
@@ -326,7 +322,6 @@ impl Server {
 
         Ok(Server {
             intake: Some(intake_tx),
-            batcher: Some(batcher),
             workers,
             shared,
             default_deadline: cfg.default_deadline,
@@ -432,9 +427,8 @@ impl Server {
     }
 
     fn drain(&mut self) {
-        // Dropping the intake sender ends the batcher's recv loop once the
-        // queue is empty; the batcher then drops the batch sender, which
-        // ends the workers once dispatched batches are answered.
+        // Dropping the intake sender ends each worker once the queue is
+        // empty, nothing is parked, and its last batch is answered.
         //
         // Idempotent: `take()`/`drain(..)` leave nothing behind for a second
         // call (shutdown-then-Drop) to join again. Worker panics never reach
@@ -444,9 +438,6 @@ impl Server {
         // held is dropped, which surfaces to callers as `Canceled` rather
         // than a hang.
         drop(self.intake.take());
-        if let Some(b) = self.batcher.take() {
-            let _ = b.join();
-        }
         for w in self.workers.drain(..) {
             let _ = w.join();
         }
@@ -460,28 +451,20 @@ impl Drop for Server {
     }
 }
 
-/// Groups admitted requests into micro-batches.
+/// Collects the next micro-batch, or `None` once the queue has closed and
+/// drained with nothing parked. Called with the intake lock held; runs no
+/// model code, so a panicking batch cannot poison the lock.
 ///
-/// A batch is seeded by the first waiting request, then grows with every
-/// same-shape arrival until it reaches `max_batch` or the seed has waited
-/// `max_wait`. A differently-shaped arrival closes the current batch and
-/// seeds the next one, so mixed-shape traffic degrades to smaller batches
-/// instead of failing.
-fn batcher_loop(
-    rx: Receiver<Request>,
-    tx: SyncSender<Vec<Request>>,
-    max_batch: usize,
-    max_wait: Duration,
-    shared: &Shared,
-) {
-    let mut pending: Option<Request> = None;
+/// A batch is seeded by the parked request, else by the first waiting one,
+/// then grows with every same-shape arrival until it reaches `max_batch` or
+/// the seed has waited `max_wait`. A differently-shaped arrival closes the
+/// current batch and is parked to seed the next one, so mixed-shape traffic
+/// degrades to smaller batches instead of failing.
+fn collect(intake: &mut Intake, shared: &Shared) -> Option<Vec<Request>> {
     loop {
-        let seed = match pending.take() {
+        let seed = match intake.parked.take() {
             Some(r) => r,
-            None => match rx.recv() {
-                Ok(r) => r,
-                Err(_) => break, // intake closed and queue drained
-            },
+            None => intake.rx.recv().ok()?,
         };
         // Shed a seed that expired while queued: answering it now costs a
         // channel send; packing it would cost a model evaluation nobody is
@@ -491,73 +474,40 @@ fn batcher_loop(
             continue;
         }
         // The coalescing window is anchored at the seed's *admission*, not
-        // at the moment the batcher picked it up. A seed that already sat in
-        // the queue — in particular a shape-change request parked in
-        // `pending` while the previous batch finished collecting — has spent
-        // its wait budget; re-anchoring at pop time silently extended its
-        // worst-case latency to nearly 2× `max_wait`.
-        let deadline = seed.admitted + max_wait;
+        // at the moment a worker picked it up. A seed that already sat in
+        // the queue — in particular a shape-change request parked while
+        // every worker was busy — has spent its wait budget; re-anchoring at
+        // collection would extend its worst-case latency to nearly 2×
+        // `max_wait`.
+        let window_end = seed.admitted + shared.max_wait;
         let mut batch = vec![seed];
-        let mut closed = false;
-        // Already-queued same-shape requests are free companions: drain them
-        // without consulting the deadline, so an expired window (seed aged
-        // in the queue) still packs the burst instead of degrading to
-        // singleton batches.
-        while !closed && batch.len() < max_batch {
-            match rx.try_recv() {
-                Ok(r) if r.expired(Instant::now()) => expire(shared, r),
-                Ok(r) if r.x.shape() == batch[0].x.shape() => batch.push(r),
-                Ok(r) => {
-                    pending = Some(r);
-                    closed = true;
-                }
-                Err(_) => break,
-            }
-        }
-        while !closed && batch.len() < max_batch {
+        // Already-queued requests are free companions: they join without
+        // consulting the window, so a seed that aged in the queue still
+        // packs the burst behind it instead of degrading to singleton
+        // batches. Then arrivals join until the window closes.
+        let rx = &intake.rx;
+        let queued = std::iter::from_fn(|| rx.try_recv().ok());
+        let arriving = std::iter::from_fn(|| {
             let now = Instant::now();
-            if now >= deadline {
-                break;
+            if now >= window_end {
+                return None;
             }
-            match rx.recv_timeout(deadline - now) {
-                Ok(r) => {
-                    if r.expired(Instant::now()) {
-                        expire(shared, r);
-                    } else if r.x.shape() == batch[0].x.shape() {
-                        batch.push(r);
-                    } else {
-                        pending = Some(r);
-                        break;
-                    }
-                }
-                Err(RecvTimeoutError::Timeout) => break,
-                Err(RecvTimeoutError::Disconnected) => break,
+            rx.recv_timeout(window_end - now).ok()
+        });
+        let mut incoming = queued.chain(arriving);
+        while batch.len() < shared.max_batch {
+            let Some(r) = incoming.next() else { break };
+            if r.expired(Instant::now()) {
+                expire(shared, r);
+            } else if r.x.shape() == batch[0].x.shape() {
+                batch.push(r);
+            } else {
+                intake.parked = Some(r);
+                break;
             }
         }
         shared.stats.note_batch(batch.len());
-        if let Err(send_err) = tx.send(batch) {
-            // Every worker is gone (the only way the batch channel closes
-            // while the batcher lives). The failed send hands the batch
-            // back; answer each request instead of dropping it on the floor,
-            // which would strand callers on `Canceled` and leave the
-            // `completed+failed+rejected == submitted` ledger unbalanced.
-            let batch = send_err.0;
-            shared.stats.note_failed(batch.len());
-            for r in batch {
-                let _ = r
-                    .resp
-                    .send(Err(ServeError::Internal("worker pool exited".into())));
-            }
-            break;
-        }
-    }
-    // Unreachable unless the worker pool died with a batch seeded: answer
-    // rather than drop it, upholding the one-response-per-request invariant.
-    if let Some(r) = pending.take() {
-        let _ = r
-            .resp
-            .send(Err(ServeError::Internal("worker pool exited".into())));
-        shared.stats.note_failed(1);
+        return Some(batch);
     }
 }
 
@@ -569,7 +519,8 @@ fn expire(shared: &Shared, r: Request) {
     let _ = r.resp.send(Err(ServeError::DeadlineExceeded));
 }
 
-/// Evaluates batches until the batch queue closes.
+/// Collects and evaluates batches until [`collect`] reports the queue
+/// closed and drained.
 ///
 /// With `use_plans` set, workers evaluate through the pool-shared
 /// [`PlanCache`]: a sample shape compiles at most once per *server* (the
@@ -585,7 +536,7 @@ fn expire(shared: &Shared, r: Request) {
 /// fallback: a batch without a plan fails with [`ServeError::Internal`].
 fn worker_loop(
     engine: &(Box<dyn Model + Send + Sync>, ParamStore),
-    rx: &Mutex<Receiver<Vec<Request>>>,
+    intake: &Mutex<Intake>,
     shared: &Shared,
     use_plans: bool,
     plan_cache: &PlanCache,
@@ -596,20 +547,21 @@ fn worker_loop(
     let mut plans: HashMap<Vec<usize>, Option<Arc<CompiledPlan>>> = HashMap::new();
     let mut arena = PlanArena::new();
     loop {
-        // Hold the lock only for the dequeue so workers drain in parallel.
+        // Hold the lock only while collecting: the next idle worker
+        // collects while this one evaluates.
         let popped = {
-            let guard = rx.lock().unwrap_or_else(|p| p.into_inner());
-            match guard.recv() {
-                Ok(b) => b,
-                Err(_) => break,
+            let mut intake = intake.lock().unwrap_or_else(|p| p.into_inner());
+            match collect(&mut intake, shared) {
+                Some(b) => b,
+                None => break,
             }
         };
         // Last expiry check before spending model time: members whose
-        // deadline passed while the batch sat in the dispatch queue are
-        // shed here, and a batch with no live member left skips evaluation
-        // entirely. The split cannot perturb bit-identity for the
-        // survivors — per-sample outputs are independent of batch
-        // composition by the runtime's core contract.
+        // deadline passed while the window was open are shed here, and a
+        // batch with no live member left skips evaluation entirely. The
+        // split cannot perturb bit-identity for the survivors — per-sample
+        // outputs are independent of batch composition by the runtime's
+        // core contract.
         let now = Instant::now();
         let mut batch = Vec::with_capacity(popped.len());
         for r in popped {

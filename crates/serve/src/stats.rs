@@ -9,7 +9,7 @@ use std::fmt::Write as _;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 
-/// Internal live counters shared by the intake, batcher, and workers.
+/// Internal live counters shared by the intake and the workers.
 ///
 /// Counters are plain relaxed atomics: they order nothing, they only count.
 /// Latencies are appended under a mutex; the hot path holds it for one push.
@@ -140,12 +140,12 @@ pub struct ServeStats {
     /// Requests shed unevaluated because their deadline passed
     /// ([`crate::ServeError::DeadlineExceeded`]).
     pub expired: u64,
-    /// Micro-batches dispatched to workers.
+    /// Micro-batches collected by workers.
     pub batches: u64,
     /// Micro-batches evaluated through a compiled inference plan (the rest
     /// ran the tape fallback; zero when plans are disabled).
     pub plan_batches: u64,
-    /// Mean requests per dispatched batch.
+    /// Mean requests per collected batch.
     pub mean_batch: f64,
     /// Median end-to-end request latency, microseconds.
     pub p50_us: u64,

@@ -2,6 +2,7 @@
 //! bit-identity under every batch composition, typed backpressure, panic
 //! containment, drained shutdown, and a 1000-request mixed-shape smoke.
 
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
@@ -71,12 +72,34 @@ impl Model for Tripwire {
     }
 }
 
-/// A model that parks every forward call until the test opens the gate —
-/// used to hold the sole worker (and therefore the batch channel) busy while
-/// the batcher is forced to seed from an already-aged parked request.
+/// A gate that [`Gated`] forwards wait on until the test opens it.
+type Gate = Arc<(Mutex<bool>, Condvar)>;
+
+/// Opens the gate for good: every parked and every later forward proceeds.
+fn open(gate: &Gate) {
+    let (lock, cv) = &**gate;
+    *lock.lock().unwrap() = true;
+    cv.notify_all();
+}
+
+/// A model that parks every forward call until the test opens the gate and
+/// counts the calls. A worker evaluating a batch is busy until then, so
+/// tests use it to hold workers while requests queue behind them: nothing
+/// collects the queue until a worker is free again.
 struct Gated {
     inner: Affine,
-    gate: Arc<(Mutex<bool>, Condvar)>,
+    gate: Gate,
+    forwards: Arc<AtomicUsize>,
+}
+
+impl Gated {
+    fn new(store: &mut ParamStore, gate: &Gate) -> Self {
+        Gated {
+            inner: Affine::new(store, 2, 6),
+            gate: Arc::clone(gate),
+            forwards: Arc::default(),
+        }
+    }
 }
 
 impl Model for Gated {
@@ -87,6 +110,7 @@ impl Model for Gated {
         self.inner.task()
     }
     fn forward(&self, ctx: &Ctx, x: &Tensor) -> ModelOutput {
+        self.forwards.fetch_add(1, Ordering::Relaxed);
         let (lock, cv) = &*self.gate;
         let open = lock.lock().unwrap();
         // 5 s cap: a scheduling accident must fail the latency assert in the
@@ -119,7 +143,7 @@ fn served_responses_are_bit_identical_to_sequential_predict() {
 
     // Sweep batching regimes: no coalescing, tiny batches, large batches
     // with a generous wait (the whole backlog packs together). Bit-identity
-    // must hold for every composition the batcher can produce.
+    // must hold for every composition the workers can collect.
     for (max_batch, max_wait_us) in [(1, 0u64), (3, 2_000), (32, 20_000)] {
         let mut store2 = ParamStore::new();
         let model2 = Affine::new(&mut store2, 2, 6);
@@ -291,19 +315,17 @@ fn worker_panic_during_shutdown_keeps_counters_balanced() {
 
 #[test]
 fn shape_change_seed_keeps_its_admission_deadline() {
-    // Regression: the batcher used to re-anchor the coalescing window at the
-    // moment it *popped* a seed rather than at the seed's admission. A
-    // shape-change request parked in `pending` while the batcher blocked on a
-    // full batch channel then waited up to ~2× max_wait end to end. Rebuild
-    // that stall with a gated model and assert the parked request's latency
-    // stays near 1× max_wait.
+    // The coalescing window is anchored at a seed's admission, not at the
+    // moment a worker collects it. A shape-change request that queues
+    // behind a backlog while the sole worker is busy has spent its wait
+    // budget by the time it seeds; re-anchoring at collection would grant
+    // it a fresh window and ~2× max_wait end to end. Rebuild that backlog
+    // with a gated model and assert the request's latency stays near
+    // 1× max_wait.
     let max_wait = Duration::from_millis(600);
-    let gate = Arc::new((Mutex::new(false), Condvar::new()));
+    let gate = Gate::default();
     let mut store = ParamStore::new();
-    let model = Gated {
-        inner: Affine::new(&mut store, 2, 6),
-        gate: gate.clone(),
-    };
+    let model = Gated::new(&mut store, &gate);
     let server = Server::start(
         model,
         store,
@@ -318,9 +340,8 @@ fn shape_change_seed_keeps_its_admission_deadline() {
     )
     .unwrap();
 
-    // Batch 1 fills and reaches the (gated) worker; batch 2 fills the 1-deep
-    // batch channel; G5 seeds batch 3, which the shape-change arrival B1
-    // closes — leaving the batcher blocked in `tx.send` with B1 parked.
+    // [G1, G2] fills a batch and wedges the gated worker; G3, G4, G5 and
+    // the shape-change B1 queue behind it.
     let _g1 = server.submit(sample(2, 6, 1)).unwrap();
     let _g2 = server.submit(sample(2, 6, 2)).unwrap();
     std::thread::sleep(Duration::from_millis(30));
@@ -330,21 +351,19 @@ fn shape_change_seed_keeps_its_admission_deadline() {
     let _g5 = server.submit(sample(2, 6, 5)).unwrap();
     std::thread::sleep(Duration::from_millis(60));
     let submitted_b = Instant::now();
-    let b1 = server.submit(sample(1, 12, 6)).unwrap(); // parks as `pending`
+    let b1 = server.submit(sample(1, 12, 6)).unwrap();
 
-    // Hold the pipeline stalled past B1's whole wait budget, then release.
+    // Hold the worker past B1's whole wait budget, then release.
     std::thread::sleep(Duration::from_millis(700));
-    {
-        let (lock, cv) = &*gate;
-        *lock.lock().unwrap() = true;
-        cv.notify_all();
-    }
+    open(&gate);
     b1.wait().expect("parked request completes");
     let latency = submitted_b.elapsed();
-    // Correct admission anchoring: B1's window expired while it was parked,
-    // so its batch closes as soon as the batcher unblocks (~700 ms). The old
-    // re-anchoring granted a fresh window at pop time (~1300 ms). The
-    // threshold splits the gap with slack for slow CI on both sides.
+    // Correct admission anchoring: the freed worker packs [G3, G4], then
+    // [G5], whose batch B1's shape change closes, parking B1; B1 then
+    // seeds a batch whose window expired while it queued, so it is
+    // answered at once (~700 ms). Re-anchoring at collection would grant a fresh window
+    // (~1300 ms). The threshold splits the gap with slack for slow CI on
+    // both sides.
     assert!(
         latency < Duration::from_millis(1000),
         "shape-change seed inherited a fresh coalescing window: {latency:?}"
@@ -353,71 +372,163 @@ fn shape_change_seed_keeps_its_admission_deadline() {
 }
 
 #[test]
-fn expired_requests_are_shed_with_a_typed_deadline_error() {
-    // A gated sole worker wedges the pipeline; requests submitted with an
-    // already-short deadline must come back `DeadlineExceeded` from the
-    // batcher's shed path — typed, counted, and without waiting for the
-    // worker — while the healthy request completes once the gate opens.
-    let gate = Arc::new((Mutex::new(false), Condvar::new()));
+fn a_freed_worker_packs_the_whole_backlog() {
+    // Batches are formed when a worker frees up, not ahead of it: requests
+    // that arrive one by one while the sole worker is busy are collected
+    // together once it is free, however far apart they came.
+    let gate = Gate::default();
     let mut store = ParamStore::new();
-    let model = Gated {
-        inner: Affine::new(&mut store, 2, 6),
-        gate: gate.clone(),
-    };
+    let model = Gated::new(&mut store, &gate);
+    let mut ref_store = ParamStore::new();
+    let reference = Affine::new(&mut ref_store, 2, 6);
     let server = Server::start(
         model,
         store,
         ServeConfig {
-            max_batch: 1,
-            max_wait: Duration::ZERO,
+            max_batch: 4,
+            max_wait: Duration::from_millis(50),
             workers: 1,
             use_plans: false, // keep the gate on the hot path
             ..ServeConfig::default()
         },
     )
     .unwrap();
-    // Occupies the worker (and then some): batches queue behind the gate.
-    let healthy = server.submit(sample(2, 6, 1)).unwrap();
-    std::thread::sleep(Duration::from_millis(30));
-    // Deadline already in the past at submission: sheddable on arrival.
-    let doomed: Vec<_> = (0..4)
-        .map(|i| {
-            server
-                .submit_with_deadline(sample(2, 6, 10 + i), Some(Instant::now()))
-                .unwrap()
-        })
-        .collect();
-    let shed_started = Instant::now();
-    for p in doomed {
-        match p.wait() {
-            Err(ServeError::DeadlineExceeded) => {}
-            other => panic!("expected DeadlineExceeded, got {other:?}"),
-        }
+    let inputs: Vec<Tensor> = (0..4).map(|i| sample(2, 6, 40 + i)).collect();
+    // The first request's window closes alone, 50 ms before the next
+    // arrival, and its batch wedges the worker; the other three arrive
+    // 100 ms apart while it is busy.
+    let mut pending = Vec::new();
+    for x in &inputs {
+        pending.push(server.submit(x.clone()).unwrap());
+        std::thread::sleep(Duration::from_millis(100));
     }
-    assert!(
-        shed_started.elapsed() < Duration::from_secs(2),
-        "shedding must not wait out the wedged worker"
-    );
-    {
-        let (lock, cv) = &*gate;
-        *lock.lock().unwrap() = true;
-        cv.notify_all();
+    open(&gate);
+    for (i, (p, x)) in pending.into_iter().zip(&inputs).enumerate() {
+        let y = p.wait().expect("backlogged request completes");
+        assert_bits_equal(&y, &reference.predict(&ref_store, x), &format!("req {i}"));
     }
-    healthy.wait().expect("healthy request survives");
     let stats = server.shutdown();
-    assert_eq!(stats.expired, 4, "{stats:?}");
-    assert_eq!(stats.completed, 1);
+    assert_eq!(stats.completed, 4);
+    assert_eq!(
+        stats.batches, 2,
+        "the freed worker packs all three: {stats:?}"
+    );
+}
+
+#[test]
+fn shutdown_serves_the_parked_seed() {
+    // A different-shape arrival closes the first batch and is parked to
+    // seed the next. Shutting down at once must still serve it, and must
+    // not sit out its 10 s coalescing window: the closed queue ends the
+    // window.
+    let max_wait = Duration::from_secs(10);
+    let mut store = ParamStore::new();
+    let model = Affine::new(&mut store, 2, 6);
+    let mut ref_store = ParamStore::new();
+    let reference = Affine::new(&mut ref_store, 2, 6);
+    let server = Server::start(
+        model,
+        store,
+        ServeConfig {
+            max_batch: 8,
+            max_wait,
+            workers: 1,
+            ..ServeConfig::default()
+        },
+    )
+    .unwrap();
+    // Two shapes with equal flattened length: one model answers both.
+    let inputs = [sample(2, 6, 1), sample(1, 12, 2)];
+    let pending: Vec<_> = inputs
+        .iter()
+        .map(|x| server.submit(x.clone()).unwrap())
+        .collect();
+    let started = Instant::now();
+    let stats = server.shutdown();
+    assert!(
+        started.elapsed() < Duration::from_secs(2),
+        "shutdown sat out the coalescing window: {:?}",
+        started.elapsed()
+    );
+    for (i, (p, x)) in pending.into_iter().zip(&inputs).enumerate() {
+        let y = p.wait().expect("both shapes are answered");
+        assert_bits_equal(&y, &reference.predict(&ref_store, x), &format!("req {i}"));
+    }
+    assert_eq!(stats.completed, 2, "{stats:?}");
+    assert_eq!(stats.batches, 2, "{stats:?}");
     assert!(stats.ledger_balanced(), "{stats:?}");
 }
 
 #[test]
+fn expired_requests_are_shed_with_a_typed_deadline_error() {
+    // Requests submitted with an already-passed deadline come back
+    // `DeadlineExceeded` from the collector's shed path — typed, counted,
+    // and never evaluated — while a healthy request completes once the gate
+    // opens. With two workers the free one sheds them while the other is
+    // wedged; a sole worker sheds them the next time it collects.
+    for workers in [2, 1] {
+        let gate = Gate::default();
+        let mut store = ParamStore::new();
+        let model = Gated::new(&mut store, &gate);
+        let forwards = Arc::clone(&model.forwards);
+        let server = Server::start(
+            model,
+            store,
+            ServeConfig {
+                max_batch: 1,
+                max_wait: Duration::ZERO,
+                workers,
+                use_plans: false, // keep the gate on the hot path
+                ..ServeConfig::default()
+            },
+        )
+        .unwrap();
+        // Wedges one worker until the gate opens.
+        let healthy = server.submit(sample(2, 6, 1)).unwrap();
+        std::thread::sleep(Duration::from_millis(30));
+        // Deadline already in the past at submission: sheddable on arrival.
+        let doomed: Vec<_> = (0..4)
+            .map(|i| {
+                server
+                    .submit_with_deadline(sample(2, 6, 10 + i), Some(Instant::now()))
+                    .unwrap()
+            })
+            .collect();
+        let shed_started = Instant::now();
+        if workers == 1 {
+            open(&gate);
+        }
+        for p in doomed {
+            match p.wait() {
+                Err(ServeError::DeadlineExceeded) => {}
+                other => panic!("workers={workers}: expected DeadlineExceeded, got {other:?}"),
+            }
+        }
+        if workers == 2 {
+            assert!(
+                shed_started.elapsed() < Duration::from_secs(2),
+                "the free worker must shed without waiting out the wedged one"
+            );
+            open(&gate);
+        }
+        healthy.wait().expect("healthy request survives");
+        let stats = server.shutdown();
+        assert_eq!(stats.expired, 4, "workers={workers}: {stats:?}");
+        assert_eq!(stats.completed, 1, "workers={workers}: {stats:?}");
+        assert!(stats.ledger_balanced(), "workers={workers}: {stats:?}");
+        assert_eq!(
+            forwards.load(Ordering::Relaxed),
+            1,
+            "workers={workers}: a shed request ran the model"
+        );
+    }
+}
+
+#[test]
 fn wait_timeout_reports_a_stalled_worker_without_consuming_the_answer() {
-    let gate = Arc::new((Mutex::new(false), Condvar::new()));
+    let gate = Gate::default();
     let mut store = ParamStore::new();
-    let model = Gated {
-        inner: Affine::new(&mut store, 2, 6),
-        gate: gate.clone(),
-    };
+    let model = Gated::new(&mut store, &gate);
     let server = Server::start(
         model,
         store,
@@ -435,11 +546,7 @@ fn wait_timeout_reports_a_stalled_worker_without_consuming_the_answer() {
     // (None) and can be repeated — a timeout must not eat the answer.
     assert!(pending.wait_timeout(Duration::from_millis(40)).is_none());
     assert!(pending.wait_timeout(Duration::from_millis(40)).is_none());
-    {
-        let (lock, cv) = &*gate;
-        *lock.lock().unwrap() = true;
-        cv.notify_all();
-    }
+    open(&gate);
     match pending.wait_timeout(Duration::from_secs(5)) {
         Some(Ok(_)) => {}
         other => panic!("expected the answer after the gate opened, got {other:?}"),
@@ -528,8 +635,8 @@ fn shutdown_drains_every_in_flight_request() {
 fn smoke_1k_mixed_shape_requests_zero_lost_zero_corrupted() {
     let mut store = ParamStore::new();
     let model = Affine::new(&mut store, 2, 6);
-    // Two request shapes with equal flattened length: same model, but the
-    // batcher must never pack them together.
+    // Two request shapes with equal flattened length: same model, but a
+    // worker must never pack them together.
     let inputs: Vec<Tensor> = (0..1000)
         .map(|i| {
             if i % 3 == 0 {

@@ -53,17 +53,21 @@ impl RetrainParams {
 
     /// The `TrainConfig` of a fine-tune checkpointing into `dir`. Both the
     /// engine and the standalone replay build their config here, so the
-    /// fingerprints (and numerics) cannot diverge.
+    /// fingerprints (and numerics) cannot diverge. Every other knob is the
+    /// compiled default: the stream engine reads none of msd-experiment's
+    /// `MSD_*` training variables, so a replay does not depend on the
+    /// environment it runs in.
     pub fn train_config(&self, dir: &Path) -> TrainConfig {
-        TrainConfig::builder()
-            .epochs(self.epochs)
-            .batch_size(self.batch_size)
-            .lr(self.lr)
-            .schedule(LrSchedule::Constant)
-            .seed(self.seed)
-            .checkpoint_dir(Some(dir.to_path_buf()))
-            .resume(true)
-            .build()
+        TrainConfig {
+            epochs: self.epochs,
+            batch_size: self.batch_size,
+            lr: self.lr,
+            schedule: LrSchedule::Constant,
+            seed: self.seed,
+            checkpoint_dir: Some(dir.to_path_buf()),
+            resume: true,
+            ..TrainConfig::default()
+        }
     }
 }
 
@@ -171,4 +175,47 @@ pub fn seed_checkpoint(store: &ParamStore, n_windows: usize, cfg: &TrainConfig) 
 /// `resume: true` fit picks them up.
 pub fn install_checkpoint(dir: &Path, bytes: &[u8]) -> std::io::Result<()> {
     CheckpointDir::new(dir, 2).save(bytes)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn train_config_pins_every_field() {
+        let p = RetrainParams::smoke();
+        let dir = Path::new("retrain-dir");
+        // Exhaustive destructuring: a new `TrainConfig` field fails to
+        // compile here until this test pins it.
+        let TrainConfig {
+            epochs,
+            batch_size,
+            lr,
+            patience,
+            schedule,
+            seed,
+            max_retries,
+            lr_backoff,
+            snapshot_every,
+            checkpoint_dir,
+            checkpoint_every,
+            checkpoint_keep,
+            resume,
+            kill_after_batches,
+        } = p.train_config(dir);
+        assert_eq!(epochs, 4);
+        assert_eq!(batch_size, 16);
+        assert_eq!(lr.to_bits(), 1e-2f32.to_bits());
+        assert_eq!(patience, 3);
+        assert!(matches!(schedule, LrSchedule::Constant), "{schedule:?}");
+        assert_eq!(seed, 97);
+        assert_eq!(max_retries, 4);
+        assert_eq!(lr_backoff.to_bits(), 0.5f32.to_bits());
+        assert_eq!(snapshot_every, 1);
+        assert_eq!(checkpoint_dir.as_deref(), Some(dir));
+        assert_eq!(checkpoint_every, 8);
+        assert_eq!(checkpoint_keep, 2);
+        assert!(resume);
+        assert_eq!(kill_after_batches, None);
+    }
 }

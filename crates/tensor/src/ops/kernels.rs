@@ -133,6 +133,8 @@ thread_local! {
 /// whitespace ignored): `scalar`, `fma` (alias `avx2`), `avx512`, `auto`
 /// (same as unset). Unknown values fall back to `auto`; a forced tier above
 /// the machine's capability clamps down to [`detected_tier`].
+// Reads MSD_KERNEL_FORCE.
+#[allow(clippy::disallowed_methods)]
 pub fn tier() -> Tier {
     SCOPED.with(Cell::get).unwrap_or_else(|| {
         static PROCESS: OnceLock<Tier> = OnceLock::new();

@@ -280,10 +280,13 @@ cargo test -p msd-stream -q --offline
 # must be byte-identical. The bin itself exits non-zero on zero drift
 # events, a missing hot-swap, any lost request, or no point-adjusted F1
 # improvement after adaptation, so this gate also covers the "zero dropped
-# requests" and "adaptation helps" contracts.
+# requests" and "adaptation helps" contracts. The second run sets
+# msd-experiment's kill-after fault injection, which the stream's warm
+# retrain must ignore: the byte comparison then also proves the replay
+# reads no training knob from the environment.
 rm -rf target/stream-run1 target/stream-run2
 cargo run --release --offline -p msd-stream -- --out-dir target/stream-run1
-cargo run --release --offline -p msd-stream -- --out-dir target/stream-run2
+MSD_KILL_AFTER=1 cargo run --release --offline -p msd-stream -- --out-dir target/stream-run2
 cmp target/stream-run1/scores.jsonl target/stream-run2/scores.jsonl || {
   echo "streaming score logs are not byte-identical between replays" >&2; exit 1;
 }
