@@ -23,13 +23,13 @@
 //! generation. Matrix products are additionally bit-identical for every
 //! SIMD path (see [`ops::gemm`] for why).
 
-mod shape;
-mod tensor;
 pub mod fft;
 pub mod ops;
 pub mod pool;
 pub mod rng;
+mod shape;
 pub mod stats;
+mod tensor;
 
 pub use ops::kernels::quant::{QuantError, QuantTensor, QuantView};
 pub use shape::{strides_for, Shape};

@@ -228,7 +228,9 @@ mod tests {
         let mut x = -6.0f32;
         while x < 6.0 {
             let err = (fast_tanh(x) - x.tanh()).abs();
-            if err > worst { worst = err; }
+            if err > worst {
+                worst = err;
+            }
             x += 0.001;
         }
         assert!(worst < 2e-4, "worst fast_tanh error {worst}");

@@ -156,8 +156,7 @@ pub fn sgemm_strided(
                     let src_row = (k0 + p) * b_rs;
                     if b_cs == 1 && nr == NR {
                         // Contiguous full panel: a straight 16-float copy.
-                        dst[p * NR..(p + 1) * NR]
-                            .copy_from_slice(&b[src_row + jp * NR..][..NR]);
+                        dst[p * NR..(p + 1) * NR].copy_from_slice(&b[src_row + jp * NR..][..NR]);
                     } else {
                         for jj in 0..nr {
                             dst[p * NR + jj] = b[src_row + (jp * NR + jj) * b_cs];
@@ -228,7 +227,15 @@ pub fn sgemm_strided(
                                     }
                                 }
                             }
-                            microkernel(isa, kc, a_panel, b_panel, buf.as_mut_ptr(), NR, first_slab);
+                            microkernel(
+                                isa,
+                                kc,
+                                a_panel,
+                                b_panel,
+                                buf.as_mut_ptr(),
+                                NR,
+                                first_slab,
+                            );
                             for ii in 0..mr {
                                 for jj in 0..nr {
                                     *c_block.add(ii * n + jj) = buf[ii * NR + jj];
@@ -632,10 +639,7 @@ mod tests {
         assert_eq!(c.len(), reference.len(), "{label}: length");
         for (i, (&x, &y)) in c.iter().zip(reference).enumerate() {
             let tol = 1e-4 * (1.0 + x.abs().max(y.abs()));
-            assert!(
-                (x - y).abs() <= tol,
-                "{label}: element {i}: {x} vs {y}"
-            );
+            assert!((x - y).abs() <= tol, "{label}: element {i}: {x} vs {y}");
         }
     }
 

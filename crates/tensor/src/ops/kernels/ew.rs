@@ -150,7 +150,11 @@ pub fn scaled_diff(a: &[f32], b: &[f32], s: f32, out: &mut [f32]) {
 pub fn masked_scaled_diff(a: &[f32], b: &[f32], m: &[f32], s: f32, out: &mut [f32]) {
     assert_eq!(a.len(), b.len(), "masked_scaled_diff length mismatch");
     assert_eq!(a.len(), m.len(), "masked_scaled_diff mask length mismatch");
-    assert_eq!(a.len(), out.len(), "masked_scaled_diff output length mismatch");
+    assert_eq!(
+        a.len(),
+        out.len(),
+        "masked_scaled_diff output length mismatch"
+    );
     for (((o, &x), &y), &w) in out.iter_mut().zip(a).zip(b).zip(m) {
         *o = ((x - y) * w) * s;
     }
@@ -400,12 +404,24 @@ mod tests {
         // differential suite.
         let mut rng = Rng::seed_from(11);
         let mut x: Vec<f32> = (0..1000).map(|_| 4.0 * rng.normal()).collect();
-        x.extend_from_slice(&[f32::NAN, f32::INFINITY, f32::NEG_INFINITY, 0.0, -0.0, 4.97, -4.97]);
+        x.extend_from_slice(&[
+            f32::NAN,
+            f32::INFINITY,
+            f32::NEG_INFINITY,
+            0.0,
+            -0.0,
+            4.97,
+            -4.97,
+        ]);
         let mut out = vec![0.0f32; x.len()];
         gelu(&x, &mut out);
         for (i, (&xi, &oi)) in x.iter().zip(&out).enumerate() {
             let want = gelu_scalar(xi);
-            assert_eq!(oi.to_bits(), want.to_bits(), "i={i} x={xi} got {oi} want {want}");
+            assert_eq!(
+                oi.to_bits(),
+                want.to_bits(),
+                "i={i} x={xi} got {oi} want {want}"
+            );
         }
         let dy: Vec<f32> = (0..x.len()).map(|_| rng.normal()).collect();
         let mut dx = vec![0.0f32; x.len()];

@@ -42,7 +42,12 @@ fn additive_spec(n: usize, term: impl Fn(usize) -> f32) -> f32 {
 /// The spec's extremum reduction. `pick(acc, v)` keeps `acc` unless `v` is
 /// strictly better; NaN `v` never wins, and ties (including ±0.0) keep the
 /// earlier value.
-fn extremum_spec(n: usize, init: f32, pick: impl Fn(f32, f32) -> f32, x: impl Fn(usize) -> f32) -> f32 {
+fn extremum_spec(
+    n: usize,
+    init: f32,
+    pick: impl Fn(f32, f32) -> f32,
+    x: impl Fn(usize) -> f32,
+) -> f32 {
     let mut acc = init;
     let mut start = 0;
     while start < n {
@@ -92,7 +97,9 @@ pub fn sse(a: &[f32], b: &[f32]) -> f32 {
 
 /// Reference for [`super::reduce::sad`].
 pub fn sad(a: &[f32], b: &[f32]) -> f32 {
-    additive_spec(a.len(), |i| f32::from_bits((a[i] - b[i]).to_bits() & 0x7fff_ffff))
+    additive_spec(a.len(), |i| {
+        f32::from_bits((a[i] - b[i]).to_bits() & 0x7fff_ffff)
+    })
 }
 
 /// Reference for [`super::reduce::centered_sumsq`].

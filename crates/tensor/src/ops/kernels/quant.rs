@@ -113,7 +113,10 @@ impl std::fmt::Display for QuantError {
         match self {
             QuantError::Nan { index } => write!(f, "NaN weight at flat index {index}"),
             QuantError::Infinite { index } => {
-                write!(f, "infinite weight at flat index {index} (int8 needs a finite scale)")
+                write!(
+                    f,
+                    "infinite weight at flat index {index} (int8 needs a finite scale)"
+                )
             }
         }
     }
@@ -251,8 +254,16 @@ pub const I8_MAX_IN_DIM: usize = (i32::MAX / (127 * 127)) as usize;
 /// validated at save time, so the kernel must stay total.
 pub fn quantize_rows_i8(x: &[f32], rows: usize, k: usize, q: &mut [i8], scales: &mut [f32]) {
     assert_eq!(x.len(), rows * k, "quantize_rows_i8: input length mismatch");
-    assert_eq!(q.len(), rows * k, "quantize_rows_i8: output length mismatch");
-    assert_eq!(scales.len(), rows, "quantize_rows_i8: scales length mismatch");
+    assert_eq!(
+        q.len(),
+        rows * k,
+        "quantize_rows_i8: output length mismatch"
+    );
+    assert_eq!(
+        scales.len(),
+        rows,
+        "quantize_rows_i8: scales length mismatch"
+    );
     for r in 0..rows {
         let row = &x[r * k..(r + 1) * k];
         let mut maxabs = 0.0f32;
@@ -476,7 +487,7 @@ mod tests {
         assert_eq!(f32_to_f16_bits(-2.0), 0xc000);
         assert_eq!(f32_to_f16_bits(0.5), 0x3800);
         assert_eq!(f32_to_f16_bits(65504.0), 0x7bff); // f16 max
-        // Overflow → inf; inf stays inf.
+                                                      // Overflow → inf; inf stays inf.
         assert_eq!(f32_to_f16_bits(65520.0), 0x7c00);
         assert_eq!(f32_to_f16_bits(f32::INFINITY), 0x7c00);
         assert_eq!(f32_to_f16_bits(f32::NEG_INFINITY), 0xfc00);
@@ -598,7 +609,12 @@ mod tests {
     #[test]
     fn linear_i8_matches_oracle_and_handles_bias_gelu() {
         let mut rng = crate::rng::Rng::seed_from(71_100);
-        for &(rows, k, n) in &[(1usize, 5usize, 3usize), (4, 16, 8), (3, 33, 17), (2, 8, 16)] {
+        for &(rows, k, n) in &[
+            (1usize, 5usize, 3usize),
+            (4, 16, 8),
+            (3, 33, 17),
+            (2, 8, 16),
+        ] {
             let x = Tensor::randn(&[rows, k], 1.0, &mut rng);
             let wt = Tensor::randn(&[k, n], 0.5, &mut rng);
             let b = Tensor::randn(&[n], 0.1, &mut rng);
@@ -610,7 +626,9 @@ mod tests {
                     linear_i8_oracle(x.data(), rows, k, w.view(), bias, gelu, &mut want);
                     linear_i8_into(x.data(), rows, k, w.view(), bias, gelu, &mut got);
                     assert!(
-                        want.iter().zip(&got).all(|(a, b)| a.to_bits() == b.to_bits()),
+                        want.iter()
+                            .zip(&got)
+                            .all(|(a, b)| a.to_bits() == b.to_bits()),
                         "rows={rows} k={k} n={n} gelu={gelu} bias={}",
                         bias.is_some()
                     );
@@ -632,7 +650,15 @@ mod tests {
         linear_i8_into(x.data(), rows, k, w.view(), None, false, &mut batched);
         for r in 0..rows {
             let mut single = vec![0.0f32; n];
-            linear_i8_into(&x.data()[r * k..(r + 1) * k], 1, k, w.view(), None, false, &mut single);
+            linear_i8_into(
+                &x.data()[r * k..(r + 1) * k],
+                1,
+                k,
+                w.view(),
+                None,
+                false,
+                &mut single,
+            );
             assert!(
                 single
                     .iter()

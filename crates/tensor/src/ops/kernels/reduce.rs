@@ -222,13 +222,23 @@ fn run_seq<T>(
 /// Sum of all elements (fixed-order spec).
 pub fn sum(x: &[f32]) -> f32 {
     let t = super::tier();
-    run_seq(x.len(), 0.0, |a, b| a + b, |s, e| sum_block(t, &x[s..e], &x[s..e], 0.0))
+    run_seq(
+        x.len(),
+        0.0,
+        |a, b| a + b,
+        |s, e| sum_block(t, &x[s..e], &x[s..e], 0.0),
+    )
 }
 
 /// Sum of squares of all elements.
 pub fn sumsq(x: &[f32]) -> f32 {
     let t = super::tier();
-    run_seq(x.len(), 0.0, |a, b| a + b, |s, e| sumsq_block(t, &x[s..e], &x[s..e], 0.0))
+    run_seq(
+        x.len(),
+        0.0,
+        |a, b| a + b,
+        |s, e| sumsq_block(t, &x[s..e], &x[s..e], 0.0),
+    )
 }
 
 /// Dot product `Σ a[i]·b[i]`.
@@ -238,7 +248,12 @@ pub fn sumsq(x: &[f32]) -> f32 {
 pub fn dot(a: &[f32], b: &[f32]) -> f32 {
     assert_eq!(a.len(), b.len(), "dot length mismatch");
     let t = super::tier();
-    run_seq(a.len(), 0.0, |x, y| x + y, |s, e| dot_block(t, &a[s..e], &b[s..e], 0.0))
+    run_seq(
+        a.len(),
+        0.0,
+        |x, y| x + y,
+        |s, e| dot_block(t, &a[s..e], &b[s..e], 0.0),
+    )
 }
 
 /// Sum of squared errors `Σ (a[i]-b[i])²`.
@@ -248,7 +263,12 @@ pub fn dot(a: &[f32], b: &[f32]) -> f32 {
 pub fn sse(a: &[f32], b: &[f32]) -> f32 {
     assert_eq!(a.len(), b.len(), "sse length mismatch");
     let t = super::tier();
-    run_seq(a.len(), 0.0, |x, y| x + y, |s, e| sse_block(t, &a[s..e], &b[s..e], 0.0))
+    run_seq(
+        a.len(),
+        0.0,
+        |x, y| x + y,
+        |s, e| sse_block(t, &a[s..e], &b[s..e], 0.0),
+    )
 }
 
 /// Sum of absolute errors `Σ |a[i]-b[i]|`.
@@ -258,13 +278,23 @@ pub fn sse(a: &[f32], b: &[f32]) -> f32 {
 pub fn sad(a: &[f32], b: &[f32]) -> f32 {
     assert_eq!(a.len(), b.len(), "sad length mismatch");
     let t = super::tier();
-    run_seq(a.len(), 0.0, |x, y| x + y, |s, e| sad_block(t, &a[s..e], &b[s..e], 0.0))
+    run_seq(
+        a.len(),
+        0.0,
+        |x, y| x + y,
+        |s, e| sad_block(t, &a[s..e], &b[s..e], 0.0),
+    )
 }
 
 /// Centered sum of squares `Σ (x[i]-c)²`.
 pub fn centered_sumsq(x: &[f32], c: f32) -> f32 {
     let t = super::tier();
-    run_seq(x.len(), 0.0, |a, b| a + b, |s, e| centered_sq_block(t, &x[s..e], &x[s..e], c))
+    run_seq(
+        x.len(),
+        0.0,
+        |a, b| a + b,
+        |s, e| centered_sq_block(t, &x[s..e], &x[s..e], c),
+    )
 }
 
 /// Masked squared-error pass for imputation losses: returns
@@ -351,23 +381,17 @@ fn masked_sse_block(t: Tier, a: &[f32], b: &[f32], m: &[f32]) -> (f32, f32) {
 /// skipped; `+0.0`/`-0.0` resolve to the first seen (fixed order).
 pub fn maxv(x: &[f32]) -> f32 {
     let t = super::tier();
-    run_seq(
-        x.len(),
-        f32::NEG_INFINITY,
-        pick_max,
-        |s, e| minmax_block::<true>(t, &x[s..e]),
-    )
+    run_seq(x.len(), f32::NEG_INFINITY, pick_max, |s, e| {
+        minmax_block::<true>(t, &x[s..e])
+    })
 }
 
 /// Minimum element. `+inf` for an empty slice; NaN skipped.
 pub fn minv(x: &[f32]) -> f32 {
     let t = super::tier();
-    run_seq(
-        x.len(),
-        f32::INFINITY,
-        pick_min,
-        |s, e| minmax_block::<false>(t, &x[s..e]),
-    )
+    run_seq(x.len(), f32::INFINITY, pick_min, |s, e| {
+        minmax_block::<false>(t, &x[s..e])
+    })
 }
 
 #[inline(always)]
@@ -394,7 +418,11 @@ fn pick_min(acc: f32, v: f32) -> f32 {
 fn minmax_block<const IS_MAX: bool>(t: Tier, x: &[f32]) -> f32 {
     #[inline(always)]
     unsafe fn body<V: SimdVec, const K: usize, const IS_MAX: bool>(x: &[f32]) -> f32 {
-        let init = if IS_MAX { f32::NEG_INFINITY } else { f32::INFINITY };
+        let init = if IS_MAX {
+            f32::NEG_INFINITY
+        } else {
+            f32::INFINITY
+        };
         let n = x.len();
         let mut acc = [V::splat(init); K];
         let groups = n / LANES;
@@ -402,7 +430,11 @@ fn minmax_block<const IS_MAX: bool>(t: Tier, x: &[f32]) -> f32 {
             let base = g * LANES;
             for (k, av) in acc.iter_mut().enumerate() {
                 let v = V::load(x.as_ptr().add(base + k * V::W));
-                *av = if IS_MAX { V::pick_gt(*av, v) } else { V::pick_lt(*av, v) };
+                *av = if IS_MAX {
+                    V::pick_gt(*av, v)
+                } else {
+                    V::pick_lt(*av, v)
+                };
             }
         }
         let mut lanes = [0.0f32; LANES];
@@ -412,7 +444,11 @@ fn minmax_block<const IS_MAX: bool>(t: Tier, x: &[f32]) -> f32 {
         let base = groups * LANES;
         for i in base..n {
             let l = &mut lanes[i - base];
-            *l = if IS_MAX { pick_max(*l, x[i]) } else { pick_min(*l, x[i]) };
+            *l = if IS_MAX {
+                pick_max(*l, x[i])
+            } else {
+                pick_min(*l, x[i])
+            };
         }
         fold_lanes(lanes, if IS_MAX { pick_max } else { pick_min })
     }
@@ -445,7 +481,12 @@ fn minmax_block<const IS_MAX: bool>(t: Tier, x: &[f32]) -> f32 {
 
 /// Sequential [`sum`] with an explicit tier (for row loops inside kernels).
 pub fn sum_seq(t: Tier, x: &[f32]) -> f32 {
-    run_seq(x.len(), 0.0, |a, b| a + b, |s, e| sum_block(t, &x[s..e], &x[s..e], 0.0))
+    run_seq(
+        x.len(),
+        0.0,
+        |a, b| a + b,
+        |s, e| sum_block(t, &x[s..e], &x[s..e], 0.0),
+    )
 }
 
 /// Sequential [`dot`] with an explicit tier.
@@ -454,12 +495,22 @@ pub fn sum_seq(t: Tier, x: &[f32]) -> f32 {
 /// Panics if the slices have different lengths.
 pub fn dot_seq(t: Tier, a: &[f32], b: &[f32]) -> f32 {
     assert_eq!(a.len(), b.len(), "dot length mismatch");
-    run_seq(a.len(), 0.0, |x, y| x + y, |s, e| dot_block(t, &a[s..e], &b[s..e], 0.0))
+    run_seq(
+        a.len(),
+        0.0,
+        |x, y| x + y,
+        |s, e| dot_block(t, &a[s..e], &b[s..e], 0.0),
+    )
 }
 
 /// Sequential [`centered_sumsq`] with an explicit tier.
 pub fn centered_sumsq_seq(t: Tier, x: &[f32], c: f32) -> f32 {
-    run_seq(x.len(), 0.0, |a, b| a + b, |s, e| centered_sq_block(t, &x[s..e], &x[s..e], c))
+    run_seq(
+        x.len(),
+        0.0,
+        |a, b| a + b,
+        |s, e| centered_sq_block(t, &x[s..e], &x[s..e], c),
+    )
 }
 
 /// Sequential [`maxv`] with an explicit tier.

@@ -175,7 +175,8 @@ pub fn pad_axis_into(
     out.fill(0.0);
     for o in 0..outer {
         let s = &src[o * in_block..(o + 1) * in_block];
-        let dst = &mut out[o * out_block + before * inner..o * out_block + before * inner + in_block];
+        let dst =
+            &mut out[o * out_block + before * inner..o * out_block + before * inner + in_block];
         dst.copy_from_slice(s);
     }
 }
@@ -230,7 +231,11 @@ pub fn concat_into<S: AsRef<[usize]>>(parts: &[(S, &[f32])], axis: usize, out: &
     }
     let outer: usize = first[..axis].iter().product();
     let inner: usize = first[axis + 1..].iter().product();
-    assert_eq!(out.len(), outer * total * inner, "concat_into output length");
+    assert_eq!(
+        out.len(),
+        outer * total * inner,
+        "concat_into output length"
+    );
     let mut idx = 0usize;
     for o in 0..outer {
         for (s, d) in parts {
@@ -309,7 +314,10 @@ impl Tensor {
     pub fn widen(&self, axis: usize, start: usize, full_len: usize) -> Tensor {
         assert!(axis < self.ndim(), "widen axis out of range");
         let in_shape = self.shape();
-        assert!(start + in_shape[axis] <= full_len, "widen range exceeds target");
+        assert!(
+            start + in_shape[axis] <= full_len,
+            "widen range exceeds target"
+        );
         let mut out_shape = in_shape.to_vec();
         out_shape[axis] = full_len;
         let mut out = Tensor::zeros(&out_shape);
@@ -334,8 +342,7 @@ impl Tensor {
         let mut out_shape = first.to_vec();
         out_shape[axis] = total;
         let mut out = vec![0.0f32; numel(&out_shape)];
-        let views: Vec<(&[usize], &[f32])> =
-            parts.iter().map(|p| (p.shape(), p.data())).collect();
+        let views: Vec<(&[usize], &[f32])> = parts.iter().map(|p| (p.shape(), p.data())).collect();
         concat_into(&views, axis, &mut out);
         Tensor::from_vec(&out_shape, out)
     }

@@ -35,8 +35,16 @@ fn product(a: &Tensor, b: &Tensor, layout: Layout, name: &str) -> Tensor {
 
 /// The output shape `product_into` will produce, after validating operand
 /// shapes for `layout`.
-fn product_out_shape(a_shape: &[usize], b_shape: &[usize], layout: Layout, name: &str) -> Vec<usize> {
-    assert!(a_shape.len() >= 2, "{name} lhs must have rank >= 2, got {a_shape:?}");
+fn product_out_shape(
+    a_shape: &[usize],
+    b_shape: &[usize],
+    layout: Layout,
+    name: &str,
+) -> Vec<usize> {
+    assert!(
+        a_shape.len() >= 2,
+        "{name} lhs must have rank >= 2, got {a_shape:?}"
+    );
     let (al2, al1) = (a_shape[a_shape.len() - 2], a_shape[a_shape.len() - 1]);
     let (m, _k) = match layout {
         Layout::Tn => (al1, al2),
@@ -63,7 +71,10 @@ fn product_into(
     name: &str,
     out: &mut [f32],
 ) {
-    assert!(a_shape.len() >= 2, "{name} lhs must have rank >= 2, got {a_shape:?}");
+    assert!(
+        a_shape.len() >= 2,
+        "{name} lhs must have rank >= 2, got {a_shape:?}"
+    );
     let (al2, al1) = (a_shape[a_shape.len() - 2], a_shape[a_shape.len() - 1]);
     // Logical (m, k) of the left operand.
     let (m, k) = match layout {

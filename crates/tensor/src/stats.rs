@@ -124,8 +124,18 @@ mod tests {
         }
         let mean = xs.iter().sum::<f64>() / xs.len() as f64;
         let var = xs.iter().map(|x| (x - mean).powi(2)).sum::<f64>() / xs.len() as f64;
-        assert!((w.mean() - mean).abs() < 1e-12, "mean {} vs {}", w.mean(), mean);
-        assert!((w.variance() - var).abs() < 1e-12, "var {} vs {}", w.variance(), var);
+        assert!(
+            (w.mean() - mean).abs() < 1e-12,
+            "mean {} vs {}",
+            w.mean(),
+            mean
+        );
+        assert!(
+            (w.variance() - var).abs() < 1e-12,
+            "var {} vs {}",
+            w.variance(),
+            var
+        );
     }
 
     #[test]
@@ -168,7 +178,9 @@ mod tests {
 
     #[test]
     fn acf_of_alternating_series_is_negative_at_lag_one() {
-        let s: Vec<f32> = (0..64).map(|i| if i % 2 == 0 { 1.0 } else { -1.0 }).collect();
+        let s: Vec<f32> = (0..64)
+            .map(|i| if i % 2 == 0 { 1.0 } else { -1.0 })
+            .collect();
         let a = acf(&s, 2);
         assert!(a[0] < -0.9, "lag-1 acf {}", a[0]);
         assert!(a[1] > 0.9, "lag-2 acf {}", a[1]);

@@ -133,7 +133,12 @@ impl Tensor {
     /// # Panics
     /// Panics if the tensor has more than one element.
     pub fn item(&self) -> f32 {
-        assert_eq!(self.data.len(), 1, "item() on tensor with shape {:?}", self.shape);
+        assert_eq!(
+            self.data.len(),
+            1,
+            "item() on tensor with shape {:?}",
+            self.shape
+        );
         self.data[0]
     }
 
@@ -248,7 +253,12 @@ mod tests {
         let mut rng = Rng::seed_from(42);
         let t = Tensor::randn(&[10_000], 1.0, &mut rng);
         let mean = t.data().iter().sum::<f32>() / t.len() as f32;
-        let var = t.data().iter().map(|x| (x - mean) * (x - mean)).sum::<f32>() / t.len() as f32;
+        let var = t
+            .data()
+            .iter()
+            .map(|x| (x - mean) * (x - mean))
+            .sum::<f32>()
+            / t.len() as f32;
         assert!(mean.abs() < 0.05, "mean {mean}");
         assert!((var - 1.0).abs() < 0.1, "var {var}");
     }

@@ -53,8 +53,7 @@ fn matmul_matches_naive_reference() {
     for (m, k, n) in boundary_shapes() {
         let a = random(m * k, &mut rng);
         let b = random(k * n, &mut rng);
-        let c = Tensor::from_vec(&[m, k], a.clone())
-            .matmul(&Tensor::from_vec(&[k, n], b.clone()));
+        let c = Tensor::from_vec(&[m, k], a.clone()).matmul(&Tensor::from_vec(&[k, n], b.clone()));
         assert_close(
             c.data(),
             &naive_gemm(m, k, n, &a, &b),
@@ -98,7 +97,11 @@ fn nan_propagates_through_matmul() {
     let b = Tensor::from_vec(&[2, 2], vec![f32::NAN, 1.0, 1.0, 1.0]);
     let c = a.matmul(&b);
     // Row 0: 0·NaN + 1·1 = NaN; row 1: 2·NaN + 3·1 = NaN.
-    assert!(c.data()[0].is_nan(), "0·NaN must propagate, got {}", c.data()[0]);
+    assert!(
+        c.data()[0].is_nan(),
+        "0·NaN must propagate, got {}",
+        c.data()[0]
+    );
     assert!(c.data()[2].is_nan());
     assert_eq!(c.data()[1], 1.0);
     assert_eq!(c.data()[3], 5.0);

@@ -70,7 +70,9 @@ fn gen(rng: &mut Rng, n: usize, specials: bool) -> Vec<f32> {
 
 /// 0/1 mask with roughly 30% zeros.
 fn gen_mask(rng: &mut Rng, n: usize) -> Vec<f32> {
-    (0..n).map(|_| if rng.below(10) < 3 { 0.0 } else { 1.0 }).collect()
+    (0..n)
+        .map(|_| if rng.below(10) < 3 { 0.0 } else { 1.0 })
+        .collect()
 }
 
 /// Lengths that exercise empty input, sub-lane tails, exact lane groups,
@@ -181,12 +183,36 @@ fn check_norms(rng: &mut Rng, ctx: &str) {
         let beta = gen(rng, d, false);
         let dy = gen(rng, rows * d, false);
 
-        let (mut out_g, mut mean_g, mut rstd_g) =
-            (vec![0.0f32; rows * d], vec![0.0f32; rows], vec![0.0f32; rows]);
-        let (mut out_w, mut mean_w, mut rstd_w) =
-            (vec![0.0f32; rows * d], vec![0.0f32; rows], vec![0.0f32; rows]);
-        norm::layernorm_fwd(&x, d, &gamma, &beta, 1e-5, &mut out_g, &mut mean_g, &mut rstd_g);
-        oracle::layernorm_fwd(&x, d, &gamma, &beta, 1e-5, &mut out_w, &mut mean_w, &mut rstd_w);
+        let (mut out_g, mut mean_g, mut rstd_g) = (
+            vec![0.0f32; rows * d],
+            vec![0.0f32; rows],
+            vec![0.0f32; rows],
+        );
+        let (mut out_w, mut mean_w, mut rstd_w) = (
+            vec![0.0f32; rows * d],
+            vec![0.0f32; rows],
+            vec![0.0f32; rows],
+        );
+        norm::layernorm_fwd(
+            &x,
+            d,
+            &gamma,
+            &beta,
+            1e-5,
+            &mut out_g,
+            &mut mean_g,
+            &mut rstd_g,
+        );
+        oracle::layernorm_fwd(
+            &x,
+            d,
+            &gamma,
+            &beta,
+            1e-5,
+            &mut out_w,
+            &mut mean_w,
+            &mut rstd_w,
+        );
         assert_slice_bits("layernorm_fwd.out", &out_g, &out_w, &c);
         assert_slice_bits("layernorm_fwd.mean", &mean_g, &mean_w, &c);
         assert_slice_bits("layernorm_fwd.rstd", &rstd_g, &rstd_w, &c);
@@ -195,8 +221,12 @@ fn check_norms(rng: &mut Rng, ctx: &str) {
             (vec![0.0f32; rows * d], vec![0.0f32; d], vec![0.0f32; d]);
         let (mut dx_w, mut dg_w, mut db_w) =
             (vec![0.0f32; rows * d], vec![0.0f32; d], vec![0.0f32; d]);
-        norm::layernorm_bwd(&x, d, &gamma, &mean_g, &rstd_g, &dy, &mut dx_g, &mut dg_g, &mut db_g);
-        oracle::layernorm_bwd(&x, d, &gamma, &mean_w, &rstd_w, &dy, &mut dx_w, &mut dg_w, &mut db_w);
+        norm::layernorm_bwd(
+            &x, d, &gamma, &mean_g, &rstd_g, &dy, &mut dx_g, &mut dg_g, &mut db_g,
+        );
+        oracle::layernorm_bwd(
+            &x, d, &gamma, &mean_w, &rstd_w, &dy, &mut dx_w, &mut dg_w, &mut db_w,
+        );
         assert_slice_bits("layernorm_bwd.dx", &dx_g, &dx_w, &c);
         assert_slice_bits("layernorm_bwd.dgamma", &dg_g, &dg_w, &c);
         assert_slice_bits("layernorm_bwd.dbeta", &db_g, &db_w, &c);
@@ -210,7 +240,12 @@ fn check_norms(rng: &mut Rng, ctx: &str) {
 }
 
 fn check_quant(rng: &mut Rng, ctx: &str) {
-    for &(rows, k, n) in &[(1usize, 4usize, 3usize), (2, 16, 8), (7, 33, 17), (64, 96, 40)] {
+    for &(rows, k, n) in &[
+        (1usize, 4usize, 3usize),
+        (2, 16, 8),
+        (7, 33, 17),
+        (64, 96, 40),
+    ] {
         let c = ctx.to_string() + &format!(" rows={rows} k={k} n={n}");
         let x = gen(rng, rows * k, false);
         let wv = gen(rng, k * n, false);
@@ -290,8 +325,11 @@ fn fingerprint(rng: &mut Rng) -> Vec<u32> {
     let x = gen(rng, rows * d, false);
     let gamma = gen(rng, d, false);
     let beta = gen(rng, d, false);
-    let (mut o, mut mean, mut rstd) =
-        (vec![0.0f32; rows * d], vec![0.0f32; rows], vec![0.0f32; rows]);
+    let (mut o, mut mean, mut rstd) = (
+        vec![0.0f32; rows * d],
+        vec![0.0f32; rows],
+        vec![0.0f32; rows],
+    );
     norm::layernorm_fwd(&x, d, &gamma, &beta, 1e-5, &mut o, &mut mean, &mut rstd);
     fp.extend(o.iter().map(|v| canon(*v)));
     // int8 linear: exact integer accumulation means every config must land
