@@ -17,7 +17,7 @@ use msd_tensor::{rng::Rng, Tensor};
 use std::path::{Path, PathBuf};
 
 fn temp_dir(name: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("msd_ckpt_resume_{name}"));
+    let dir = std::env::temp_dir().join(format!("msd_ckpt_resume_{}_{name}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     dir
 }

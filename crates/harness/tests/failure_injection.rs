@@ -336,7 +336,10 @@ fn all_nan_epoch_reports_nan_loss_not_zero() {
 
 #[test]
 fn telemetry_jsonl_records_recovery_end_to_end() {
-    let path = std::env::temp_dir().join("msd_failure_injection_telemetry.jsonl");
+    let path = std::env::temp_dir().join(format!(
+        "msd_failure_injection_telemetry_{}.jsonl",
+        std::process::id()
+    ));
     let _ = std::fs::remove_file(&path);
     let src = InjectAtSource::new(&[2]);
     let (model, mut store) = small_model(4);

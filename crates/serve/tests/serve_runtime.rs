@@ -648,7 +648,10 @@ fn smoke_1k_mixed_shape_requests_zero_lost_zero_corrupted() {
         .collect();
     let (reference, _) = sequential_baseline(&model, &store, &inputs);
 
-    let events = std::env::temp_dir().join("msd_serve_smoke_events.jsonl");
+    let events = std::env::temp_dir().join(format!(
+        "msd_serve_smoke_events_{}.jsonl",
+        std::process::id()
+    ));
     let _ = std::fs::remove_file(&events);
     let mut store2 = ParamStore::new();
     let model2 = Affine::new(&mut store2, 2, 6);

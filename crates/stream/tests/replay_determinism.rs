@@ -11,7 +11,7 @@ use msd_stream::{DriftScenario, ScenarioConfig, StreamConfig, StreamEngine, Stre
 use std::path::{Path, PathBuf};
 
 fn temp_dir(name: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("msd_stream_replay_{name}"));
+    let dir = std::env::temp_dir().join(format!("msd_stream_replay_{}_{name}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     dir
 }

@@ -19,7 +19,7 @@ use msd_tensor::rng::Rng;
 use std::path::PathBuf;
 
 fn temp_dir(name: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("msd_stream_warm_{name}"));
+    let dir = std::env::temp_dir().join(format!("msd_stream_warm_{}_{name}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     dir
 }

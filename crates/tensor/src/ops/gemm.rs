@@ -1,21 +1,29 @@
-//! Blocked, packed, register-tiled SGEMM, with a small-n path for products
-//! of fewer than 16 columns — the compute engine behind [`Tensor::matmul`],
-//! its transpose-aware variants, and [`Tensor::linear`].
+//! Register-tiled SGEMM with three paths — the compute engine behind
+//! [`Tensor::matmul`], its transpose-aware variants, and [`Tensor::linear`].
 //!
 //! # Design
 //!
-//! Classic three-level blocking (the BLIS decomposition):
+//! [`path_for`], a pure function of the shape and strides (never of the
+//! kernel tier), sends each product down one of three paths:
 //!
-//! * the k dimension is split into `KC`-deep slabs so one packed slab of B
-//!   stays L2/L3-resident while it is reused by every row panel;
-//! * rows of C are split into `MC`-high tiles; each tile packs its slab of A
-//!   into an `MR`-interleaved buffer that streams through L1;
-//! * a register-tiled `MR × NR` microkernel (runtime-dispatched between a
-//!   portable scalar version and an AVX accumulator-grid version on x86-64)
-//!   computes each output block, keeping 12 vector accumulators live.
+//! 1. **Small-n** ([`GemmPath::SmallN`]): C has `n < NR` columns and at
+//!    least 16 rows (below).
+//! 2. **Pack-free** ([`GemmPath::PackFree`]): B's columns are adjacent
+//!    (`b_cs = 1`), and C has at most 64 rows and 192 columns, or the
+//!    product has a depth of at most 96 and C at most 96 columns (below).
+//! 3. **Packed** ([`GemmPath::Packed`]): everything else, including every
+//!    product with a transposed B. Classic three-level blocking (the BLIS
+//!    decomposition):
+//!    * the k dimension is split into `KC`-deep slabs so one packed slab of
+//!      B stays L2/L3-resident while it is reused by every row panel;
+//!    * rows of C are split into `MC`-high tiles; each tile packs its slab
+//!      of A into an `MR`-interleaved buffer that streams through L1;
+//!    * a register-tiled `MR × NR` microkernel (runtime-dispatched between
+//!      a portable scalar version and AVX accumulator-grid versions on
+//!      x86-64) computes each output block.
 //!
-//! Both operands are read through arbitrary (row, column) strides, so the
-//! same packing routines serve `A·B`, `A·Bᵀ` and `Aᵀ·B` — transposed
+//! Both operands are read through arbitrary (row, column) strides on every
+//! path, so `A·B`, `A·Bᵀ` and `Aᵀ·B` share the code — transposed
 //! backward-pass products never materialise a transposed copy.
 //!
 //! # Small-n path
@@ -28,17 +36,33 @@
 //! pass), one A load and then one B broadcast and one FMA per column for
 //! each k term. It reads both operands in place through their strides and
 //! never touches the scratch arena. The body is written once against the
-//! kernel layer's `SimdVec` and instantiated per tier. Products with
-//! `n ≥ NR`, or fewer than 16 rows, stay on the blocked kernel.
+//! kernel layer's `SimdVec` and instantiated per tier.
+//!
+//! # Pack-free path
+//!
+//! The rest of the Fig. 3 block's products are small or skinny too
+//! (56×1536×96, 112×96×48, 5376×1×16): each packed panel is reused only a
+//! few times, so packing costs about as much as the arithmetic. The
+//! pack-free path runs the packed path's `MR × NR` register tile straight
+//! over the caller's operands: each A element is broadcast from A's own
+//! rows through `(a_rs, a_cs)`, and B's row segments are loaded in place,
+//! the last column panel's with a masked load that reads only its valid
+//! floats. Its loop order is KC slabs, then column
+//! panels, then row panels, so every row panel reuses one B panel from L1.
+//! Nothing is packed and the scratch arena is not touched. Packing pays
+//! again once many row panels reuse a wide B panel: more than 64 rows at
+//! a depth above 96, or C too wide for B's rows, read in place, to stay
+//! in L1 ([`path_for`] has the measured bounds).
 //!
 //! # Determinism and exactness
 //!
 //! Every output element starts at 0.0 and accumulates its k products in
-//! ascending-k order with one fused multiply-add per term, on both paths:
-//! the AVX paths use `vfmadd` and the portable path uses [`f32::mul_add`],
+//! ascending-k order with one fused multiply-add per term, on every path
+//! (a KC slab continues from the sum the previous slab stored in C): the
+//! AVX paths use `vfmadd` and the portable path uses [`f32::mul_add`],
 //! which is correctly rounded and therefore **bit-identical** to the
-//! hardware instruction. The dispatcher can pick either kernel, and the
-//! small-n rule either path, and the result does not change; the
+//! hardware instruction. The dispatcher can pick any kernel, and
+//! [`path_for`] any path, and the result does not change; the
 //! `kernels_differential` suite pins each element to this contract's
 //! oracle (`kernels::oracle::gemm`) on every tier. Products run on
 //! the caller's thread ([`crate::pool`] explains why there is no intra-op
@@ -60,6 +84,44 @@ pub const NR: usize = 16;
 const KC: usize = 256;
 /// Rows of C per row tile (a multiple of `MR`).
 const MC: usize = 96;
+
+/// The path [`sgemm_strided`] runs a product on.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum GemmPath {
+    /// Fewer than `NR` columns and at least 16 rows: vectorised over rows
+    /// of C, operands read in place.
+    SmallN,
+    /// B's columns adjacent and the product too small for packing to pay:
+    /// the `MR × NR` register tile reads both operands in place.
+    PackFree,
+    /// Everything else: blocked, packed through the per-thread scratch
+    /// arena.
+    Packed,
+}
+
+/// The path [`sgemm_strided`] takes for an `m×k · k×n` product whose A rows
+/// step by `a_rs` and whose B columns step by `b_cs`. It depends on the
+/// shape and strides only, never on the kernel tier, so every tier runs a
+/// product on the same path.
+pub fn path_for(m: usize, k: usize, n: usize, a_rs: usize, b_cs: usize) -> GemmPath {
+    // Lane offsets of the small-n path's strided A load are `i32`s.
+    let a_lanes_fit = a_rs == 1 || a_rs <= i32::MAX as usize / SMALL_N_MIN_M;
+    // Packing pays only when a packed panel is reused enough. At most 64
+    // rows give at most 11 row panels to reuse each B panel; a depth of at
+    // most 96 costs as much to pack as to multiply. Wider C (past 192
+    // columns, or past 96 with more rows) puts the B rows read in place too
+    // far apart for a B panel to stay in L1 across row panels: in place,
+    // 64×64×256 ran 1.22× and 4096×32×256 1.27× slower than packed.
+    let few_rows = m <= 64 && n <= 192;
+    let shallow = k <= 96 && n <= 96;
+    if n < NR && m >= SMALL_N_MIN_M && a_lanes_fit {
+        GemmPath::SmallN
+    } else if b_cs == 1 && (few_rows || shallow) {
+        GemmPath::PackFree
+    } else {
+        GemmPath::Packed
+    }
+}
 
 /// Reference kernel: the plain i-k-j triple loop, kept as the ground truth
 /// for equality tests and as the baseline the micro-benchmarks measure the
@@ -83,7 +145,9 @@ pub fn naive_gemm(m: usize, k: usize, n: usize, a: &[f32], b: &[f32]) -> Vec<f32
 
 /// `C = A·B` with strided operands: `A[i, p] = a[i·a_rs + p·a_cs]` (an `m×k`
 /// view), `B[p, j] = b[p·b_rs + j·b_cs]` (`k×n`), `C` row-major `m×n`,
-/// overwritten.
+/// overwritten. Runs on the path [`path_for`] picks (small-n, pack-free or
+/// packed); only the packed path takes the thread's scratch arena, and the
+/// path changes no bit of C.
 // BLAS-style flat signature (dims + strided operands) on purpose: this is
 // the conventional sgemm shape and every caller passes the fields of a
 // tensor view it already holds.
@@ -113,9 +177,9 @@ pub fn sgemm_strided(
     // Resolve the ISA tier once per product and pass it down, so no
     // microkernel call pays the dispatcher's lookup.
     let isa = isa_level();
-    // Lane offsets of the small-n path's strided A load are `i32`s.
-    if n < NR && m >= SMALL_N_MIN_M && (a_rs == 1 || a_rs <= i32::MAX as usize / SMALL_N_MIN_M) {
-        let o = SmallN {
+    let path = path_for(m, k, n, a_rs, b_cs);
+    if path != GemmPath::Packed {
+        let o = InPlace {
             m,
             k,
             n,
@@ -126,7 +190,7 @@ pub fn sgemm_strided(
             b_rs,
             b_cs,
         };
-        small_n(isa, o, a, b, c);
+        in_place(isa, path, o, a, b, c);
         return;
     }
 
@@ -260,10 +324,10 @@ const SMALL_N_MIN_M: usize = 16;
 /// and a B broadcast, stays inside the 16 AVX2 registers.
 const SMALL_N_COLS: usize = 8;
 
-/// The operands of one small-n product, as raw pointers into views whose
-/// bounds [`small_n`] has checked.
+/// The operands of one product read in place (small-n or pack-free), as
+/// raw pointers into views whose bounds [`in_place`] has checked.
 #[derive(Clone, Copy)]
-struct SmallN {
+struct InPlace {
     m: usize,
     k: usize,
     n: usize,
@@ -275,18 +339,11 @@ struct SmallN {
     b_cs: usize,
 }
 
-/// The small-n path: C has fewer than `NR` columns, so the blocked kernel
-/// would spend most of each `MR × NR` tile on padding and packing.
-/// Vectorises over rows of C instead: lane `l` holds row `i + l`, and each
-/// output column keeps one accumulator. Per k term it does one A load (a
-/// gather unless A's rows are adjacent), then one B broadcast and one fused
-/// multiply-add per column. That is the microkernels' own chain (ascending
-/// k, one FMA per term, from 0.0), so the result is bit-identical to the
-/// blocked path on every tier. Operands are read in place: nothing is
-/// packed and the scratch arena is not touched.
-fn small_n(isa: IsaLevel, o: SmallN, a: &[f32], b: &[f32], c: &mut [f32]) {
-    // The body reads through raw pointers: prove every index in range,
-    // overflow included.
+/// Runs a product on the small-n or the pack-free path, both of which read
+/// the operands in place through raw pointers and never touch the scratch
+/// arena: proves every index in range first, then dispatches on the tier.
+fn in_place(isa: IsaLevel, path: GemmPath, o: InPlace, a: &[f32], b: &[f32], c: &mut [f32]) {
+    // Overflow included: the last element of a view is its largest index.
     let last = |rows: usize, rs: usize, cols: usize, cs: usize| {
         (rows - 1)
             .checked_mul(rs)?
@@ -305,35 +362,59 @@ fn small_n(isa: IsaLevel, o: SmallN, a: &[f32], b: &[f32], c: &mut [f32]) {
     {
         use crate::ops::kernels::simd::{V16, V8};
         #[target_feature(enable = "avx2", enable = "fma")]
-        unsafe fn fma(o: SmallN, c: *mut f32) {
-            small_n_body::<V8>(o, c)
+        unsafe fn fma(path: GemmPath, o: InPlace, c: *mut f32) {
+            in_place_body::<V8, 2>(path, o, c)
         }
         #[target_feature(enable = "avx512f")]
-        unsafe fn avx512(o: SmallN, c: *mut f32) {
-            small_n_body::<V16>(o, c)
+        unsafe fn avx512(path: GemmPath, o: InPlace, c: *mut f32) {
+            in_place_body::<V16, 1>(path, o, c)
         }
         match isa {
             // SAFETY: the views were bounds-checked above, `c` holds m·n
-            // elements (asserted by the caller), m ≥ SMALL_N_MIN_M ≥ 16
-            // lanes, the caller bounded 15·a_rs by i32::MAX, and dispatch
-            // only selects a tier the CPU supports.
-            IsaLevel::Avx512 => return unsafe { avx512(o, c) },
-            IsaLevel::Fma => return unsafe { fma(o, c) },
+            // elements (asserted by the caller), `path_for` chose the path
+            // (so a small-n product has m ≥ SMALL_N_MIN_M ≥ 16 lanes and
+            // 15·a_rs within i32::MAX, a pack-free one has b_cs = 1), and
+            // dispatch only selects a tier the CPU supports.
+            IsaLevel::Avx512 => return unsafe { avx512(path, o, c) },
+            IsaLevel::Fma => return unsafe { fma(path, o, c) },
             IsaLevel::Baseline => {}
         }
     }
     // SAFETY: as above; one-lane vectors need no ISA extension.
-    unsafe { small_n_body::<F1>(o, c) }
+    unsafe { in_place_body::<F1, NR>(path, o, c) }
 }
 
-/// Runs the small-n product in passes of up to `SMALL_N_COLS` columns.
+/// One tier's instance of both in-place paths; `L` vectors of `V` span the
+/// `NR` columns of a pack-free tile.
+///
+/// # Safety
+/// As [`small_n_body`] for [`GemmPath::SmallN`], as [`pack_free_body`]
+/// otherwise.
+#[inline(always)]
+unsafe fn in_place_body<V: SimdVec, const L: usize>(path: GemmPath, o: InPlace, c: *mut f32) {
+    if path == GemmPath::SmallN {
+        small_n_body::<V>(o, c)
+    } else {
+        pack_free_body::<V, L>(o, c)
+    }
+}
+
+/// The small-n path: C has fewer than `NR` columns, so the blocked kernel
+/// would spend most of each `MR × NR` tile on padding and packing.
+/// Vectorises over rows of C instead: lane `l` holds row `i + l`, and each
+/// output column keeps one accumulator. Per k term it does one A load (a
+/// gather unless A's rows are adjacent), then one B broadcast and one fused
+/// multiply-add per column. That is the microkernels' own chain (ascending
+/// k, one FMA per term, from 0.0), so the result is bit-identical to the
+/// other paths on every tier. It runs in passes of up to `SMALL_N_COLS`
+/// columns.
 ///
 /// # Safety
 /// Every `A[i, p]` and `B[p, j]` of `o`'s views is in bounds, `c` is
 /// writable for `m·n` elements, `m ≥ V::W`, `(V::W - 1)·a_rs` fits an
 /// `i32`, and the CPU supports `V`.
 #[inline(always)]
-unsafe fn small_n_body<V: SimdVec>(o: SmallN, c: *mut f32) {
+unsafe fn small_n_body<V: SimdVec>(o: InPlace, c: *mut f32) {
     let mut j0 = 0;
     while j0 < o.n {
         let cols = (o.n - j0).min(SMALL_N_COLS);
@@ -356,7 +437,7 @@ unsafe fn small_n_body<V: SimdVec>(o: SmallN, c: *mut f32) {
 /// # Safety
 /// As [`small_n_body`], and `j0 + N ≤ n`.
 #[inline(always)]
-unsafe fn small_n_pass<V: SimdVec, const N: usize>(o: SmallN, c: *mut f32, j0: usize) {
+unsafe fn small_n_pass<V: SimdVec, const N: usize>(o: InPlace, c: *mut f32, j0: usize) {
     debug_assert!(V::W <= NR && o.m >= V::W && j0 + N <= o.n);
     let mut i0 = 0;
     while i0 < o.m {
@@ -393,6 +474,118 @@ unsafe fn small_n_pass<V: SimdVec, const N: usize>(o: SmallN, c: *mut f32, j0: u
             }
         }
         i0 += V::W;
+    }
+}
+
+/// The pack-free path: the `MR × NR` register tile of the packed path, run
+/// straight over the caller's operands. Each A element is broadcast from
+/// A's own rows through `(a_rs, a_cs)` and each B row segment is loaded in
+/// place, so nothing is packed. Loop order: KC slabs, then `NR`-wide column
+/// panels, then `MR`-high row panels, so every row panel of a slab reuses
+/// one B panel (kc rows of `NR` floats) from L1. Every element runs the
+/// microkernels' chain: from 0.0 on the first slab, continuing from C on
+/// the next, ascending k, one FMA per term.
+///
+/// # Safety
+/// Every `A[i, p]` and `B[p, j]` of `o`'s views is in bounds, `b_cs = 1`,
+/// `c` is writable for `m·n` elements, `L·V::W = NR`, and the CPU supports
+/// `V`.
+#[inline(always)]
+unsafe fn pack_free_body<V: SimdVec, const L: usize>(o: InPlace, c: *mut f32) {
+    debug_assert!(L * V::W == NR && o.b_cs == 1);
+    // Ragged blocks run through this NR-wide buffer, as on the packed path;
+    // its lanes past the block are scratch whose sums are dropped.
+    let mut buf = [0.0f32; MR * NR];
+    let mut k0 = 0;
+    while k0 < o.k {
+        let kc = KC.min(o.k - k0);
+        let init = k0 == 0;
+        for j in (0..o.n).step_by(NR) {
+            let nr = NR.min(o.n - j);
+            let b_panel = o.b.add(k0 * o.b_rs + j);
+            for i in (0..o.m).step_by(MR) {
+                let mr = MR.min(o.m - i);
+                // Rows past m re-read the last row; their sums are dropped.
+                let a_rows: [*const f32; MR] =
+                    std::array::from_fn(|r| o.a.add((i + r.min(mr - 1)) * o.a_rs + k0 * o.a_cs));
+                let c_block = c.add(i * o.n + j);
+                let full = mr == MR && nr == NR;
+                let (dst, ldc) = if full {
+                    (c_block, o.n)
+                } else {
+                    if !init {
+                        for ii in 0..mr {
+                            for jj in 0..nr {
+                                buf[ii * NR + jj] = *c_block.add(ii * o.n + jj);
+                            }
+                        }
+                    }
+                    (buf.as_mut_ptr(), NR)
+                };
+                let mut acc = [[V::splat(0.0); L]; MR];
+                if !init {
+                    for (r, row) in acc.iter_mut().enumerate() {
+                        for (l, v) in row.iter_mut().enumerate() {
+                            *v = V::load(dst.add(r * ldc + l * V::W));
+                        }
+                    }
+                }
+                if nr == NR {
+                    pack_free_terms::<V, L, true>(o, kc, &a_rows, b_panel, nr, &mut acc);
+                } else {
+                    pack_free_terms::<V, L, false>(o, kc, &a_rows, b_panel, nr, &mut acc);
+                }
+                for (r, row) in acc.iter().enumerate() {
+                    for (l, v) in row.iter().enumerate() {
+                        v.store(dst.add(r * ldc + l * V::W));
+                    }
+                }
+                if !full {
+                    for ii in 0..mr {
+                        for jj in 0..nr {
+                            *c_block.add(ii * o.n + jj) = buf[ii * NR + jj];
+                        }
+                    }
+                }
+            }
+        }
+        k0 += kc;
+    }
+}
+
+/// Adds `kc` terms to one pack-free block's accumulators. Row `r` of A
+/// starts at `a_rows[r]` and steps by `a_cs`; B's rows start at `b`, step
+/// by `b_rs` and hold `nr` valid floats (all `NR` when `FULL`). Only those
+/// are read: lanes past them load as zero and feed dropped sums.
+///
+/// # Safety
+/// As [`pack_free_body`], for a block whose `kc` terms lie in the views.
+#[inline(always)]
+unsafe fn pack_free_terms<V: SimdVec, const L: usize, const FULL: bool>(
+    o: InPlace,
+    kc: usize,
+    a_rows: &[*const f32; MR],
+    b: *const f32,
+    nr: usize,
+    acc: &mut [[V; L]; MR],
+) {
+    for p in 0..kc {
+        let b_row = b.add(p * o.b_rs);
+        let mut bv = [V::splat(0.0); L];
+        for (l, v) in bv.iter_mut().enumerate() {
+            let j = l * V::W;
+            if FULL {
+                *v = V::load(b_row.add(j));
+            } else if j < nr {
+                *v = V::load_partial(b_row.add(j), nr - j);
+            }
+        }
+        for (row, a_row) in acc.iter_mut().zip(a_rows) {
+            let av = V::splat(*a_row.add(p * o.a_cs));
+            for (v, &bl) in row.iter_mut().zip(&bv) {
+                *v = V::fmadd(av, bl, *v);
+            }
+        }
     }
 }
 
@@ -684,6 +877,35 @@ mod tests {
         let mut c_ref = vec![0.0f32; m * n];
         sgemm_strided(m, k, n, &a, k, 1, &b, n, 1, &mut c_ref);
         assert_eq!(c, c_ref);
+    }
+
+    /// serve_mixer's batch-8 patch embedding (5376×1×16) and largest head
+    /// Linear (56×1536×96) run pack-free, so a thread that runs only them
+    /// never grows a scratch arena; a packed product on another fresh
+    /// thread does, so the check can fail.
+    #[test]
+    fn pack_free_products_leave_the_scratch_arena_empty() {
+        let arena_after = |shapes: Vec<(usize, usize, usize)>| {
+            std::thread::spawn(move || {
+                let mut rng = Rng::seed_from(9);
+                for (m, k, n) in shapes {
+                    let a = random(m * k, &mut rng);
+                    let b = random(k * n, &mut rng);
+                    let mut c = vec![0.0f32; m * n];
+                    sgemm_strided(m, k, n, &a, k, 1, &b, n, 1, &mut c);
+                }
+                SCRATCH.with(|s| s.borrow().capacity())
+            })
+            .join()
+            .unwrap()
+        };
+        let pack_free = vec![(5376, 1, 16), (56, 1536, 96)];
+        for &(m, k, n) in &pack_free {
+            assert_eq!(path_for(m, k, n, k, 1), GemmPath::PackFree);
+        }
+        assert_eq!(arena_after(pack_free), 0);
+        assert_eq!(path_for(256, 256, 256, 256, 1), GemmPath::Packed);
+        assert!(arena_after(vec![(256, 256, 256)]) > 0);
     }
 
     #[test]

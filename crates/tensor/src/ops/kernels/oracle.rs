@@ -314,7 +314,7 @@ pub fn softmax_rows(x: &[f32], d: usize, out: &mut [f32]) {
 /// Reference for [`crate::ops::gemm::sgemm_strided`] (same strided views):
 /// each output element starts at 0.0 and adds its k terms in ascending
 /// order, one correctly rounded fused multiply-add per term. That is the
-/// whole GEMM contract; both the blocked kernel and the small-n path must
+/// whole GEMM contract; the packed, small-n and pack-free paths must all
 /// match it bit for bit on every tier.
 #[allow(clippy::too_many_arguments)]
 pub fn gemm(

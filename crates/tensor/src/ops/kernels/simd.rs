@@ -30,6 +30,9 @@ pub(crate) trait SimdVec: Copy {
     /// Lane `l` reads `*p.add(l * stride)`; the caller guarantees
     /// `(W - 1) · stride` fits an `i32` (the x86 gathers index with one).
     unsafe fn load_strided(p: *const f32, stride: usize) -> Self;
+    /// Loads lanes `0..min(len, W)` from `p` and zeroes the rest, reading
+    /// nothing at or past `p + len` (a masked load on x86).
+    unsafe fn load_partial(p: *const f32, len: usize) -> Self;
     /// Lanewise fused `a·b + c` with a single rounding (`f32::mul_add`).
     unsafe fn fmadd(a: Self, b: Self, c: Self) -> Self;
     /// Lanewise `a + b`.
@@ -75,6 +78,10 @@ impl SimdVec for F1 {
     #[inline(always)]
     unsafe fn load_strided(p: *const f32, _stride: usize) -> Self {
         F1(*p)
+    }
+    #[inline(always)]
+    unsafe fn load_partial(p: *const f32, len: usize) -> Self {
+        F1(if len > 0 { *p } else { 0.0 })
     }
     #[inline(always)]
     unsafe fn fmadd(a: Self, b: Self, c: Self) -> Self {
@@ -169,6 +176,15 @@ mod x86 {
             );
             V8(_mm256_i32gather_ps::<4>(p, idx))
         }
+        /// Needs AVX2 (the lane mask's compare) on top of AVX.
+        #[inline(always)]
+        unsafe fn load_partial(p: *const f32, len: usize) -> Self {
+            let mask = _mm256_cmpgt_epi32(
+                _mm256_set1_epi32(len.min(8) as i32),
+                _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7),
+            );
+            V8(_mm256_maskload_ps(p, mask))
+        }
         /// Needs the FMA extension on top of AVX.
         #[inline(always)]
         unsafe fn fmadd(a: Self, b: Self, c: Self) -> Self {
@@ -242,6 +258,11 @@ mod x86 {
                 _mm512_set1_epi32(stride as i32),
             );
             V16(_mm512_i32gather_ps::<4>(idx, p))
+        }
+        #[inline(always)]
+        unsafe fn load_partial(p: *const f32, len: usize) -> Self {
+            let mask = ((1u32 << len.min(16)) - 1) as u16;
+            V16(_mm512_maskz_loadu_ps(mask, p))
         }
         #[inline(always)]
         unsafe fn fmadd(a: Self, b: Self, c: Self) -> Self {

@@ -14,7 +14,7 @@
 //! different NaN bits. Whether a value IS NaN, and every non-NaN bit
 //! (including ±inf and signed zeros), is still exact.
 
-use msd_tensor::ops::gemm::sgemm_strided;
+use msd_tensor::ops::gemm::{path_for, sgemm_strided, GemmPath, MR, NR};
 use msd_tensor::ops::kernels::{self, ew, norm, oracle, quant, reduce, Tier};
 use msd_tensor::rng::Rng;
 
@@ -268,40 +268,109 @@ fn check_quant(rng: &mut Rng, ctx: &str) {
     }
 }
 
-/// GEMM against its contract oracle, on shapes that straddle the small-n
-/// path's choice (n < 16 with m ≥ 16) and the blocked kernel's tile and
-/// slab edges, reading the operands the way `matmul`, `matmul_nt`,
-/// `matmul_tn` and a padded view pass them. Some rows of A carry NaN, ±inf
-/// and ±0.
-fn check_gemm(rng: &mut Rng, ctx: &str) {
+/// An `m×k · k×n` product as (m, k, n).
+type Shape = (usize, usize, usize);
+/// How a layout passes a product: (A row/col stride, A length, B row/col
+/// stride, B length).
+type Layout = ((usize, usize), usize, (usize, usize), usize);
+
+/// The GEMM sweep, in order: (m, k, n) and the layouts it runs in. First
+/// shapes that straddle the small-n path's choice (n < 16 with m ≥ 16) and
+/// the packed kernel's tile and slab edges, in all four layouts; then
+/// pack-free products with a ragged row panel (m = 56, 112), ragged and
+/// multiple column panels (n = 24, 33, 96) and a slab that continues from C
+/// (k = 257), in the three layouts whose B columns are adjacent.
+fn gemm_cases() -> Vec<(Shape, &'static [&'static str])> {
+    let mut cases = Vec::new();
     for &m in &[1usize, 5, 6, 15, 16, 17, 97] {
         for &n in &[1usize, 2, 4, 7, 8, 14, 15, 16, 17] {
             for &k in &[1usize, 2, 16, 255, 256, 257] {
-                // (name, A row/col stride, A length, B row/col stride, B length)
-                let layouts = [
-                    ("nn", (k, 1), m * k, (n, 1), k * n),
-                    ("nt", (k, 1), m * k, (1, k), n * k),
-                    ("tn", (1, m), k * m, (n, 1), k * n),
-                    ("padded", (k + 3, 1), m * (k + 3), (n + 2, 1), k * (n + 2)),
-                ];
-                for (name, (a_rs, a_cs), a_len, (b_rs, b_cs), b_len) in layouts {
-                    let mut a = gen(rng, a_len, false);
-                    for i in (1..m).step_by(4) {
-                        for p in 0..k {
-                            a[i * a_rs + p * a_cs] = gen(rng, 1, true)[0];
-                        }
-                    }
-                    let b = gen(rng, b_len, false);
-                    let mut got = vec![f32::NAN; m * n];
-                    let mut want = vec![0.0f32; m * n];
-                    sgemm_strided(m, k, n, &a, a_rs, a_cs, &b, b_rs, b_cs, &mut got);
-                    oracle::gemm(m, k, n, &a, a_rs, a_cs, &b, b_rs, b_cs, &mut want);
-                    let c = ctx.to_string() + &format!(" gemm {name} {m}x{k}x{n}");
-                    assert_slice_bits("gemm", &got, &want, &c);
-                }
+                cases.push(((m, k, n), &["nn", "nt", "tn", "padded"][..]));
             }
         }
     }
+    for &m in &[56usize, 112] {
+        for &n in &[24usize, 33, 96] {
+            for &k in &[1usize, 96, 257] {
+                cases.push(((m, k, n), &["nn", "tn", "padded"][..]));
+            }
+        }
+    }
+    cases
+}
+
+/// A product's layout, the way `matmul`, `matmul_nt`, `matmul_tn` and a
+/// padded view pass it.
+fn gemm_layout(name: &str, (m, k, n): Shape) -> Layout {
+    match name {
+        "nn" => ((k, 1), m * k, (n, 1), k * n),
+        "nt" => ((k, 1), m * k, (1, k), n * k),
+        "tn" => ((1, m), k * m, (n, 1), k * n),
+        "padded" => ((k + 3, 1), m * (k + 3), (n + 2, 1), k * (n + 2)),
+        _ => unreachable!("unknown layout {name}"),
+    }
+}
+
+/// GEMM against its contract oracle over [`gemm_cases`]. Some rows of A
+/// carry NaN, ±inf and ±0.
+fn check_gemm(rng: &mut Rng, ctx: &str) {
+    for ((m, k, n), layouts) in gemm_cases() {
+        for &name in layouts {
+            let ((a_rs, a_cs), a_len, (b_rs, b_cs), b_len) = gemm_layout(name, (m, k, n));
+            let mut a = gen(rng, a_len, false);
+            for i in (1..m).step_by(4) {
+                for p in 0..k {
+                    a[i * a_rs + p * a_cs] = gen(rng, 1, true)[0];
+                }
+            }
+            let b = gen(rng, b_len, false);
+            let mut got = vec![f32::NAN; m * n];
+            let mut want = vec![0.0f32; m * n];
+            sgemm_strided(m, k, n, &a, a_rs, a_cs, &b, b_rs, b_cs, &mut got);
+            oracle::gemm(m, k, n, &a, a_rs, a_cs, &b, b_rs, b_cs, &mut want);
+            let c = ctx.to_string() + &format!(" gemm {name} {m}x{k}x{n}");
+            assert_slice_bits("gemm", &got, &want, &c);
+        }
+    }
+}
+
+/// Every path of `sgemm_strided` is in the sweep, and the pack-free
+/// products hit each of their edges: a change to the path rule cannot
+/// silently stop testing one of them.
+#[test]
+fn gemm_sweep_covers_every_path_and_pack_free_edge() {
+    let mut paths = Vec::new();
+    let mut pack_free = Vec::new();
+    for (shape @ (m, k, n), layouts) in gemm_cases() {
+        for &name in layouts {
+            let ((a_rs, _), _, (_, b_cs), _) = gemm_layout(name, shape);
+            let path = path_for(m, k, n, a_rs, b_cs);
+            paths.push(path);
+            if path == GemmPath::PackFree {
+                pack_free.push(shape);
+            }
+        }
+    }
+    for path in [GemmPath::SmallN, GemmPath::PackFree, GemmPath::Packed] {
+        assert!(paths.contains(&path), "no {path:?} product in the sweep");
+    }
+    let any = |hit: fn(Shape) -> bool| pack_free.iter().any(|&shape| hit(shape));
+    assert!(
+        any(|(m, _, _)| m % MR != 0 && m > MR),
+        "no pack-free ragged row panel"
+    );
+    assert!(
+        any(|(_, _, n)| n % NR != 0),
+        "no pack-free ragged column panel"
+    );
+    assert!(
+        any(|(_, _, n)| n > NR),
+        "no pack-free product with several column panels"
+    );
+    assert!(
+        any(|(_, k, _)| k > 256),
+        "no pack-free slab continuing from C"
+    );
 }
 
 /// Capture whole-run outputs under the CURRENT tier so the
@@ -344,6 +413,14 @@ fn fingerprint(rng: &mut Rng) -> Vec<u32> {
     fp.extend(qo.iter().map(|v| canon(*v)));
     // A small-n product (n < 16, m ≥ 16), as `Tensor::linear` passes it.
     let (m, k, n) = (97usize, 40usize, 7usize);
+    let a = gen(rng, m * k, false);
+    let b = gen(rng, k * n, false);
+    let mut go = vec![0.0f32; m * n];
+    sgemm_strided(m, k, n, &a, k, 1, &b, n, 1, &mut go);
+    fp.extend(go.iter().map(|v| canon(*v)));
+    // A pack-free product with a ragged row and column panel and two KC
+    // slabs.
+    let (m, k, n) = (56usize, 300usize, 33usize);
     let a = gen(rng, m * k, false);
     let b = gen(rng, k * n, false);
     let mut go = vec![0.0f32; m * n];

@@ -21,6 +21,10 @@ if ! cargo clippy --version >/dev/null 2>&1; then
 fi
 cargo clippy --workspace --all-targets --offline -- -D warnings
 
+# Format gate: msd-tensor (the kernels) is kept rustfmt-clean, so a kernel
+# diff shows only its change. The other crates are not formatted yet.
+cargo fmt --check -p msd-tensor
+
 # Benchmark build tripwire: msdbench/ is a workspace of its own, built against
 # this workspace's public API through path dependencies, so the workspace
 # build above never compiles it. Building it here (and running its
