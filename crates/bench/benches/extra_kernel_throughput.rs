@@ -13,8 +13,8 @@
 use std::io::Write as _;
 use std::time::Instant;
 
+use msd_data::{SlidingWindows, Split};
 use msd_harness::{fit, ForecastSource, ModelSpec, TrainConfig};
-use msd_data::{Split, SlidingWindows};
 use msd_mixer::variants::Variant;
 use msd_nn::{Model, ParamStore, Task};
 use msd_tensor::ops::kernels::{detected_tier, ew, norm, oracle, reduce, with_tier};
@@ -140,7 +140,10 @@ fn run() {
         || oracle::gelu_bwd(&x, &y, &mut buf_o),
     ));
 
-    assert!(reduce::sum(&x).to_bits() == oracle::sum(&x).to_bits(), "sum mismatch");
+    assert!(
+        reduce::sum(&x).to_bits() == oracle::sum(&x).to_bits(),
+        "sum mismatch"
+    );
     rows.push(bench_kernel(
         "sum",
         4 * n,
@@ -153,7 +156,10 @@ fn run() {
         },
     ));
 
-    assert!(reduce::dot(&x, &y).to_bits() == oracle::dot(&x, &y).to_bits(), "dot mismatch");
+    assert!(
+        reduce::dot(&x, &y).to_bits() == oracle::dot(&x, &y).to_bits(),
+        "dot mismatch"
+    );
     rows.push(bench_kernel(
         "dot",
         8 * n,
@@ -173,16 +179,56 @@ fn run() {
     let beta: Vec<f32> = (0..d).map(|_| 0.1 * rng.normal()).collect();
     let (mut mean_k, mut rstd_k) = (vec![0.0f32; rows_ln], vec![0.0f32; rows_ln]);
     let (mut mean_o, mut rstd_o) = (vec![0.0f32; rows_ln], vec![0.0f32; rows_ln]);
-    norm::layernorm_fwd(&x[..ln_n], d, &gamma, &beta, 1e-5, &mut buf_k[..ln_n], &mut mean_k, &mut rstd_k);
-    oracle::layernorm_fwd(&x[..ln_n], d, &gamma, &beta, 1e-5, &mut buf_o[..ln_n], &mut mean_o, &mut rstd_o);
+    norm::layernorm_fwd(
+        &x[..ln_n],
+        d,
+        &gamma,
+        &beta,
+        1e-5,
+        &mut buf_k[..ln_n],
+        &mut mean_k,
+        &mut rstd_k,
+    );
+    oracle::layernorm_fwd(
+        &x[..ln_n],
+        d,
+        &gamma,
+        &beta,
+        1e-5,
+        &mut buf_o[..ln_n],
+        &mut mean_o,
+        &mut rstd_o,
+    );
     assert_same_bits(&buf_k[..ln_n], &buf_o[..ln_n], "layernorm_fwd");
     assert_same_bits(&mean_k, &mean_o, "layernorm mean");
     rows.push(bench_kernel(
         "layernorm_fwd",
         8 * ln_n,
         reps,
-        || norm::layernorm_fwd(&x[..ln_n], d, &gamma, &beta, 1e-5, &mut buf_k[..ln_n], &mut mean_k, &mut rstd_k),
-        || oracle::layernorm_fwd(&x[..ln_n], d, &gamma, &beta, 1e-5, &mut buf_o[..ln_n], &mut mean_o, &mut rstd_o),
+        || {
+            norm::layernorm_fwd(
+                &x[..ln_n],
+                d,
+                &gamma,
+                &beta,
+                1e-5,
+                &mut buf_k[..ln_n],
+                &mut mean_k,
+                &mut rstd_k,
+            )
+        },
+        || {
+            oracle::layernorm_fwd(
+                &x[..ln_n],
+                d,
+                &gamma,
+                &beta,
+                1e-5,
+                &mut buf_o[..ln_n],
+                &mut mean_o,
+                &mut rstd_o,
+            )
+        },
     ));
 
     for row in &rows {
@@ -197,7 +243,10 @@ fn run() {
     }
 
     // End-to-end: epoch time of a short forecasting fit on the full mixer.
-    let data = Tensor::from_vec(&[1, 600], (0..600).map(|i| (i as f32 / 4.0).sin()).collect());
+    let data = Tensor::from_vec(
+        &[1, 600],
+        (0..600).map(|i| (i as f32 / 4.0).sin()).collect(),
+    );
     let train_src = ForecastSource::new(SlidingWindows::new(&data, 48, 12, Split::Train), 96);
     let mut store = ParamStore::new();
     let mut mrng = Rng::seed_from(13);
@@ -231,7 +280,10 @@ fn run() {
         report.epochs_run
     )
     .expect("append epoch row");
-    println!("epoch time: {epoch_secs:.3}s/epoch over {} epochs", report.epochs_run);
+    println!(
+        "epoch time: {epoch_secs:.3}s/epoch over {} epochs",
+        report.epochs_run
+    );
 
     // Serve-path latency: per-sample cost of the batched worker forward.
     let batch: Vec<Tensor> = (0..8)
@@ -247,7 +299,10 @@ fn run() {
         batch.len()
     )
     .expect("append serve row");
-    println!("serve batch latency: {us_per_sample:.1}us/sample (batch of {})", batch.len());
+    println!(
+        "serve batch latency: {us_per_sample:.1}us/sample (batch of {})",
+        batch.len()
+    );
     println!("rows appended to target/BENCH_kernels.json");
 
     // CI gate: the fused hot kernels must clear the single-core-safe floor.

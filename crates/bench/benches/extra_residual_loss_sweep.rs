@@ -46,10 +46,15 @@ fn run(lambda: f32, alpha: f32, scale: msd_harness::Scale) -> (f32, f32, f32, f3
         &mut store,
         &train,
         None,
-        &TrainConfig::builder().epochs(scale.epochs()).lr(5e-3).build(),
+        &TrainConfig::builder()
+            .epochs(scale.epochs())
+            .lr(5e-3)
+            .build(),
     );
     let (mse, mae) = evaluate_forecast(&model, &store, &test, 32);
-    let AnyModel::Mixer(mixer) = &model else { unreachable!() };
+    let AnyModel::Mixer(mixer) = &model else {
+        unreachable!()
+    };
     let test_w = SlidingWindows::new(&data, 96, 96, Split::Test);
     let (x, _) = test_w.get(0);
     let d = decompose(mixer, &store, &x);

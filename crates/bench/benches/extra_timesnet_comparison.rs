@@ -29,7 +29,11 @@ fn main() {
     );
     for m in models {
         let (mse, mae) = long_term::run_single(&etth1, 96, m, scale);
-        t.row(&[m.name().to_string(), format!("{mse:.3}"), format!("{mae:.3}")]);
+        t.row(&[
+            m.name().to_string(),
+            format!("{mse:.3}"),
+            format!("{mae:.3}"),
+        ]);
     }
     print!("{}", t.render());
 

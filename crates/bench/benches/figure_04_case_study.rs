@@ -3,8 +3,8 @@
 //! window, prints per-component statistics and residual ACF summaries, and
 //! exports the component series as CSV for plotting.
 
-use msd_harness::experiments::case_study;
 use msd_harness::experiments::cache_dir;
+use msd_harness::experiments::case_study;
 use msd_harness::{fmt3, Scale, Table};
 use msd_mixer::variants::Variant;
 

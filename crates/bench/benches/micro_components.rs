@@ -84,14 +84,17 @@ fn bench_training_step() {
         let x = Tensor::randn(&[32, 7, 96], 1.0, &mut rng);
         let y = Tensor::randn(&[32, 7, 96], 1.0, &mut rng);
         let mut opt = Adam::with_lr(1e-3);
-        bench(&format!("train_step_B32_C7_L96_H96/{}", spec.name()), || {
-            let g = Graph::new();
-            let mut r = Rng::seed_from(0);
-            let ctx = Ctx::new(&g, &store, &mut r);
-            let (_, loss) = model.forward_loss(&ctx, black_box(&x), &Target::Series(y.clone()));
-            let grads = g.backward(loss);
-            opt.step(&mut store, &grads);
-        });
+        bench(
+            &format!("train_step_B32_C7_L96_H96/{}", spec.name()),
+            || {
+                let g = Graph::new();
+                let mut r = Rng::seed_from(0);
+                let ctx = Ctx::new(&g, &store, &mut r);
+                let (_, loss) = model.forward_loss(&ctx, black_box(&x), &Target::Series(y.clone()));
+                let grads = g.backward(loss);
+                opt.step(&mut store, &grads);
+            },
+        );
     }
 }
 

@@ -6,7 +6,12 @@ fn main() {
     let _ = msd_bench::banner("Table I — Summary of tasks and benchmarks");
     let mut t = Table::new(
         "Table I: Summary of tasks and benchmarks",
-        &["Task", "Datasets (synthetic stand-ins)", "Metrics", "Benchmarks"],
+        &[
+            "Task",
+            "Datasets (synthetic stand-ins)",
+            "Metrics",
+            "Benchmarks",
+        ],
     );
     for row in table_i_rows() {
         t.row(&[

@@ -17,7 +17,10 @@ fn main() {
     // Short-term: 15 benchmarks (5 subsets incl. weighted avg × 3 metrics in
     // the paper; here 6 subsets × 3 metrics among the shared model set).
     let st = short_term::results(scale);
-    let shared: Vec<String> = ModelSpec::TASK_GENERAL.iter().map(|m| m.name().to_string()).collect();
+    let shared: Vec<String> = ModelSpec::TASK_GENERAL
+        .iter()
+        .map(|m| m.name().to_string())
+        .collect();
     let mut st_scores: Vec<Vec<f32>> = Vec::new();
     for spec in msd_data::m4_subsets() {
         for metric in 0..3usize {
@@ -56,7 +59,10 @@ fn main() {
     let mut header = vec!["Task", "Benchmarks"];
     header.extend(models.iter().map(String::as_str));
     header.push("Paper MSD wins");
-    let mut t = Table::new("Table II: Overall performance comparison (win counts)", &header);
+    let mut t = Table::new(
+        "Table II: Overall performance comparison (win counts)",
+        &header,
+    );
     let tasks: [(&str, usize, &Vec<usize>, usize); 5] = [
         ("Long-Term Forecasting", lt_scores.len(), &lt_wins, 49),
         ("Short-Term Forecasting", st_scores.len(), &st_wins, 15),

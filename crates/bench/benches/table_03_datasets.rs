@@ -7,7 +7,14 @@ fn main() {
     let _ = msd_bench::banner("Table III — Long-term forecasting dataset statistics");
     let mut t = Table::new(
         "Table III: Statistics of datasets for long-term forecasting",
-        &["Dataset", "Dim", "Total Timesteps", "Frequency", "Paper Dim", "Paper Timesteps"],
+        &[
+            "Dataset",
+            "Dim",
+            "Total Timesteps",
+            "Frequency",
+            "Paper Dim",
+            "Paper Timesteps",
+        ],
     );
     let paper: &[(&str, usize, usize)] = &[
         ("ETTm1", 7, 69680),
@@ -30,6 +37,8 @@ fn main() {
             p.2.to_string(),
         ]);
     }
-    t.footnote("Dim/timesteps scaled for CPU training; Electricity/Traffic capped (EXPERIMENTS.md).");
+    t.footnote(
+        "Dim/timesteps scaled for CPU training; Electricity/Traffic capped (EXPERIMENTS.md).",
+    );
     print!("{}", t.render());
 }

@@ -34,7 +34,10 @@ fn main() {
     // First-place counts (the paper's bottom row: MSD-Mixer 49/64).
     let (_, model_names, scores) = long_term::score_matrix(&rows);
     let wins = win_counts(&scores);
-    let mut wt = Table::new("Table IV (bottom): 1st-place counts over 64 benchmarks", &["Model", "1st count", "Paper"]);
+    let mut wt = Table::new(
+        "Table IV (bottom): 1st-place counts over 64 benchmarks",
+        &["Model", "1st count", "Paper"],
+    );
     for (m, w) in model_names.iter().zip(&wins) {
         let paper = match m.as_str() {
             "MSD-Mixer" => "49",

@@ -7,7 +7,14 @@ fn main() {
     let _ = msd_bench::banner("Table V — Short-term forecasting dataset statistics");
     let mut t = Table::new(
         "Table V: Statistics of datasets for short-term forecasting",
-        &["Dataset", "Dim", "Horizon", "Input Len", "Periodicity", "Series (paper train size)"],
+        &[
+            "Dataset",
+            "Dim",
+            "Horizon",
+            "Input Len",
+            "Periodicity",
+            "Series (paper train size)",
+        ],
     );
     let paper: &[(&str, usize)] = &[
         ("Yearly", 23000),

@@ -7,9 +7,23 @@ fn main() {
     let _ = msd_bench::banner("Table VIII — Anomaly detection dataset statistics");
     let mut t = Table::new(
         "Table VIII: Statistics of datasets for anomaly detection",
-        &["Dataset", "Dim", "Window", "Train Steps", "Test Steps", "Anomaly %", "Paper Dim"],
+        &[
+            "Dataset",
+            "Dim",
+            "Window",
+            "Train Steps",
+            "Test Steps",
+            "Anomaly %",
+            "Paper Dim",
+        ],
     );
-    let paper: &[(&str, usize)] = &[("SMD", 38), ("MSL", 55), ("SMAP", 25), ("SWaT", 51), ("PSM", 25)];
+    let paper: &[(&str, usize)] = &[
+        ("SMD", 38),
+        ("MSL", 55),
+        ("SMAP", 25),
+        ("SWaT", 51),
+        ("PSM", 25),
+    ];
     for spec in anomaly_datasets() {
         let p = paper.iter().find(|(n, _)| *n == spec.name).unwrap();
         t.row(&[
@@ -22,6 +36,8 @@ fn main() {
             p.1.to_string(),
         ]);
     }
-    t.footnote("Synthetic streams: normal dynamics + injected spikes/shifts/bursts/correlation breaks.");
+    t.footnote(
+        "Synthetic streams: normal dynamics + injected spikes/shifts/bursts/correlation breaks.",
+    );
     print!("{}", t.render());
 }

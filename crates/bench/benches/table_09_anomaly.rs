@@ -34,9 +34,16 @@ fn main() {
     }
     print!("{}", t.render());
 
-    let mut avg = Table::new("Table IX (bottom): average F1-score", &["Model", "Avg F1 (%)"]);
+    let mut avg = Table::new(
+        "Table IX (bottom): average F1-score",
+        &["Model", "Avg F1 (%)"],
+    );
     for m in &models {
-        let f1s: Vec<f32> = rows.iter().filter(|r| r.model == *m).map(|r| r.f1).collect();
+        let f1s: Vec<f32> = rows
+            .iter()
+            .filter(|r| r.model == *m)
+            .map(|r| r.f1)
+            .collect();
         let mean = f1s.iter().sum::<f32>() / f1s.len().max(1) as f32;
         avg.row(&[m.to_string(), format!("{mean:.1}")]);
     }

@@ -7,7 +7,14 @@ fn main() {
     let _ = msd_bench::banner("Table X — Classification dataset statistics");
     let mut t = Table::new(
         "Table X: Statistics of datasets for classification",
-        &["Dataset", "Dim", "Series Length", "Classes", "Train Size", "Test Size"],
+        &[
+            "Dataset",
+            "Dim",
+            "Series Length",
+            "Classes",
+            "Train Size",
+            "Test Size",
+        ],
     );
     for spec in classification_datasets() {
         t.row(&[

@@ -34,9 +34,18 @@ fn main() {
         &["Model", "Avg. Acc.", "1st Count", "Mean Rank"],
     );
     for (i, m) in model_names.iter().enumerate() {
-        let accs: Vec<f32> = rows.iter().filter(|r| &r.model == m).map(|r| r.accuracy).collect();
+        let accs: Vec<f32> = rows
+            .iter()
+            .filter(|r| &r.model == m)
+            .map(|r| r.accuracy)
+            .collect();
         let avg = accs.iter().sum::<f32>() / accs.len().max(1) as f32;
-        s.row(&[m.clone(), fmt3(avg), wins[i].to_string(), format!("{:.1}", ranks[i])]);
+        s.row(&[
+            m.clone(),
+            fmt3(avg),
+            wins[i].to_string(),
+            format!("{:.1}", ranks[i]),
+        ]);
     }
     print!("{}", s.render());
 

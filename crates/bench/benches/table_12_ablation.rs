@@ -20,7 +20,13 @@ fn main() {
         ],
     );
     let get = |name: &str| rows.iter().find(|r| r.variant == name).expect("variant");
-    let order = ["MSD-Mixer", "MSD-Mixer-I", "MSD-Mixer-N", "MSD-Mixer-U", "MSD-Mixer-L"];
+    let order = [
+        "MSD-Mixer",
+        "MSD-Mixer-I",
+        "MSD-Mixer-N",
+        "MSD-Mixer-U",
+        "MSD-Mixer-L",
+    ];
     type MetricFn = fn(&ablation::AblationRow) -> f32;
     let metrics: [(&str, MetricFn); 9] = [
         ("Long-Term MSE", |r| r.long_mse),

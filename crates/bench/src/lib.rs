@@ -59,8 +59,8 @@ pub mod timing {
         let t0 = Instant::now();
         f();
         let once = t0.elapsed().max(Duration::from_nanos(20));
-        let per_batch = (Duration::from_millis(10).as_secs_f64() / once.as_secs_f64())
-            .clamp(1.0, 1e7) as u64;
+        let per_batch =
+            (Duration::from_millis(10).as_secs_f64() / once.as_secs_f64()).clamp(1.0, 1e7) as u64;
 
         let budget = Duration::from_millis(600);
         let start = Instant::now();
@@ -127,11 +127,8 @@ pub mod paper {
     ];
 
     /// Table IX (paper): average F1 (%) over the five anomaly datasets.
-    pub const TABLE_IX_AVG_F1: [(&str, f32); 3] = [
-        ("MSD-Mixer", 93.0),
-        ("PatchTST", 82.8),
-        ("DLinear", 83.8),
-    ];
+    pub const TABLE_IX_AVG_F1: [(&str, f32); 3] =
+        [("MSD-Mixer", 93.0), ("PatchTST", 82.8), ("DLinear", 83.8)];
 
     /// Table XI (paper): average accuracy over the ten UEA subsets for the
     /// task-general models we reproduce.

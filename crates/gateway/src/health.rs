@@ -175,8 +175,7 @@ impl ReplicaHealth {
                 }
             }
             BreakerState::Closed => {
-                if self.cfg.latency_ewma_us > 0 && core.ewma_us > self.cfg.latency_ewma_us as f64
-                {
+                if self.cfg.latency_ewma_us > 0 && core.ewma_us > self.cfg.latency_ewma_us as f64 {
                     core.state = BreakerState::Open;
                     core.opened_at = Some(Instant::now());
                 }

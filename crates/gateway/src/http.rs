@@ -65,7 +65,12 @@ fn fill(stream: &mut TcpStream, carry: &mut Vec<u8>, stop: &AtomicBool) -> io::R
                 carry.extend_from_slice(&tmp[..n]);
                 return Ok(n);
             }
-            Err(e) if matches!(e.kind(), io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut) => {
+            Err(e)
+                if matches!(
+                    e.kind(),
+                    io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut
+                ) =>
+            {
                 if stop.load(Ordering::Relaxed) {
                     return Err(io::Error::other("gateway shutting down"));
                 }
@@ -266,11 +271,7 @@ pub fn response_head(resp: &Response, keep_alive: bool) -> String {
 }
 
 /// Serialises and writes `resp`, flushing before returning.
-pub fn write_response(
-    stream: &mut TcpStream,
-    resp: &Response,
-    keep_alive: bool,
-) -> io::Result<()> {
+pub fn write_response(stream: &mut TcpStream, resp: &Response, keep_alive: bool) -> io::Result<()> {
     stream.write_all(response_head(resp, keep_alive).as_bytes())?;
     stream.write_all(&resp.body)?;
     stream.flush()
@@ -378,7 +379,10 @@ impl Client {
         }
         let stream = stream.ok_or_else(|| {
             last.unwrap_or_else(|| {
-                io::Error::new(io::ErrorKind::AddrNotAvailable, format!("no address for {addr}"))
+                io::Error::new(
+                    io::ErrorKind::AddrNotAvailable,
+                    format!("no address for {addr}"),
+                )
             })
         })?;
         stream.set_nodelay(true)?;
@@ -403,7 +407,10 @@ impl Client {
                     return Ok(n);
                 }
                 Err(e)
-                    if matches!(e.kind(), io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut) =>
+                    if matches!(
+                        e.kind(),
+                        io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut
+                    ) =>
                 {
                     return Err(io::Error::new(
                         io::ErrorKind::TimedOut,
@@ -514,7 +521,8 @@ mod tests {
             assert_eq!(req.header("x-msd-key"), Some("alpha"));
             assert_eq!(req.body, b"payload");
             let mut resp = Response::new(200, b"pong".to_vec());
-            resp.headers.push(("X-Msd-Model-Version".into(), "3".into()));
+            resp.headers
+                .push(("X-Msd-Model-Version".into(), "3".into()));
             write_response(&mut stream, &resp, true).unwrap();
             // Second request on the same connection (keep-alive).
             let req2 = read_request(&mut stream, &mut carry, 1024, &stop)
@@ -576,10 +584,7 @@ mod tests {
 
     /// Accept one connection, apply `read_request`, and return its result —
     /// the server half of every hostile-input test below.
-    fn serve_one(
-        listener: &TcpListener,
-        max_body: usize,
-    ) -> io::Result<Option<Request>> {
+    fn serve_one(listener: &TcpListener, max_body: usize) -> io::Result<Option<Request>> {
         let (mut stream, _) = listener.accept().unwrap();
         stream
             .set_read_timeout(Some(std::time::Duration::from_millis(20)))
@@ -664,7 +669,11 @@ mod tests {
             .unwrap();
             c.flush().unwrap();
             let err = server.join().unwrap().unwrap_err();
-            assert_eq!(err.kind(), io::ErrorKind::InvalidData, "second copy {second:?}");
+            assert_eq!(
+                err.kind(),
+                io::ErrorKind::InvalidData,
+                "second copy {second:?}"
+            );
         }
     }
 

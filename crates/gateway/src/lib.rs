@@ -236,11 +236,9 @@ fn accept_loop(
                     // accept loop itself.
                     let _ = stream.set_nonblocking(false);
                     let _ = stream.set_write_timeout(Some(Duration::from_secs(1)));
-                    let resp = Response::json(
-                        503,
-                        "{\"error\":\"connection limit reached\"}".to_string(),
-                    )
-                    .with_retry_after(1);
+                    let resp =
+                        Response::json(503, "{\"error\":\"connection limit reached\"}".to_string())
+                            .with_retry_after(1);
                     let _ = write_response(&mut stream, &resp, false);
                     continue;
                 }
@@ -252,8 +250,13 @@ fn accept_loop(
                 let handle = std::thread::Builder::new()
                     .name("msd-gateway-conn".into())
                     .spawn(move || {
-                        let _ =
-                            connection_loop(&mut stream, &registry, &stop, max_body, chaos.as_deref());
+                        let _ = connection_loop(
+                            &mut stream,
+                            &registry,
+                            &stop,
+                            max_body,
+                            chaos.as_deref(),
+                        );
                         active.fetch_sub(1, Ordering::Relaxed);
                     })
                     .expect("spawn gateway connection thread");
@@ -355,10 +358,7 @@ pub fn handle_request(registry: &Registry, req: &Request) -> Response {
                 .map(|n| format!("\"{}\"", json_escape(n)))
                 .collect::<Vec<_>>()
                 .join(",");
-            Response::json(
-                200,
-                format!("{{\"status\":\"ok\",\"models\":[{list}]}}"),
-            )
+            Response::json(200, format!("{{\"status\":\"ok\",\"models\":[{list}]}}"))
         }
         ("GET", "/stats") => Response::json(200, registry.stats_json()),
         ("GET", "/v1/models") => {
@@ -421,9 +421,7 @@ fn predict(registry: &Registry, name: &str, req: &Request) -> Response {
     let deadline = match req.header("x-msd-deadline-ms") {
         None => None,
         Some(v) => match v.parse::<u64>() {
-            Ok(0) => {
-                return error_response(400, "x-msd-deadline-ms must be a positive integer")
-            }
+            Ok(0) => return error_response(400, "x-msd-deadline-ms must be a positive integer"),
             Ok(ms) => Some(Instant::now() + Duration::from_millis(ms)),
             Err(_) => {
                 return error_response(
@@ -458,9 +456,7 @@ fn predict(registry: &Registry, name: &str, req: &Request) -> Response {
         }
         Err(GatewayError::DeadlineExceeded) => error_response(504, "request deadline exceeded"),
         Err(GatewayError::Internal(msg)) => error_response(500, &msg),
-        Err(GatewayError::ShuttingDown) => {
-            error_response(503, "shutting down").with_retry_after(1)
-        }
+        Err(GatewayError::ShuttingDown) => error_response(503, "shutting down").with_retry_after(1),
     }
 }
 
@@ -483,10 +479,7 @@ fn swap(registry: &Registry, name: &str, req: &Request) -> Response {
     };
     match registry.swap_tiered(name, &req.body, expect) {
         Ok(version) => {
-            let tier = registry
-                .tier(name)
-                .map(|t| t.as_str())
-                .unwrap_or("f32");
+            let tier = registry.tier(name).map(|t| t.as_str()).unwrap_or("f32");
             Response::json(
                 200,
                 format!(

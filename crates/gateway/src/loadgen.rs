@@ -92,7 +92,13 @@ fn splitmix64(mut z: u64) -> u64 {
 /// `request`: capped exponential backoff `base · 2^(attempt-1)` scaled by a
 /// seeded jitter factor in `[0.5, 1.0]`. Deterministic in
 /// `(seed, request, attempt)` and never above `cap`.
-pub fn next_backoff(seed: u64, request: u64, attempt: u32, base: Duration, cap: Duration) -> Duration {
+pub fn next_backoff(
+    seed: u64,
+    request: u64,
+    attempt: u32,
+    base: Duration,
+    cap: Duration,
+) -> Duration {
     let exp = base.saturating_mul(1u32 << attempt.saturating_sub(1).min(16));
     let unit = (splitmix64(seed ^ request.wrapping_mul(0x9e37_79b9) ^ attempt as u64) >> 11) as f64
         / (1u64 << 53) as f64;
@@ -195,7 +201,11 @@ pub fn run_tcp_open_loop(addr: &str, requests: &[TcpRequest], spec: &TcpLoadSpec
             let offsets = &offsets;
             handles.push(scope.spawn(move || {
                 let mut client = Client::connect_with(addr, spec.client).ok();
-                let mut pacer = Pacer::start(if spec.rate_rps > 0.0 { spec.max_burst } else { 0 });
+                let mut pacer = Pacer::start(if spec.rate_rps > 0.0 {
+                    spec.max_burst
+                } else {
+                    0
+                });
                 let mut out: Vec<(usize, Option<TcpResponse>)> = Vec::new();
                 let mut attempts_fired = 0u64;
                 for i in (c..requests.len()).step_by(connections) {
@@ -203,8 +213,8 @@ pub fn run_tcp_open_loop(addr: &str, requests: &[TcpRequest], spec: &TcpLoadSpec
                         pacer.pace(offsets[i]);
                     }
                     let resp = drive_one(addr, &requests[i], i, spec, &mut client);
-                    attempts_fired += resp.as_ref().map_or(1 + spec.retry_budget, |r| r.attempts)
-                        as u64;
+                    attempts_fired +=
+                        resp.as_ref().map_or(1 + spec.retry_budget, |r| r.attempts) as u64;
                     out.push((i, resp));
                 }
                 (
@@ -217,8 +227,7 @@ pub fn run_tcp_open_loop(addr: &str, requests: &[TcpRequest], spec: &TcpLoadSpec
             }));
         }
         for h in handles {
-            let (out, mean, max, re, fired) =
-                h.join().expect("loadgen connection thread panicked");
+            let (out, mean, max, re, fired) = h.join().expect("loadgen connection thread panicked");
             for (i, resp) in out {
                 results[i] = resp;
             }

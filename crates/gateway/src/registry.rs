@@ -256,7 +256,12 @@ impl Registry {
     ///
     /// Fails with `AlreadyExists` if the name is taken — use
     /// [`Registry::swap`] to replace a live model.
-    pub fn register(&self, name: &str, factory: ModelFactory, params: Option<&[u8]>) -> io::Result<u32> {
+    pub fn register(
+        &self,
+        name: &str,
+        factory: ModelFactory,
+        params: Option<&[u8]>,
+    ) -> io::Result<u32> {
         self.register_tiered(name, factory, params, None)
     }
 
@@ -372,7 +377,8 @@ impl Registry {
         // already saturated. Cheaper than queueing a request that will
         // blow its deadline anyway.
         let in_flight = server.in_flight();
-        let shed_depth = self.brownout.max_in_flight > 0 && in_flight >= self.brownout.max_in_flight;
+        let shed_depth =
+            self.brownout.max_in_flight > 0 && in_flight >= self.brownout.max_in_flight;
         let shed_latency =
             self.brownout.max_ewma_us > 0 && health.ewma_us() > self.brownout.max_ewma_us as f64;
         if shed_depth || shed_latency {

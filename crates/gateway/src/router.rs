@@ -79,9 +79,7 @@ pub fn route_order(key: &[u8], replicas: usize) -> Vec<usize> {
 /// # Panics
 /// Panics if `open` is empty.
 pub fn route_healthy(key: &[u8], open: &[bool]) -> Option<usize> {
-    route_order(key, open.len())
-        .into_iter()
-        .find(|&i| !open[i])
+    route_order(key, open.len()).into_iter().find(|&i| !open[i])
 }
 
 #[cfg(test)]
@@ -122,10 +120,18 @@ mod tests {
         for replicas in 1..=8usize {
             for key in keys() {
                 let order = route_order(&key, replicas);
-                assert_eq!(order[0], route(&key, replicas), "order starts at the FNV route");
+                assert_eq!(
+                    order[0],
+                    route(&key, replicas),
+                    "order starts at the FNV route"
+                );
                 let mut sorted = order.clone();
                 sorted.sort_unstable();
-                assert_eq!(sorted, (0..replicas).collect::<Vec<_>>(), "not a permutation");
+                assert_eq!(
+                    sorted,
+                    (0..replicas).collect::<Vec<_>>(),
+                    "not a permutation"
+                );
                 assert_eq!(order, route_order(&key, replicas), "unstable order");
             }
         }

@@ -33,7 +33,13 @@ impl Affine {
         let mut rng = Rng::seed_from(7);
         Affine {
             task: Task::Forecast { horizon: HORIZON },
-            lin: Linear::new(store, &mut rng, "affine", CHANNELS * LEN, CHANNELS * HORIZON),
+            lin: Linear::new(
+                store,
+                &mut rng,
+                "affine",
+                CHANNELS * LEN,
+                CHANNELS * HORIZON,
+            ),
         }
     }
 }
@@ -210,11 +216,7 @@ fn all_breakers_open_still_answers_via_least_bad_fail_static() {
     // Both replicas plain (switch never flipped): we trip the breakers
     // artificially via the health records to isolate the routing behavior.
     registry
-        .register(
-            "m",
-            factory_with_sick_replica0(sick, Duration::ZERO),
-            None,
-        )
+        .register("m", factory_with_sick_replica0(sick, Duration::ZERO), None)
         .unwrap();
     let set = registry.current_set("m").unwrap();
     set.health()[0].on_error();
@@ -345,7 +347,10 @@ fn deadline_and_brownout_surface_as_typed_http_statuses_with_headers() {
             &body,
         )
         .unwrap();
-    assert_eq!(resp.status, 504, "blown deadline is a typed gateway timeout");
+    assert_eq!(
+        resp.status, 504,
+        "blown deadline is a typed gateway timeout"
+    );
     gw.shutdown();
 }
 
@@ -420,7 +425,11 @@ fn degraded_fleet_answers_everything_typed_with_a_bounded_success_tail() {
     let healthy = run(false);
     assert_eq!(healthy.lost(), 0);
     let healthy_lat = healthy.ok_latencies_sorted();
-    assert_eq!(healthy_lat.len(), requests.len(), "healthy fleet answers all");
+    assert_eq!(
+        healthy_lat.len(),
+        requests.len(),
+        "healthy fleet answers all"
+    );
     let healthy_p99 =
         msd_serve::percentile(&healthy_lat, 99).max(Duration::from_millis(20).as_micros() as u64);
 
@@ -430,7 +439,11 @@ fn degraded_fleet_answers_everything_typed_with_a_bounded_success_tail() {
         started.elapsed() < Duration::from_secs(60),
         "degraded run must not wedge"
     );
-    assert_eq!(degraded.lost(), 0, "retries must absorb every transport blip");
+    assert_eq!(
+        degraded.lost(),
+        0,
+        "retries must absorb every transport blip"
+    );
     for resp in degraded.responses.iter().flatten() {
         assert!(
             matches!(resp.status, 200 | 429 | 504),
@@ -496,7 +509,11 @@ fn chaos_run_loses_nothing_and_survivors_are_bit_identical() {
         },
     );
     assert!(!chaos.fired().is_empty(), "the plan must inject something");
-    assert_eq!(outcome.lost(), 0, "retries must absorb every injected fault");
+    assert_eq!(
+        outcome.lost(),
+        0,
+        "retries must absorb every injected fault"
+    );
     assert!(
         outcome.retries_total > 0,
         "injected faults must have forced retries"

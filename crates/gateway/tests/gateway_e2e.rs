@@ -172,7 +172,12 @@ fn endpoints_answer_and_predictions_are_bit_identical_to_sequential() {
                 &wire::encode_tensor(&x),
             )
             .unwrap();
-        assert_eq!(resp.status, 200, "{:?}", String::from_utf8_lossy(&resp.body));
+        assert_eq!(
+            resp.status,
+            200,
+            "{:?}",
+            String::from_utf8_lossy(&resp.body)
+        );
         assert_eq!(resp.header("content-type"), Some(wire::CONTENT_TYPE));
         assert_eq!(resp.header("x-msd-model-version"), Some("1"));
         let replica: usize = resp.header("x-msd-replica").unwrap().parse().unwrap();
@@ -208,7 +213,10 @@ fn error_paths_map_to_typed_statuses() {
     assert_eq!(r.status, 404);
     assert!(String::from_utf8(r.body).unwrap().contains("\"error\""));
     // Unknown paths and unsupported method.
-    assert_eq!(client.request("GET", "/nope", &[], b"").unwrap().status, 404);
+    assert_eq!(
+        client.request("GET", "/nope", &[], b"").unwrap().status,
+        404
+    );
     assert_eq!(
         client
             .request("POST", "/v1/models//predict", &[], &frame)
@@ -312,11 +320,7 @@ fn overload_answers_429_and_loses_nothing() {
     };
     let gw = Gateway::bind("127.0.0.1:0", cfg).unwrap();
     gw.registry()
-        .register(
-            "slow",
-            slow_factory(11, Duration::from_millis(5)),
-            None,
-        )
+        .register("slow", slow_factory(11, Duration::from_millis(5)), None)
         .unwrap();
     let addr = gw.local_addr().to_string();
 
@@ -363,11 +367,7 @@ fn overload_answers_429_and_loses_nothing() {
 fn shutdown_drains_the_in_flight_request() {
     let gw = Gateway::bind("127.0.0.1:0", quick_cfg(1)).unwrap();
     gw.registry()
-        .register(
-            "slow",
-            slow_factory(11, Duration::from_millis(80)),
-            None,
-        )
+        .register("slow", slow_factory(11, Duration::from_millis(80)), None)
         .unwrap();
     let addr = gw.local_addr().to_string();
     let x = sample(7);
@@ -526,7 +526,11 @@ fn int8_swap_on_a_tape_only_registry_fails_and_the_old_version_keeps_serving() {
     let x = sample(910);
     let ok = registry.predict("fc", b"k", x.clone(), None).unwrap();
     assert_eq!((ok.version, ok.tier), (1, PrecisionTier::F32));
-    assert_bits_equal(&ok.y, &reference_predict(11, &x), "v1 after the refused swap");
+    assert_bits_equal(
+        &ok.y,
+        &reference_predict(11, &x),
+        "v1 after the refused swap",
+    );
     registry.shutdown();
 }
 
@@ -558,9 +562,19 @@ fn quantized_tiers_round_the_gateway_with_no_silent_fallback() {
     for i in 0..6u64 {
         let x = sample(700 + i);
         let resp = client
-            .request("POST", "/v1/models/fc/predict", &[], &wire::encode_tensor(&x))
+            .request(
+                "POST",
+                "/v1/models/fc/predict",
+                &[],
+                &wire::encode_tensor(&x),
+            )
             .unwrap();
-        assert_eq!(resp.status, 200, "{:?}", String::from_utf8_lossy(&resp.body));
+        assert_eq!(
+            resp.status,
+            200,
+            "{:?}",
+            String::from_utf8_lossy(&resp.body)
+        );
         assert_eq!(resp.header("x-msd-tier"), Some("int8"));
         assert_bits_equal(
             &wire::decode_tensor(&resp.body).unwrap(),
@@ -573,7 +587,10 @@ fn quantized_tiers_round_the_gateway_with_no_silent_fallback() {
     let stats = client.request("GET", "/stats", &[], b"").unwrap();
     let stats_body = String::from_utf8(stats.body).unwrap();
     assert!(stats_body.contains("\"tier\":\"int8\""), "{stats_body}");
-    assert!(stats_body.contains("\"tiers\":[{\"tier\":\"int8\",\"models\":1"), "{stats_body}");
+    assert!(
+        stats_body.contains("\"tiers\":[{\"tier\":\"int8\",\"models\":1"),
+        "{stats_body}"
+    );
 
     // An unknown tier name on swap is a typed 400 before the blob is read.
     let r = client
@@ -603,7 +620,12 @@ fn quantized_tiers_round_the_gateway_with_no_silent_fallback() {
     assert!(body.contains("precision tier mismatch"), "{body}");
     let x = sample(900);
     let r = client
-        .request("POST", "/v1/models/fc/predict", &[], &wire::encode_tensor(&x))
+        .request(
+            "POST",
+            "/v1/models/fc/predict",
+            &[],
+            &wire::encode_tensor(&x),
+        )
         .unwrap();
     assert_eq!(r.status, 200);
     assert_eq!(r.header("x-msd-tier"), Some("int8"));
@@ -622,7 +644,12 @@ fn quantized_tiers_round_the_gateway_with_no_silent_fallback() {
     let body = String::from_utf8(r.body).unwrap();
     assert!(body.contains("\"tier\":\"f16\""), "{body}");
     let r = client
-        .request("POST", "/v1/models/fc/predict", &[], &wire::encode_tensor(&x))
+        .request(
+            "POST",
+            "/v1/models/fc/predict",
+            &[],
+            &wire::encode_tensor(&x),
+        )
         .unwrap();
     assert_eq!(r.status, 200);
     assert_eq!(r.header("x-msd-tier"), Some("f16"));

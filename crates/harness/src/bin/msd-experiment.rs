@@ -176,7 +176,11 @@ fn run_smoke() {
         &mut store,
         &src,
         None,
-        &TrainConfig::builder().epochs(3).batch_size(16).lr(5e-3).build(),
+        &TrainConfig::builder()
+            .epochs(3)
+            .batch_size(16)
+            .lr(5e-3)
+            .build(),
     );
     println!(
         "smoke,epochs={},skipped={},rollbacks={},aborted={},final_loss={:.5}",
@@ -186,7 +190,10 @@ fn run_smoke() {
         report.aborted.is_some(),
         report.train_losses.last().copied().unwrap_or(f32::NAN),
     );
-    assert_eq!(report.skipped_batches, 1, "smoke run must hit the injected NaN");
+    assert_eq!(
+        report.skipped_batches, 1,
+        "smoke run must hit the injected NaN"
+    );
     assert_eq!(report.rollbacks, 1, "smoke run must recover via rollback");
     assert!(report.aborted.is_none(), "smoke run must not abort");
     assert!(
@@ -331,8 +338,18 @@ fn run_plan_dump() {
     for (i, spec) in ModelSpec::TASK_GENERAL.iter().enumerate() {
         let mut store = ParamStore::new();
         let mut rng = Rng::seed_from(0xD0 + i as u64);
-        let model = spec.build(&mut store, &mut rng, channels, input_len, task.clone(), d_model);
-        println!("== {} ([b, {channels}, {input_len}] -> horizon {horizon})", model.name());
+        let model = spec.build(
+            &mut store,
+            &mut rng,
+            channels,
+            input_len,
+            task.clone(),
+            d_model,
+        );
+        println!(
+            "== {} ([b, {channels}, {input_len}] -> horizon {horizon})",
+            model.name()
+        );
         println!("-- artifact tier: {}", store.tier());
         let plan = match model.compile_plan(&store, &[1, channels, input_len]) {
             Ok(plan) => plan,
@@ -351,7 +368,14 @@ fn run_plan_dump() {
             .expect("fresh weights are finite");
         let mut qstore = ParamStore::new();
         let mut rng = Rng::seed_from(0xD0 + i as u64);
-        let _ = spec.build(&mut qstore, &mut rng, channels, input_len, task.clone(), d_model);
+        let _ = spec.build(
+            &mut qstore,
+            &mut rng,
+            channels,
+            input_len,
+            task.clone(),
+            d_model,
+        );
         ArtifactReader::decode(&bytes)
             .and_then(|r| r.load_into(&mut qstore))
             .expect("int8 round trip");

@@ -275,7 +275,9 @@ fn main() {
                     let (m, x) = &inputs[i];
                     let demo = find(DEMO_MODELS[*m].name).unwrap();
                     let version = resp.version.unwrap_or(0);
-                    *versions.entry((demo.name.to_string(), version)).or_default() += 1;
+                    *versions
+                        .entry((demo.name.to_string(), version))
+                        .or_default() += 1;
                     // The gateway must declare the tier it served at, and it
                     // must be the tier this run expects — a silent fallback
                     // to another precision is as fatal as wrong bytes.

@@ -112,7 +112,10 @@ fn main() {
             .registry()
             .register_tiered(m.name, m.factory(), Some(&params), Some(tier))
             .expect("register demo model");
-        eprintln!("registered {} v{version} tier={tier} ({} replicas)", m.name, replicas);
+        eprintln!(
+            "registered {} v{version} tier={tier} ({} replicas)",
+            m.name, replicas
+        );
     }
     let bound = gw.local_addr().to_string();
     println!("{bound}");

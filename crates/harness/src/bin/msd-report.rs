@@ -17,7 +17,10 @@ use msd_metrics::{mean_ranks, win_counts};
 
 fn main() {
     let scale = Scale::from_env();
-    println!("<!-- generated by msd-report at scale '{}' -->", scale.name());
+    println!(
+        "<!-- generated by msd-report at scale '{}' -->",
+        scale.name()
+    );
     println!();
 
     // Table II overview from all families.
@@ -65,7 +68,10 @@ fn main() {
     let cl_wins = win_counts(&cl_scores);
     let cl_ranks = mean_ranks(&cl_scores);
 
-    println!("## Table II — overall win counts (measured, scale {})", scale.name());
+    println!(
+        "## Table II — overall win counts (measured, scale {})",
+        scale.name()
+    );
     println!();
     print!("| Task | Benchmarks |");
     for m in &models {
@@ -93,7 +99,10 @@ fn main() {
         }
         println!(" {paper} |");
     }
-    print!("| **Total** | {} |", lt_scores.len() + st_scores.len() + imp_scores.len() + an_scores.len() + cl_scores.len());
+    print!(
+        "| **Total** | {} |",
+        lt_scores.len() + st_scores.len() + imp_scores.len() + an_scores.len() + cl_scores.len()
+    );
     for w in &totals {
         print!(" **{w}** |");
     }
@@ -106,15 +115,35 @@ fn main() {
     println!("| Model | LTF MSE | STF OWA | Imp MSE | AD F1 (%) | CLS Acc | CLS Mean Rank |");
     println!("|---|---|---|---|---|---|---|");
     for (i, m) in models.iter().enumerate() {
-        let lt_avg: f32 = lt.iter().filter(|r| &r.model == m).map(|r| r.mse).sum::<f32>()
+        let lt_avg: f32 = lt
+            .iter()
+            .filter(|r| &r.model == m)
+            .map(|r| r.mse)
+            .sum::<f32>()
             / lt.iter().filter(|r| &r.model == m).count().max(1) as f32;
-        let owa_avg: f32 = st.iter().filter(|r| &r.model == m).map(|r| r.owa).sum::<f32>()
+        let owa_avg: f32 = st
+            .iter()
+            .filter(|r| &r.model == m)
+            .map(|r| r.owa)
+            .sum::<f32>()
             / st.iter().filter(|r| &r.model == m).count().max(1) as f32;
-        let imp_avg: f32 = imp.iter().filter(|r| &r.model == m).map(|r| r.mse).sum::<f32>()
+        let imp_avg: f32 = imp
+            .iter()
+            .filter(|r| &r.model == m)
+            .map(|r| r.mse)
+            .sum::<f32>()
             / imp.iter().filter(|r| &r.model == m).count().max(1) as f32;
-        let f1_avg: f32 = an.iter().filter(|r| &r.model == m).map(|r| r.f1).sum::<f32>()
+        let f1_avg: f32 = an
+            .iter()
+            .filter(|r| &r.model == m)
+            .map(|r| r.f1)
+            .sum::<f32>()
             / an.iter().filter(|r| &r.model == m).count().max(1) as f32;
-        let acc_avg: f32 = cl.iter().filter(|r| &r.model == m).map(|r| r.accuracy).sum::<f32>()
+        let acc_avg: f32 = cl
+            .iter()
+            .filter(|r| &r.model == m)
+            .map(|r| r.accuracy)
+            .sum::<f32>()
             / cl.iter().filter(|r| &r.model == m).count().max(1) as f32;
         println!(
             "| {m} | {lt_avg:.3} | {owa_avg:.3} | {imp_avg:.3} | {f1_avg:.1} | {acc_avg:.3} | {:.1} |",

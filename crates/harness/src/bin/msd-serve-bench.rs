@@ -140,8 +140,14 @@ fn main() {
             }
         }
     }
-    assert_eq!(mismatches, 0, "served responses diverged from sequential predict");
-    assert_eq!(failed, 0, "requests were lost or rejected under a full-size queue");
+    assert_eq!(
+        mismatches, 0,
+        "served responses diverged from sequential predict"
+    );
+    assert_eq!(
+        failed, 0,
+        "requests were lost or rejected under a full-size queue"
+    );
 
     let report = BenchReport {
         model: spec.name().to_string(),
@@ -179,7 +185,10 @@ fn main() {
     );
     if let Some(bar) = min_speedup {
         if report.speedup() < bar {
-            eprintln!("FAIL: speedup {:.2}x below required {bar:.2}x", report.speedup());
+            eprintln!(
+                "FAIL: speedup {:.2}x below required {bar:.2}x",
+                report.speedup()
+            );
             std::process::exit(1);
         }
     }

@@ -12,8 +12,8 @@
 
 use crate::telemetry::TelemetrySummary;
 use msd_nn::checkpoint::{
-    corrupt, decode_container, encode_container, read_tensor, write_tensor, ByteReader,
-    ByteWriter, CheckpointDir,
+    corrupt, decode_container, encode_container, read_tensor, write_tensor, ByteReader, ByteWriter,
+    CheckpointDir,
 };
 use msd_nn::{OptimState, ParamStore};
 use msd_tensor::rng::RngState;
@@ -239,7 +239,9 @@ impl TrainCheckpoint {
         let kind = r.get_str("optimizer kind")?;
         let n_steps = r.get_u32("step count")? as usize;
         if n_steps.checked_mul(8).is_none_or(|b| b > r.remaining()) {
-            return Err(corrupt(format!("implausible optimizer step count {n_steps}")));
+            return Err(corrupt(format!(
+                "implausible optimizer step count {n_steps}"
+            )));
         }
         let mut steps = Vec::with_capacity(n_steps);
         for _ in 0..n_steps {
@@ -557,7 +559,10 @@ mod tests {
         for i in (0..bytes.len()).step_by(11) {
             let mut bad = bytes.clone();
             bad[i] ^= 0x80;
-            assert!(TrainCheckpoint::decode(&bad).is_err(), "flip at {i} accepted");
+            assert!(
+                TrainCheckpoint::decode(&bad).is_err(),
+                "flip at {i} accepted"
+            );
         }
     }
 

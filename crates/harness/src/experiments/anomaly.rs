@@ -80,7 +80,11 @@ pub fn run_single(spec: &AnomalySpec, model_spec: ModelSpec, scale: Scale) -> De
     while start < t_total {
         let len = WINDOW.min(t_total - start);
         // Use a full window ending at the stream end for the tail.
-        let w_start = if len < WINDOW { t_total - WINDOW } else { start };
+        let w_start = if len < WINDOW {
+            t_total - WINDOW
+        } else {
+            start
+        };
         let x = test.narrow(1, w_start, WINDOW).reshape(&[1, c, WINDOW]);
         for g in 0..GROUPS {
             // Zero every position t with t % GROUPS == g, all channels.

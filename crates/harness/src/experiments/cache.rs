@@ -81,10 +81,7 @@ pub(crate) fn load_or_compute<R>(
 /// Parses a cache file: requires the current schema header on the first
 /// line, then maps every non-empty line through `from_fields`. `None` when
 /// the header is missing/old or any row is malformed.
-fn parse_cache<R>(
-    content: &str,
-    from_fields: &impl Fn(&[String]) -> Option<R>,
-) -> Option<Vec<R>> {
+fn parse_cache<R>(content: &str, from_fields: &impl Fn(&[String]) -> Option<R>) -> Option<Vec<R>> {
     let mut lines = content.lines();
     if lines.next()? != schema_header() {
         return None;
@@ -154,7 +151,10 @@ mod tests {
     #[test]
     fn corrupt_row_falls_back_to_recompute() {
         with_temp_cache("msd_cache_corrupt_test", |dir| {
-            let rows = vec![Row { a: "x".into(), v: 1.5 }];
+            let rows = vec![Row {
+                a: "x".into(),
+                v: 1.5,
+            }];
             let r = rows.clone();
             load_or_compute(dir, "unit", crate::Scale::Smoke, to_f, from_f, move || r);
             // Truncate the last row mid-field, as a crashed writer would.
@@ -163,10 +163,12 @@ mod tests {
             content.truncate(content.len() - 4);
             content.push_str("not-a-number\n");
             std::fs::write(&path, content).unwrap();
-            let recomputed = vec![Row { a: "y".into(), v: 2.5 }];
+            let recomputed = vec![Row {
+                a: "y".into(),
+                v: 2.5,
+            }];
             let r = recomputed.clone();
-            let got =
-                load_or_compute(dir, "unit", crate::Scale::Smoke, to_f, from_f, move || r);
+            let got = load_or_compute(dir, "unit", crate::Scale::Smoke, to_f, from_f, move || r);
             assert_eq!(got, recomputed, "corrupt cache must recompute, not panic");
         });
     }
@@ -177,17 +179,21 @@ mod tests {
             std::fs::create_dir_all(dir).unwrap();
             // A pre-versioning cache file: valid rows, no header.
             std::fs::write(dir.join("unit-smoke.csv"), "x,1.5\n").unwrap();
-            let fresh = vec![Row { a: "new".into(), v: 9.0 }];
+            let fresh = vec![Row {
+                a: "new".into(),
+                v: 9.0,
+            }];
             let r = fresh.clone();
-            let got =
-                load_or_compute(dir, "unit", crate::Scale::Smoke, to_f, from_f, move || r);
+            let got = load_or_compute(dir, "unit", crate::Scale::Smoke, to_f, from_f, move || r);
             assert_eq!(got, fresh, "headerless cache must be treated as stale");
             // An old-version header likewise invalidates.
             std::fs::write(dir.join("unit-smoke.csv"), "#msd-cache v1\nx,1.5\n").unwrap();
-            let fresh2 = vec![Row { a: "newer".into(), v: 10.0 }];
+            let fresh2 = vec![Row {
+                a: "newer".into(),
+                v: 10.0,
+            }];
             let r = fresh2.clone();
-            let got =
-                load_or_compute(dir, "unit", crate::Scale::Smoke, to_f, from_f, move || r);
+            let got = load_or_compute(dir, "unit", crate::Scale::Smoke, to_f, from_f, move || r);
             assert_eq!(got, fresh2);
             // And the rewritten file now carries the current header.
             let content = std::fs::read_to_string(dir.join("unit-smoke.csv")).unwrap();

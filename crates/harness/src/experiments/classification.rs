@@ -56,9 +56,7 @@ pub fn results(scale: Scale) -> Vec<ClassificationRow> {
         &super::cache_dir(),
         "classification",
         scale,
-        |r: &ClassificationRow| {
-            vec![r.dataset.clone(), r.model.clone(), r.accuracy.to_string()]
-        },
+        |r: &ClassificationRow| vec![r.dataset.clone(), r.model.clone(), r.accuracy.to_string()],
         |f| {
             Some(ClassificationRow {
                 dataset: f.first()?.clone(),

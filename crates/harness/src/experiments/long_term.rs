@@ -2,9 +2,7 @@
 //! horizons, look-back 96, MSE/MAE in standardised space — the protocol of
 //! the benchmark suite the paper follows.
 
-use crate::{
-    evaluate_forecast, fit, ForecastSource, ModelSpec, Scale, TrainConfig,
-};
+use crate::{evaluate_forecast, fit, ForecastSource, ModelSpec, Scale, TrainConfig};
 use msd_data::{long_term_datasets, LongRangeSpec, SlidingWindows, Split, StandardScaler};
 use msd_nn::{ParamStore, Task};
 use msd_tensor::rng::Rng;

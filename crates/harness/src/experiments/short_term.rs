@@ -6,8 +6,8 @@ use crate::{fit, BatchSource, ModelSpec, Scale, TrainConfig};
 use msd_baselines::naive::naive2;
 use msd_data::{m4_subsets, M4Collection};
 use msd_metrics::{mase, owa, smape, M4Score};
-use msd_mixer::Target;
 use msd_mixer::variants::Variant;
+use msd_mixer::Target;
 use msd_nn::{ParamStore, Task};
 use msd_tensor::rng::Rng;
 use msd_tensor::Tensor;

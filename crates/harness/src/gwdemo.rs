@@ -174,7 +174,9 @@ impl TieredReference {
     /// with.
     pub fn predict(&mut self, x: &Tensor) -> Tensor {
         match &self.plan {
-            Some(plan) => self.model.predict_plan(plan, &self.store, x, &mut self.arena),
+            Some(plan) => self
+                .model
+                .predict_plan(plan, &self.store, x, &mut self.arena),
             None => self.model.predict(&self.store, x),
         }
     }

@@ -32,9 +32,12 @@ pub use model::{default_patch_sizes, AnyModel, ModelSpec};
 pub use registry::{table_i_rows, TaskSummary};
 pub use report::{fmt3, write_csv, Table};
 pub use scale::Scale;
-pub use sources::{BatchSource, ClassifySource, DenoisingSource, ForecastSource, ImputationSource, ReconstructSource};
+pub use sources::{
+    BatchSource, ClassifySource, DenoisingSource, ForecastSource, ImputationSource,
+    ReconstructSource,
+};
 pub use telemetry::{read_events_tolerant, TelemetrySummary, TrainEvent, TrainMonitor};
+pub use train::{evaluate_accuracy, validation_loss};
 pub use train::{
     evaluate_forecast, fit, fit_monitored, FitReport, TrainConfig, TrainConfigBuilder,
 };
-pub use train::{evaluate_accuracy, validation_loss};

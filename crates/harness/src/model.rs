@@ -117,27 +117,27 @@ impl ModelSpec {
                 };
                 AnyModel::Mixer(build_variant(store, rng, &cfg, *variant))
             }
-            ModelSpec::DLinear => {
-                AnyModel::Baseline(Box::new(DLinear::new(store, rng, channels, input_len, task)))
-            }
-            ModelSpec::NLinear => {
-                AnyModel::Baseline(Box::new(NLinear::new(store, rng, channels, input_len, task)))
-            }
-            ModelSpec::LightTs => {
-                AnyModel::Baseline(Box::new(LightTs::new(store, rng, channels, input_len, task)))
-            }
+            ModelSpec::DLinear => AnyModel::Baseline(Box::new(DLinear::new(
+                store, rng, channels, input_len, task,
+            ))),
+            ModelSpec::NLinear => AnyModel::Baseline(Box::new(NLinear::new(
+                store, rng, channels, input_len, task,
+            ))),
+            ModelSpec::LightTs => AnyModel::Baseline(Box::new(LightTs::new(
+                store, rng, channels, input_len, task,
+            ))),
             ModelSpec::NBeats => {
                 AnyModel::Baseline(Box::new(NBeats::new(store, rng, channels, input_len, task)))
             }
             ModelSpec::NHits => {
                 AnyModel::Baseline(Box::new(NHits::new(store, rng, channels, input_len, task)))
             }
-            ModelSpec::PatchTst => {
-                AnyModel::Baseline(Box::new(PatchTst::new(store, rng, channels, input_len, task)))
-            }
-            ModelSpec::TimesNet => {
-                AnyModel::Baseline(Box::new(TimesNet::new(store, rng, channels, input_len, task)))
-            }
+            ModelSpec::PatchTst => AnyModel::Baseline(Box::new(PatchTst::new(
+                store, rng, channels, input_len, task,
+            ))),
+            ModelSpec::TimesNet => AnyModel::Baseline(Box::new(TimesNet::new(
+                store, rng, channels, input_len, task,
+            ))),
         }
     }
 }
@@ -278,14 +278,7 @@ mod tests {
     fn forward_loss_matches_task_for_all_target_kinds() {
         let mut store = ParamStore::new();
         let mut rng = Rng::seed_from(2);
-        let model = ModelSpec::DLinear.build(
-            &mut store,
-            &mut rng,
-            2,
-            16,
-            Task::Reconstruct,
-            8,
-        );
+        let model = ModelSpec::DLinear.build(&mut store, &mut rng, 2, 16, Task::Reconstruct, 8);
         let x = Tensor::randn(&[2, 2, 16], 1.0, &mut rng);
         let g = Graph::new();
         let mut rng2 = Rng::seed_from(3);

@@ -156,8 +156,7 @@ impl BatchSource for DenoisingSource<'_> {
     fn batch(&self, indices: &[usize]) -> (Tensor, Target) {
         let mapped: Vec<usize> = indices.iter().map(|&i| self.selected[i]).collect();
         let (x, _) = self.windows.batch(&mapped);
-        let mask =
-            random_observed_mask(x.shape(), self.corrupt_ratio, &mut self.rng.borrow_mut());
+        let mask = random_observed_mask(x.shape(), self.corrupt_ratio, &mut self.rng.borrow_mut());
         (x.mul(&mask), Target::Series(x))
     }
 }

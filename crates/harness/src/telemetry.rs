@@ -525,7 +525,10 @@ mod tests {
             step: 2304,
             version: 2,
         };
-        assert_eq!(swap.to_json(), "{\"event\":\"swap\",\"step\":2304,\"version\":2}");
+        assert_eq!(
+            swap.to_json(),
+            "{\"event\":\"swap\",\"step\":2304,\"version\":2}"
+        );
         // Neither event touches the training counters.
         let mut mon = TrainMonitor::in_memory();
         mon.record(&drift);

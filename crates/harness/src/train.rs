@@ -270,7 +270,9 @@ impl TrainConfigBuilder {
                 matches!(std::env::var("MSD_RESUME").as_deref(), Ok("1") | Ok("true"))
             }),
             kill_after_batches: self.kill_after_batches.unwrap_or_else(|| {
-                std::env::var("MSD_KILL_AFTER").ok().and_then(|v| v.parse().ok())
+                std::env::var("MSD_KILL_AFTER")
+                    .ok()
+                    .and_then(|v| v.parse().ok())
             }),
         }
     }
@@ -369,7 +371,10 @@ pub fn fit_monitored(
 ) -> FitReport {
     assert!(!train.is_empty(), "empty training source");
     assert!(cfg.snapshot_every > 0, "snapshot_every must be positive");
-    assert!(cfg.checkpoint_every > 0, "checkpoint_every must be positive");
+    assert!(
+        cfg.checkpoint_every > 0,
+        "checkpoint_every must be positive"
+    );
     let mut opt = Adam::new(AdamConfig {
         lr: cfg.lr,
         ..AdamConfig::default()
@@ -419,19 +424,17 @@ pub fn fit_monitored(
     if cfg.resume {
         if let Some(dir) = &ckpt_dir {
             match TrainCheckpoint::load_newest(dir) {
-                Some((path, ck)) => match ck
-                    .validate(&fingerprint, store)
-                    .and_then(|()| {
-                        // Stage the optimiser before touching the store:
-                        // `import_state` is all-or-nothing, so a bad file
-                        // leaves both optimiser and parameters untouched.
-                        let mut staged = Adam::new(AdamConfig {
-                            lr: cfg.lr,
-                            ..AdamConfig::default()
-                        });
-                        staged.import_state(&ck.optim)?;
-                        Ok(staged)
-                    }) {
+                Some((path, ck)) => match ck.validate(&fingerprint, store).and_then(|()| {
+                    // Stage the optimiser before touching the store:
+                    // `import_state` is all-or-nothing, so a bad file
+                    // leaves both optimiser and parameters untouched.
+                    let mut staged = Adam::new(AdamConfig {
+                        lr: cfg.lr,
+                        ..AdamConfig::default()
+                    });
+                    staged.import_state(&ck.optim)?;
+                    Ok(staged)
+                }) {
                     Ok(staged_opt) => {
                         opt = staged_opt;
                         let values: Vec<Tensor> =
@@ -507,8 +510,7 @@ pub fn fit_monitored(
         };
         // The order is checkpointed alongside the cursor so a resumed run
         // replays exactly the batches an uninterrupted one would see.
-        let epoch_order: Option<Vec<usize>> =
-            ckpt_dir.as_ref().map(|_| batcher.order().to_vec());
+        let epoch_order: Option<Vec<usize>> = ckpt_dir.as_ref().map(|_| batcher.order().to_vec());
         for (enum_idx, idx) in batcher.enumerate() {
             let batch_idx = batch_offset + enum_idx;
             let t0 = Instant::now();
@@ -578,9 +580,9 @@ pub fn fit_monitored(
                                     epoch,
                                     kind: "durable",
                                 }),
-                                Err(e) => eprintln!(
-                                    "[checkpoint] write failed: {e} (training continues)"
-                                ),
+                                Err(e) => {
+                                    eprintln!("[checkpoint] write failed: {e} (training continues)")
+                                }
                             }
                         }
                     }
@@ -666,7 +668,9 @@ pub fn fit_monitored(
         let epoch_mean = if batches > 0 {
             (epoch_loss / batches as f64) as f32
         } else {
-            eprintln!("[train] epoch {epoch}: every batch was non-finite (skipped {epoch_skipped})");
+            eprintln!(
+                "[train] epoch {epoch}: every batch was non-finite (skipped {epoch_skipped})"
+            );
             f32::NAN
         };
         report.train_losses.push(epoch_mean);
@@ -815,15 +819,12 @@ pub fn evaluate_accuracy(
 mod tests {
     use super::*;
     use crate::{ForecastSource, ModelSpec};
-    use msd_data::{Split, SlidingWindows};
+    use msd_data::{SlidingWindows, Split};
     use msd_mixer::variants::Variant;
     use msd_nn::Task;
 
     fn sine_series(t: usize) -> Tensor {
-        Tensor::from_vec(
-            &[1, t],
-            (0..t).map(|i| (i as f32 / 4.0).sin()).collect(),
-        )
+        Tensor::from_vec(&[1, t], (0..t).map(|i| (i as f32 / 4.0).sin()).collect())
     }
 
     #[test]

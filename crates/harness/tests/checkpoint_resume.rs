@@ -5,11 +5,9 @@
 //! never panic: they are diagnosed, skipped, and the loader falls back to
 //! the newest valid rotation.
 
-use msd_harness::{
-    fit, ForecastSource, ModelSpec, TrainCheckpoint, TrainConfig,
-};
-use msd_data::{Split, SlidingWindows};
+use msd_data::{SlidingWindows, Split};
 use msd_harness::ClassifySource;
+use msd_harness::{fit, ForecastSource, ModelSpec, TrainCheckpoint, TrainConfig};
 use msd_mixer::variants::Variant;
 use msd_nn::checkpoint::{section_bounds, MAGIC};
 use msd_nn::{ParamStore, Task};
@@ -184,7 +182,13 @@ fn resume_is_bit_identical_for_classification() {
     let probe = Tensor::ones(&[2, 1, 16]);
 
     let (model, mut store) = classify_model(31);
-    let ref_report = fit(&model, &mut store, &classify_src(), None, &cfg(None, false, None));
+    let ref_report = fit(
+        &model,
+        &mut store,
+        &classify_src(),
+        None,
+        &cfg(None, false, None),
+    );
     let ref_params = param_bits(&store);
     let ref_logits = model.predict(&store, &probe);
 
@@ -211,7 +215,10 @@ fn resume_is_bit_identical_for_classification() {
         );
         assert!(resumed.resumed_from.is_some(), "kill at {kill}");
         assert_eq!(param_bits(&store), ref_params, "kill at {kill}");
-        assert_eq!(resumed.train_losses, ref_report.train_losses, "kill at {kill}");
+        assert_eq!(
+            resumed.train_losses, ref_report.train_losses,
+            "kill at {kill}"
+        );
         assert_eq!(model.predict(&store, &probe).data(), ref_logits.data());
         let _ = std::fs::remove_dir_all(&dir);
     }
@@ -237,11 +244,17 @@ fn populated_ckpt_dir(name: &str) -> PathBuf {
 fn corrupt_checkpoint_corpus_is_rejected_without_panicking() {
     let dir = populated_ckpt_dir("corpus");
     let bytes = std::fs::read(dir.join("ckpt-latest.msd")).unwrap();
-    assert!(TrainCheckpoint::decode(&bytes).is_ok(), "baseline file must decode");
+    assert!(
+        TrainCheckpoint::decode(&bytes).is_ok(),
+        "baseline file must decode"
+    );
 
     // Truncation at (and one byte before) every section boundary.
     let bounds = section_bounds(&bytes).unwrap();
-    assert!(bounds.len() >= 6, "expected all five sections + footer: {bounds:?}");
+    assert!(
+        bounds.len() >= 6,
+        "expected all five sections + footer: {bounds:?}"
+    );
     for (name, end) in &bounds {
         for cut in [end.saturating_sub(1), *end] {
             if cut == bytes.len() {
@@ -265,7 +278,10 @@ fn corrupt_checkpoint_corpus_is_rejected_without_panicking() {
     // Stale magic from the v1 era.
     let mut stale = bytes.clone();
     stale[..MAGIC.len()].copy_from_slice(b"MSDCKPT1");
-    assert!(TrainCheckpoint::decode(&stale).is_err(), "stale magic accepted");
+    assert!(
+        TrainCheckpoint::decode(&stale).is_err(),
+        "stale magic accepted"
+    );
     let _ = std::fs::remove_dir_all(&dir);
 }
 
@@ -280,9 +296,20 @@ fn torn_latest_falls_back_to_previous_rotation() {
     let data = sine_series(400);
     let src = ForecastSource::new(SlidingWindows::new(&data, 24, 8, Split::Train), 48);
     let (model, mut store) = mixer_model(9);
-    let report = fit(&model, &mut store, &src, None, &forecast_cfg(Some(&dir), true, None));
+    let report = fit(
+        &model,
+        &mut store,
+        &src,
+        None,
+        &forecast_cfg(Some(&dir), true, None),
+    );
     let from = report.resumed_from.expect("must fall back to a rotation");
-    assert_eq!(from, dir.join("ckpt-1.msd"), "resumed from {}", from.display());
+    assert_eq!(
+        from,
+        dir.join("ckpt-1.msd"),
+        "resumed from {}",
+        from.display()
+    );
     assert!(report.aborted.is_none());
     assert!(report.train_losses.iter().all(|l| l.is_finite()));
     let _ = std::fs::remove_dir_all(&dir);
@@ -302,7 +329,10 @@ fn fully_corrupt_dir_starts_fresh_and_still_matches_reference() {
     let mut cfg = forecast_cfg(Some(&dir), true, None);
     cfg.checkpoint_dir = Some(dir.clone());
     let report = fit(&model, &mut store, &src, None, &cfg);
-    assert!(report.resumed_from.is_none(), "garbage must not be resumed from");
+    assert!(
+        report.resumed_from.is_none(),
+        "garbage must not be resumed from"
+    );
 
     // A fresh start is exactly the uninterrupted run.
     let (ref_model, mut ref_store) = mixer_model(9);
@@ -324,14 +354,26 @@ fn disabled_checkpointing_changes_no_numerics() {
         let data = sine_series(400);
         let src = ForecastSource::new(SlidingWindows::new(&data, 24, 8, Split::Train), 48);
         let (model, mut store) = mixer_model(9);
-        let report = fit(&model, &mut store, &src, None, &forecast_cfg(dir, false, None));
+        let report = fit(
+            &model,
+            &mut store,
+            &src,
+            None,
+            &forecast_cfg(dir, false, None),
+        );
         (report.train_losses, param_bits(&store))
     };
     let dir = temp_dir("numerics");
     let (losses_on, params_on) = run(Some(&dir));
     let (losses_off, params_off) = run(None);
-    assert_eq!(losses_on, losses_off, "checkpointing changed the loss curve");
-    assert_eq!(params_on, params_off, "checkpointing changed the parameters");
+    assert_eq!(
+        losses_on, losses_off,
+        "checkpointing changed the loss curve"
+    );
+    assert_eq!(
+        params_on, params_off,
+        "checkpointing changed the parameters"
+    );
     let _ = std::fs::remove_dir_all(&dir);
 }
 
@@ -358,7 +400,10 @@ fn rotation_keeps_a_bounded_number_of_generations() {
     // Every surviving generation decodes.
     for name in &names {
         let bytes = std::fs::read(dir.join(name)).unwrap();
-        assert!(TrainCheckpoint::decode(&bytes).is_ok(), "{name} does not decode");
+        assert!(
+            TrainCheckpoint::decode(&bytes).is_ok(),
+            "{name} does not decode"
+        );
     }
     let _ = std::fs::remove_dir_all(&dir);
 }

@@ -1,11 +1,11 @@
 //! Failure-injection tests: the harness must behave sanely on degenerate
 //! and adversarial inputs (NaNs, constants, empty splits, wrong targets).
 
+use msd_data::{SlidingWindows, Split};
 use msd_harness::{
     evaluate_forecast, fit, fit_monitored, BatchSource, ForecastSource, ModelSpec, TrainConfig,
     TrainMonitor,
 };
-use msd_data::{SlidingWindows, Split};
 use msd_mixer::variants::Variant;
 use msd_mixer::Target;
 use msd_nn::{ParamStore, Task};
@@ -15,14 +15,8 @@ use msd_tensor::{rng::Rng, Tensor};
 fn small_model(seed: u64) -> (msd_harness::AnyModel, ParamStore) {
     let mut store = ParamStore::new();
     let mut rng = Rng::seed_from(seed);
-    let model = ModelSpec::DLinear.build(
-        &mut store,
-        &mut rng,
-        1,
-        8,
-        Task::Forecast { horizon: 4 },
-        4,
-    );
+    let model =
+        ModelSpec::DLinear.build(&mut store, &mut rng, 1, 8, Task::Forecast { horizon: 4 }, 4);
     (model, store)
 }
 
@@ -103,14 +97,8 @@ fn fit_survives_nan_batches() {
     };
     let mut store = ParamStore::new();
     let mut rng = Rng::seed_from(1);
-    let model = ModelSpec::DLinear.build(
-        &mut store,
-        &mut rng,
-        1,
-        8,
-        Task::Forecast { horizon: 4 },
-        4,
-    );
+    let model =
+        ModelSpec::DLinear.build(&mut store, &mut rng, 1, 8, Task::Forecast { horizon: 4 }, 4);
     let report = fit(
         &model,
         &mut store,
@@ -129,7 +117,10 @@ fn fit_survives_nan_batches() {
     assert_eq!(report.rollbacks, 2);
     assert!(report.aborted.is_none());
     for (_, _, value) in store.iter() {
-        assert!(value.data().iter().all(|v| v.is_finite()), "params went non-finite");
+        assert!(
+            value.data().iter().all(|v| v.is_finite()),
+            "params went non-finite"
+        );
     }
 }
 
@@ -181,14 +172,8 @@ fn fit_rejects_empty_source() {
     }
     let mut store = ParamStore::new();
     let mut rng = Rng::seed_from(3);
-    let model = ModelSpec::DLinear.build(
-        &mut store,
-        &mut rng,
-        1,
-        8,
-        Task::Forecast { horizon: 4 },
-        4,
-    );
+    let model =
+        ModelSpec::DLinear.build(&mut store, &mut rng, 1, 8, Task::Forecast { horizon: 4 }, 4);
     let _ = fit(&model, &mut store, &Empty, None, &TrainConfig::default());
 }
 
@@ -264,7 +249,11 @@ fn mid_training_nan_recovers_with_rollback_reset_and_backoff() {
     let report = fit_monitored(&model, &mut store, &src, None, &cfg, &mut monitor);
 
     assert_eq!(report.epochs_run, 2);
-    assert!(report.aborted.is_none(), "single NaN must not abort: {:?}", report.aborted);
+    assert!(
+        report.aborted.is_none(),
+        "single NaN must not abort: {:?}",
+        report.aborted
+    );
     assert_eq!(report.skipped_batches, 1);
     assert_eq!(report.rollbacks, 1);
     assert_eq!(report.telemetry.batches, 7, "7 of 8 batches applied");
@@ -274,8 +263,14 @@ fn mid_training_nan_recovers_with_rollback_reset_and_backoff() {
     }
 
     let lines = monitor.lines().join("\n");
-    assert!(lines.contains("\"event\":\"non_finite\""), "telemetry:\n{lines}");
-    assert!(lines.contains("\"event\":\"rollback\""), "telemetry:\n{lines}");
+    assert!(
+        lines.contains("\"event\":\"non_finite\""),
+        "telemetry:\n{lines}"
+    );
+    assert!(
+        lines.contains("\"event\":\"rollback\""),
+        "telemetry:\n{lines}"
+    );
     assert!(
         lines.contains("\"event\":\"restore\"") && lines.contains("\"kind\":\"good-state\""),
         "telemetry:\n{lines}"
@@ -305,10 +300,17 @@ fn persistent_nans_abort_cleanly_with_diagnostic() {
     assert!(diag.contains("retries exhausted"), "diagnostic: {diag}");
     assert_eq!(report.epochs_run, 1, "abort happens in the first epoch");
     assert_eq!(report.skipped_batches, 3, "max_retries + 1 failures");
-    assert!(monitor.lines().iter().any(|l| l.contains("\"event\":\"abort\"")));
+    assert!(monitor
+        .lines()
+        .iter()
+        .any(|l| l.contains("\"event\":\"abort\"")));
     // No good snapshot ever existed: parameters remain the (finite) init.
     for ((_, _, value), initial) in store.iter().zip(&init) {
-        assert_eq!(value.data(), initial.data(), "params moved during an all-NaN run");
+        assert_eq!(
+            value.data(),
+            initial.data(),
+            "params moved during an all-NaN run"
+        );
     }
 }
 
@@ -367,8 +369,17 @@ fn telemetry_jsonl_records_recovery_end_to_end() {
     assert!(kinds.contains(&"restore"));
     assert!(kinds.contains(&"epoch"));
     // Batch events carry the full per-batch schema.
-    let batch_line = content.lines().find(|l| l.contains("\"event\":\"batch\"")).unwrap();
-    for key in ["\"loss\":", "\"grad_norm\":", "\"clip_scale\":", "\"lr\":", "\"wall_ms\":"] {
+    let batch_line = content
+        .lines()
+        .find(|l| l.contains("\"event\":\"batch\""))
+        .unwrap();
+    for key in [
+        "\"loss\":",
+        "\"grad_norm\":",
+        "\"clip_scale\":",
+        "\"lr\":",
+        "\"wall_ms\":",
+    ] {
         assert!(batch_line.contains(key), "missing {key} in {batch_line}");
     }
     let _ = std::fs::remove_file(&path);

@@ -18,7 +18,7 @@
 //! `#[test]`s run in parallel without touching each other's tier, and each
 //! leg asserts that its kernels dispatch to the tier it names.
 
-use msd_data::{classification_datasets, ClassSpec, Split, SlidingWindows};
+use msd_data::{classification_datasets, ClassSpec, SlidingWindows, Split};
 use msd_harness::{fit, ClassifySource, ForecastSource, ModelSpec, TrainConfig};
 use msd_mixer::variants::Variant;
 use msd_nn::{ParamStore, Task};
@@ -46,7 +46,10 @@ fn digest(curves: &[&[f32]]) -> u64 {
 }
 
 fn bits_of(curve: &[f32]) -> Vec<String> {
-    curve.iter().map(|l| format!("{l}={:#010x}", l.to_bits())).collect()
+    curve
+        .iter()
+        .map(|l| format!("{l}={:#010x}", l.to_bits()))
+        .collect()
 }
 
 /// Runs `run` on the scalar and the detected kernel tier, asserts both
@@ -65,7 +68,8 @@ fn check_golden(name: &str, golden: u64, run: impl Fn() -> (Vec<f32>, Vec<f32>))
     let (_, d0, train0, val0) = &digests[0];
     for (leg, d, train, val) in &digests[1..] {
         assert_eq!(
-            d, d0,
+            d,
+            d0,
             "{name}: loss digest differs between kernel tiers \
              (tier={leg}): determinism contract broken.\n\
              reference train bits: {:?}\nthis tier's train bits: {:?}",
@@ -75,7 +79,8 @@ fn check_golden(name: &str, golden: u64, run: impl Fn() -> (Vec<f32>, Vec<f32>))
         let _ = val;
     }
     assert_eq!(
-        *d0, golden,
+        *d0,
+        golden,
         "{name}: loss digest {d0:#018x} != blessed {golden:#018x}.\n\
          If this change is intentional, re-bless GOLDEN_* in golden_losses.rs.\n\
          train losses: {:?}\nval losses: {:?}",
@@ -89,7 +94,9 @@ fn golden_forecast_losses() {
     check_golden("forecast", GOLDEN_FORECAST, || {
         let data = Tensor::from_vec(
             &[1, 400],
-            (0..400).map(|i| (i as f32 / 4.0).sin() + 0.1 * (i as f32 / 17.0).cos()).collect(),
+            (0..400)
+                .map(|i| (i as f32 / 4.0).sin() + 0.1 * (i as f32 / 17.0).cos())
+                .collect(),
         );
         let train_src = ForecastSource::new(SlidingWindows::new(&data, 24, 8, Split::Train), 48);
         let val_src = ForecastSource::new(SlidingWindows::new(&data, 24, 8, Split::Val), 16);
@@ -116,7 +123,11 @@ fn golden_forecast_losses() {
                 ..TrainConfig::default()
             },
         );
-        assert!(report.aborted.is_none(), "golden run aborted: {:?}", report.aborted);
+        assert!(
+            report.aborted.is_none(),
+            "golden run aborted: {:?}",
+            report.aborted
+        );
         (report.train_losses, report.val_losses)
     });
 }
@@ -139,7 +150,9 @@ fn golden_classification_losses() {
             &mut rng,
             spec.channels,
             spec.series_len,
-            Task::Classify { classes: spec.classes },
+            Task::Classify {
+                classes: spec.classes,
+            },
             4,
         );
         let report = fit(
@@ -155,7 +168,11 @@ fn golden_classification_losses() {
                 ..TrainConfig::default()
             },
         );
-        assert!(report.aborted.is_none(), "golden run aborted: {:?}", report.aborted);
+        assert!(
+            report.aborted.is_none(),
+            "golden run aborted: {:?}",
+            report.aborted
+        );
         (report.train_losses, report.val_losses)
     });
 }

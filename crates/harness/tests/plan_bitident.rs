@@ -20,11 +20,7 @@ use msd_tensor::Tensor;
 fn assert_bits_equal(a: &Tensor, b: &Tensor, what: &str) {
     assert_eq!(a.shape(), b.shape(), "{what}: shape");
     for (i, (x, y)) in a.data().iter().zip(b.data()).enumerate() {
-        assert_eq!(
-            x.to_bits(),
-            y.to_bits(),
-            "{what}: element {i} ({x} vs {y})"
-        );
+        assert_eq!(x.to_bits(), y.to_bits(), "{what}: element {i} ({x} vs {y})");
     }
 }
 

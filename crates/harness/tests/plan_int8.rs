@@ -52,7 +52,12 @@ fn lowered_plans_bit_identical_across_tiers_threads_and_batches() {
         for id in 0..f32_store.len() {
             let shape = f32_store.get(id).shape().to_vec();
             let noise = Tensor::randn(&shape, 0.05, &mut noise_rng);
-            for (v, n) in f32_store.get_mut(id).data_mut().iter_mut().zip(noise.data()) {
+            for (v, n) in f32_store
+                .get_mut(id)
+                .data_mut()
+                .iter_mut()
+                .zip(noise.data())
+            {
                 *v += n;
             }
         }
@@ -72,7 +77,10 @@ fn lowered_plans_bit_identical_across_tiers_threads_and_batches() {
             Task::Forecast { horizon },
             d_model,
         );
-        ArtifactReader::decode(&bytes).unwrap().load_into(&mut store).unwrap();
+        ArtifactReader::decode(&bytes)
+            .unwrap()
+            .load_into(&mut store)
+            .unwrap();
         assert_eq!(store.tier(), PrecisionTier::Int8);
 
         let samples: Vec<Tensor> = (0..pool)
@@ -136,7 +144,11 @@ fn lowered_plans_bit_identical_across_tiers_threads_and_batches() {
                     .iter()
                     .zip(reference[0].data())
                     .any(|(a, b)| a.to_bits() != b.to_bits());
-                assert!(differs, "{}: int8 lowering had no numeric effect", spec.name());
+                assert!(
+                    differs,
+                    "{}: int8 lowering had no numeric effect",
+                    spec.name()
+                );
                 // (lowering the f32 plan onto the int8 store's weights gives
                 // back compile_plan's lowering and its answers)
                 assert_eq!(

@@ -119,7 +119,10 @@ fn predict_tiered(
 
 fn argmax_labels(logits: &Tensor) -> Vec<usize> {
     let [b, c] = *logits.shape() else {
-        panic!("classification output must be [B, classes], got {:?}", logits.shape())
+        panic!(
+            "classification output must be [B, classes], got {:?}",
+            logits.shape()
+        )
     };
     (0..b)
         .map(|i| {

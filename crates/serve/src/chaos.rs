@@ -373,9 +373,8 @@ mod tests {
 
     #[test]
     fn parse_round_trips_the_documented_example() {
-        let plan =
-            FaultPlan::parse("seed:42,worker_panic:0.01,worker_stall_ms:50,conn_drop:0.02")
-                .unwrap();
+        let plan = FaultPlan::parse("seed:42,worker_panic:0.01,worker_stall_ms:50,conn_drop:0.02")
+            .unwrap();
         assert_eq!(plan.seed, 42);
         assert_eq!(plan.worker_panic, 0.01);
         assert_eq!(plan.worker_stall_ms, 50);
@@ -406,9 +405,8 @@ mod tests {
         }
         // A different seed produces a different schedule (overwhelmingly).
         let c = FaultPlan::parse("seed:43,worker_panic:0.1,conn_drop:0.3").unwrap();
-        let differs = (0..10_000).any(|n| {
-            a.fires(FaultPoint::WorkerPanic, n) != c.fires(FaultPoint::WorkerPanic, n)
-        });
+        let differs = (0..10_000)
+            .any(|n| a.fires(FaultPoint::WorkerPanic, n) != c.fires(FaultPoint::WorkerPanic, n));
         assert!(differs, "seed does not influence the schedule");
     }
 

@@ -173,7 +173,10 @@ mod tests {
         ];
         for (event, kind) in cases {
             let json = event.to_json();
-            assert!(json.starts_with(&format!("{{\"event\":\"{kind}\"")), "{json}");
+            assert!(
+                json.starts_with(&format!("{{\"event\":\"{kind}\"")),
+                "{json}"
+            );
             assert!(json.ends_with('}'), "{json}");
             assert_eq!(json.matches('{').count(), 1, "flat object: {json}");
         }

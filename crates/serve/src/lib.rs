@@ -642,7 +642,9 @@ fn worker_loop(
             Ok(ys) => {
                 let size = batch.len();
                 for (req, y) in batch.into_iter().zip(ys) {
-                    shared.stats.note_done(req.admitted.elapsed().as_micros() as u64);
+                    shared
+                        .stats
+                        .note_done(req.admitted.elapsed().as_micros() as u64);
                     let _ = req.resp.send(Ok(y));
                 }
                 shared.events.emit(&ServeEvent::BatchEnd { size, eval_us });

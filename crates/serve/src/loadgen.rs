@@ -165,7 +165,11 @@ pub fn run_open_loop(server: &Server, inputs: &[Tensor], spec: &LoadSpec) -> Run
     };
     let offsets = arrival_offsets(&spec);
     let start = Instant::now();
-    let mut pacer = Pacer::start(if spec.rate_rps > 0.0 { spec.max_burst } else { 0 });
+    let mut pacer = Pacer::start(if spec.rate_rps > 0.0 {
+        spec.max_burst
+    } else {
+        0
+    });
     let mut pending: Vec<(usize, Pending)> = Vec::with_capacity(spec.requests);
     let mut responses: Vec<Option<Result<Tensor, ServeError>>> =
         (0..spec.requests).map(|_| None).collect();

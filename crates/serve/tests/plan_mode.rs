@@ -114,7 +114,11 @@ impl Model for Counted {
     fn forward(&self, ctx: &Ctx, x: &Tensor) -> ModelOutput {
         self.0.forward(ctx, x)
     }
-    fn compile_plan(&self, store: &ParamStore, x_shape: &[usize]) -> Result<CompiledPlan, PlanError> {
+    fn compile_plan(
+        &self,
+        store: &ParamStore,
+        x_shape: &[usize],
+    ) -> Result<CompiledPlan, PlanError> {
         self.1.fetch_add(1, Ordering::SeqCst);
         self.0.compile_plan(store, x_shape)
     }
@@ -310,7 +314,11 @@ fn one_compile_serves_every_batch_size() {
     let stats = server.shutdown();
     assert_eq!(stats.batches, 4, "one batch of each size 1..=4: {stats:?}");
     assert_eq!(stats.plan_batches, stats.batches, "every batch planned");
-    assert_eq!(compiles.load(Ordering::SeqCst), 1, "one compile for every batch size");
+    assert_eq!(
+        compiles.load(Ordering::SeqCst),
+        1,
+        "one compile for every batch size"
+    );
 }
 
 #[test]
@@ -325,7 +333,10 @@ fn a_model_no_plan_can_scale_is_answered_through_the_tape() {
     let inputs = inputs(24);
     let (reference, _) = sequential_baseline(&model, &store, &inputs);
     let stats = serve_and_check((model, store), true, &inputs, &reference, "row-padded");
-    assert_eq!(stats.plan_batches, 0, "no plan, so every batch takes the tape");
+    assert_eq!(
+        stats.plan_batches, 0,
+        "no plan, so every batch takes the tape"
+    );
     assert!(stats.mean_batch > 1.0, "batches still form: {stats:?}");
 }
 

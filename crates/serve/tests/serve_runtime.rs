@@ -129,7 +129,14 @@ fn sample(channels: usize, len: usize, seed: u64) -> Tensor {
 
 fn assert_bits_equal(a: &Tensor, b: &Tensor, what: &str) {
     assert_eq!(a.shape(), b.shape(), "{what}: shape");
-    for (i, (x, y)) in a.data().iter().zip(b.data()).collect::<Vec<_>>().into_iter().enumerate() {
+    for (i, (x, y)) in a
+        .data()
+        .iter()
+        .zip(b.data())
+        .collect::<Vec<_>>()
+        .into_iter()
+        .enumerate()
+    {
         assert_eq!(x.to_bits(), y.to_bits(), "{what}: element {i}");
     }
 }
@@ -201,7 +208,10 @@ fn full_queue_rejects_with_typed_overload_error() {
             Err(e) => panic!("unexpected error: {e}"),
         }
     }
-    assert!(rejections > 0, "a cap-2 queue must shed some of 200 instant arrivals");
+    assert!(
+        rejections > 0,
+        "a cap-2 queue must shed some of 200 instant arrivals"
+    );
     for p in accepted {
         p.wait().expect("accepted requests still complete");
     }
@@ -560,8 +570,8 @@ fn chaos_schedules_replay_bit_identically_for_the_same_seed() {
     // sequential request stream, must produce identical outcomes per
     // request, identical fired-fault logs, balanced ledgers, and
     // bit-identical successful responses.
-    let plan = FaultPlan::parse("seed:42,worker_panic:0.25,worker_stall:0.1,worker_stall_ms:5")
-        .unwrap();
+    let plan =
+        FaultPlan::parse("seed:42,worker_panic:0.25,worker_stall:0.1,worker_stall_ms:5").unwrap();
     let run = |plan: FaultPlan| {
         let mut store = ParamStore::new();
         let model = Affine::new(&mut store, 2, 6);
@@ -627,7 +637,8 @@ fn shutdown_drains_every_in_flight_request() {
     assert_eq!(stats.completed, 40);
     assert_eq!(stats.failed + stats.rejected, 0);
     for p in pending {
-        p.wait().expect("drained request still delivers its response");
+        p.wait()
+            .expect("drained request still delivers its response");
     }
 }
 
@@ -714,8 +725,14 @@ fn low_latency_preset_is_bit_identical_and_keeps_submission_order() {
 
     for i in 0..32u64 {
         let x = sample(2, 16, 900 + i);
-        let y = server.infer(x.clone()).expect("low-latency request succeeds");
-        assert_bits_equal(&y, &ref_model.predict(&ref_store, &x), "low-latency response");
+        let y = server
+            .infer(x.clone())
+            .expect("low-latency request succeeds");
+        assert_bits_equal(
+            &y,
+            &ref_model.predict(&ref_store, &x),
+            "low-latency response",
+        );
     }
     let stats = server.shutdown();
     assert_eq!(stats.completed, 32);

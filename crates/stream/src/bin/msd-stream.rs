@@ -78,11 +78,17 @@ fn main() {
         failed = true;
     }
     if report.swaps < 2 {
-        eprintln!("FAIL: no hot-swap happened (only {} publication(s))", report.swaps);
+        eprintln!(
+            "FAIL: no hot-swap happened (only {} publication(s))",
+            report.swaps
+        );
         failed = true;
     }
     if report.lost_requests != 0 {
-        eprintln!("FAIL: {} request(s) lost across the swap", report.lost_requests);
+        eprintln!(
+            "FAIL: {} request(s) lost across the swap",
+            report.lost_requests
+        );
         failed = true;
     }
     if failed {

@@ -36,7 +36,7 @@
 //! evaluation order equals submission order.
 
 use crate::drift::{DriftConfig, DriftDetector, DriftSignal, DriftState};
-use crate::retrain::{seed_checkpoint, install_checkpoint, BufferSource, RetrainParams};
+use crate::retrain::{install_checkpoint, seed_checkpoint, BufferSource, RetrainParams};
 use crate::ring::RingWindower;
 use crate::scaler::StreamScaler;
 use msd_gateway::Registry;
@@ -217,7 +217,10 @@ impl StreamEngine {
     /// Builds an idle engine; the serving model is trained and registered
     /// once warmup completes.
     pub fn new(cfg: StreamConfig) -> io::Result<Self> {
-        assert!(cfg.stride <= cfg.window, "stride > window leaves unscored gaps");
+        assert!(
+            cfg.stride <= cfg.window,
+            "stride > window leaves unscored gaps"
+        );
         assert!(
             cfg.warmup_windows <= cfg.buffer_cap,
             "warmup must fit in the buffer"
@@ -345,8 +348,7 @@ impl StreamEngine {
             match self.detector.push(median) {
                 DriftSignal::None => {}
                 DriftSignal::Calibrated => {
-                    let thr =
-                        threshold_by_ratio(&self.threshold_scores, self.cfg.threshold_ratio);
+                    let thr = threshold_by_ratio(&self.threshold_scores, self.cfg.threshold_ratio);
                     self.calibrations.push((step, thr));
                     self.threshold_scores.clear();
                 }
@@ -429,7 +431,10 @@ impl StreamEngine {
     fn fine_tune(&mut self, step: u64) -> io::Result<Vec<u8>> {
         let stack = BufferSource::stack(self.buffer.make_contiguous());
         let n = stack.shape()[0];
-        let dir = self.cfg.checkpoint_root.join(format!("retrain-{}", self.swaps));
+        let dir = self
+            .cfg
+            .checkpoint_root
+            .join(format!("retrain-{}", self.swaps));
         let cfg = self.cfg.retrain.train_config(&dir);
         let ck = seed_checkpoint(&self.store, n, &cfg);
         let ck_bytes = ck.encode();
@@ -442,12 +447,23 @@ impl StreamEngine {
         // Monitor disabled: BatchEnd carries wall-clock, which would break
         // byte-identical replay of any log it landed in.
         let mut monitor = TrainMonitor::disabled();
-        let report = fit_monitored(&self.model, &mut self.store, &source, None, &cfg, &mut monitor);
+        let report = fit_monitored(
+            &self.model,
+            &mut self.store,
+            &source,
+            None,
+            &cfg,
+            &mut monitor,
+        );
         assert!(
             report.resumed_from.is_some(),
             "warm retrain must resume from the seed checkpoint"
         );
-        assert!(report.aborted.is_none(), "warm retrain diverged: {:?}", report.aborted);
+        assert!(
+            report.aborted.is_none(),
+            "warm retrain diverged: {:?}",
+            report.aborted
+        );
         let artifact = ArtifactWriter::new(PrecisionTier::F32)
             .encode(&self.store)
             .map_err(io::Error::other)?;

@@ -118,7 +118,11 @@ impl BatchSource for BufferSource {
             data.extend_from_slice(&self.x.data()[i * c * l..(i + 1) * c * l]);
         }
         let clean = Tensor::from_vec(&[indices.len(), c, l], data);
-        let mask = random_observed_mask(clean.shape(), self.corrupt_ratio, &mut self.rng.borrow_mut());
+        let mask = random_observed_mask(
+            clean.shape(),
+            self.corrupt_ratio,
+            &mut self.rng.borrow_mut(),
+        );
         (clean.mul(&mask), Target::Series(clean))
     }
 }

@@ -125,10 +125,7 @@ mod tests {
             let (va, la) = a.next_sample();
             let (vb, lb) = b.next_sample();
             assert_eq!(la, lb);
-            assert!(va
-                .iter()
-                .zip(&vb)
-                .all(|(x, y)| x.to_bits() == y.to_bits()));
+            assert!(va.iter().zip(&vb).all(|(x, y)| x.to_bits() == y.to_bits()));
         }
     }
 

@@ -44,11 +44,15 @@ fn replaying_a_seeded_stream_reproduces_both_logs_byte_for_byte() {
     assert!(a.swaps >= 2, "scenario performed no hot-swap");
     assert_eq!(a.lost_requests, 0, "requests lost across the swap");
     assert!(
-        a.event_lines.iter().any(|l| l.contains("\"event\":\"drift\"")),
+        a.event_lines
+            .iter()
+            .any(|l| l.contains("\"event\":\"drift\"")),
         "drift missing from the event log"
     );
     assert!(
-        a.event_lines.iter().any(|l| l.contains("\"event\":\"swap\"")),
+        a.event_lines
+            .iter()
+            .any(|l| l.contains("\"event\":\"swap\"")),
         "swap missing from the event log"
     );
 
@@ -64,6 +68,9 @@ fn replaying_a_seeded_stream_reproduces_both_logs_byte_for_byte() {
         assert_eq!(ra.step, rb.step);
         assert_eq!(ra.version, rb.version);
         assert_eq!(ra.artifact, rb.artifact, "swap artifact bytes diverged");
-        assert_eq!(ra.checkpoint, rb.checkpoint, "seed checkpoint bytes diverged");
+        assert_eq!(
+            ra.checkpoint, rb.checkpoint,
+            "seed checkpoint bytes diverged"
+        );
     }
 }

@@ -15,7 +15,12 @@ use msd_tensor::Tensor;
 
 /// Reference: keep every sample, then emit `[C, L]` windows starting at
 /// multiples of `stride` by slicing the materialized stream.
-fn reference_windows(samples: &[Vec<f32>], channels: usize, window: usize, stride: usize) -> Vec<Tensor> {
+fn reference_windows(
+    samples: &[Vec<f32>],
+    channels: usize,
+    window: usize,
+    stride: usize,
+) -> Vec<Tensor> {
     let mut out = Vec::new();
     let mut start = 0usize;
     while start + window <= samples.len() {
@@ -99,9 +104,7 @@ fn welford_matches_batch_two_pass_within_tolerance() {
     let mut rng = Rng::seed_from(23);
     for len in [1usize, 2, 3, 7, 64, 501, 4096] {
         // Offset the data so cancellation actually stresses the update.
-        let xs: Vec<f64> = (0..len)
-            .map(|_| 1e3 + rng.normal() as f64 * 2.5)
-            .collect();
+        let xs: Vec<f64> = (0..len).map(|_| 1e3 + rng.normal() as f64 * 2.5).collect();
         let mut w = Welford::new();
         for &x in &xs {
             w.push(x);

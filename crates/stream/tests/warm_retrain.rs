@@ -61,14 +61,22 @@ fn engine_fine_tunes_replay_bit_identically_from_their_checkpoints() {
             Task::Reconstruct,
             stream_cfg.d_model,
         );
-        let source = BufferSource::new(rec.buffer.clone(), params.corrupt_ratio, params.corrupt_seed);
+        let source = BufferSource::new(
+            rec.buffer.clone(),
+            params.corrupt_ratio,
+            params.corrupt_seed,
+        );
         let mut monitor = TrainMonitor::disabled();
         let fit = fit_monitored(&model, &mut store, &source, None, &cfg, &mut monitor);
         assert!(
             fit.resumed_from.is_some(),
             "replay {i} did not resume from the installed checkpoint"
         );
-        assert!(fit.aborted.is_none(), "replay {i} aborted: {:?}", fit.aborted);
+        assert!(
+            fit.aborted.is_none(),
+            "replay {i} aborted: {:?}",
+            fit.aborted
+        );
 
         let artifact = ArtifactWriter::new(PrecisionTier::F32)
             .encode(&store)

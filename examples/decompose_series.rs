@@ -78,7 +78,10 @@ fn main() {
 
     // Channel 0, rendered per component.
     let series = |t: &msd_tensor::Tensor| -> Vec<f32> { (0..96).map(|i| t.at(&[0, i])).collect() };
-    println!("input (channel 0)        : {}", sparkline(&series(&d.input)));
+    println!(
+        "input (channel 0)        : {}",
+        sparkline(&series(&d.input))
+    );
     for (i, (s, p)) in d.components.iter().zip(&patch_sizes).enumerate() {
         let sd = s.var_all().sqrt();
         println!(
@@ -87,10 +90,16 @@ fn main() {
             sparkline(&series(s))
         );
     }
-    println!("residual Z_k             : {}", sparkline(&series(&d.residual)));
+    println!(
+        "residual Z_k             : {}",
+        sparkline(&series(&d.residual))
+    );
 
     println!();
-    println!("decomposition consistent (ΣSᵢ + Z = X): {}", d.is_consistent(1e-3));
+    println!(
+        "decomposition consistent (ΣSᵢ + Z = X): {}",
+        d.is_consistent(1e-3)
+    );
     println!("explained energy: {:.1}%", d.explained_energy() * 100.0);
     println!("residual energy : {:.4}", d.residual_energy());
     println!(

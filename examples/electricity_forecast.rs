@@ -35,7 +35,10 @@ fn main() {
             .find(|s| s.name == "Electricity")
             .expect("registry contains Electricity")
     };
-    println!("== Day-ahead load forecasting on {} ({} feeders) ==\n", spec.name, spec.channels);
+    println!(
+        "== Day-ahead load forecasting on {} ({} feeders) ==\n",
+        spec.name, spec.channels
+    );
     let raw = spec.generate();
     let scaler = StandardScaler::fit(&raw, (spec.total_steps as f32 * 0.7) as usize);
     let data = scaler.transform(&raw);

@@ -19,7 +19,10 @@ fn main() {
         .into_iter()
         .find(|s| s.name == "ETTh1")
         .expect("registry contains ETTh1");
-    println!("dataset: {} ({} channels, {} steps)", spec.name, spec.channels, spec.total_steps);
+    println!(
+        "dataset: {} ({} channels, {} steps)",
+        spec.name, spec.channels, spec.total_steps
+    );
     let raw = spec.generate();
     let scaler = StandardScaler::fit(&raw, (spec.total_steps as f32 * 0.7) as usize);
     let data = scaler.transform(&raw);
@@ -51,7 +54,11 @@ fn main() {
         Task::Forecast { horizon },
         16,
     );
-    println!("model: {} ({} parameters)", model.name(), store.num_scalars());
+    println!(
+        "model: {} ({} parameters)",
+        model.name(),
+        store.num_scalars()
+    );
 
     // 4. Train with Adam + early stopping on the validation split.
     let report = fit(
@@ -65,7 +72,10 @@ fn main() {
             ..TrainConfig::default()
         },
     );
-    println!("trained {} epochs; train losses: {:?}", report.epochs_run, report.train_losses);
+    println!(
+        "trained {} epochs; train losses: {:?}",
+        report.epochs_run, report.train_losses
+    );
 
     // 5. Evaluate on the held-out test windows.
     let (mse, mae) = evaluate_forecast(&model, &store, &test, 32);

@@ -20,7 +20,11 @@ fn small_spec() -> AnomalySpec {
 
 #[test]
 fn mixer_detects_injected_anomalies() {
-    let scores = run_single(&small_spec(), ModelSpec::MsdMixer(Variant::Full), Scale::Smoke);
+    let scores = run_single(
+        &small_spec(),
+        ModelSpec::MsdMixer(Variant::Full),
+        Scale::Smoke,
+    );
     assert!(scores.f1 > 0.3, "F1 {} too low", scores.f1);
     assert!(scores.precision > 0.0 && scores.recall > 0.0);
 }

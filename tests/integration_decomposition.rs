@@ -93,7 +93,11 @@ fn checkpoint_round_trip_preserves_decomposition() {
     }
     store::load(&mut store, &mut buf.as_slice()).unwrap();
     let after = decompose(&mixer, &store, &x);
-    assert!(msd_tensor::allclose(&before.residual, &after.residual, 1e-5));
+    assert!(msd_tensor::allclose(
+        &before.residual,
+        &after.residual,
+        1e-5
+    ));
     for (a, b) in before.components.iter().zip(&after.components) {
         assert!(msd_tensor::allclose(a, b, 1e-5));
     }

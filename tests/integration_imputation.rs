@@ -23,8 +23,12 @@ fn run(model_spec: ModelSpec, ratio: f32) -> f32 {
     let raw = spec.generate();
     let scaler = StandardScaler::fit(&raw, 700);
     let data = scaler.transform(&raw);
-    let train_src =
-        ImputationSource::new(SlidingWindows::new(&data, 96, 0, Split::Train), 160, ratio, 5);
+    let train_src = ImputationSource::new(
+        SlidingWindows::new(&data, 96, 0, Split::Train),
+        160,
+        ratio,
+        5,
+    );
     let test_src =
         ImputationSource::new(SlidingWindows::new(&data, 96, 0, Split::Test), 64, ratio, 6);
     let mut store = ParamStore::new();
