@@ -9,7 +9,12 @@ use msd_mixer::{decompose, MsdMixer, MsdMixerConfig};
 use msd_nn::{ParamStore, Task};
 use msd_tensor::rng::Rng;
 
-fn run(lambda: f32, alpha: f32, scale: msd_harness::Scale) -> (f32, f32, f32, f32) {
+fn run(
+    lambda: f32,
+    alpha: f32,
+    scale: msd_harness::Scale,
+    base: &TrainConfig,
+) -> (f32, f32, f32, f32) {
     let spec = long_term_datasets()
         .into_iter()
         .find(|s| s.name == "ETTh1")
@@ -46,10 +51,11 @@ fn run(lambda: f32, alpha: f32, scale: msd_harness::Scale) -> (f32, f32, f32, f3
         &mut store,
         &train,
         None,
-        &TrainConfig::builder()
-            .epochs(scale.epochs())
-            .lr(5e-3)
-            .build(),
+        &TrainConfig {
+            epochs: scale.epochs(),
+            lr: 5e-3,
+            ..base.clone()
+        },
     );
     let (mse, mae) = evaluate_forecast(&model, &store, &test, 32);
     let AnyModel::Mixer(mixer) = &model else {
@@ -62,14 +68,14 @@ fn run(lambda: f32, alpha: f32, scale: msd_harness::Scale) -> (f32, f32, f32, f3
 }
 
 fn main() {
-    let scale = msd_bench::banner("Extra — Residual Loss sweep (λ, α)");
+    let (scale, base) = msd_bench::banner("Extra — Residual Loss sweep (λ, α)");
 
     let mut t = Table::new(
         "λ sweep at α = 2 (ETTh1-like, horizon 96)",
         &["lambda", "MSE", "MAE", "residual energy", "ACF violation"],
     );
     for lambda in [0.0f32, 0.1, 0.5, 1.0, 2.0] {
-        let (mse, mae, energy, viol) = run(lambda, 2.0, scale);
+        let (mse, mae, energy, viol) = run(lambda, 2.0, scale, &base);
         t.row(&[
             format!("{lambda:.1}"),
             format!("{mse:.3}"),
@@ -86,7 +92,7 @@ fn main() {
         &["alpha", "MSE", "MAE", "residual energy", "ACF violation"],
     );
     for alpha in [1.0f32, 2.0, 4.0] {
-        let (mse, mae, energy, viol) = run(0.5, alpha, scale);
+        let (mse, mae, energy, viol) = run(0.5, alpha, scale, &base);
         t.row(&[
             format!("{alpha:.1}"),
             format!("{mse:.3}"),

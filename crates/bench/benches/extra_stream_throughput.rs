@@ -37,7 +37,7 @@ fn run() {
         .expect("open target/BENCH_stream.json");
 
     let steps = 20_000u64;
-    let root = std::env::temp_dir().join("msd_stream_bench");
+    let root = std::env::temp_dir().join(format!("msd_stream_bench_{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&root);
 
     let scenario_cfg = ScenarioConfig::smoke(7);

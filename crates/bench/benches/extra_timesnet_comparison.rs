@@ -10,7 +10,7 @@ use msd_harness::{ModelSpec, Table};
 use msd_mixer::variants::Variant;
 
 fn main() {
-    let scale = msd_bench::banner("Extra — TimesNet-lite comparison");
+    let (scale, base) = msd_bench::banner("Extra — TimesNet-lite comparison");
     let models = [
         ModelSpec::MsdMixer(Variant::Full),
         ModelSpec::TimesNet,
@@ -28,7 +28,7 @@ fn main() {
         &["Model", "MSE", "MAE"],
     );
     for m in models {
-        let (mse, mae) = long_term::run_single(&etth1, 96, m, scale);
+        let (mse, mae) = long_term::run_single(&etth1, 96, m, scale, &base);
         t.row(&[
             m.name().to_string(),
             format!("{mse:.3}"),
@@ -44,7 +44,7 @@ fn main() {
         .expect("SMD");
     let mut t = Table::new("Anomaly detection, SMD-like", &["Model", "F1 (%)"]);
     for m in models {
-        let s = anomaly::run_single(&smd, m, scale);
+        let s = anomaly::run_single(&smd, m, scale, &base);
         t.row(&[m.name().to_string(), format!("{:.1}", s.f1 * 100.0)]);
     }
     print!("{}", t.render());
@@ -56,7 +56,7 @@ fn main() {
         .expect("CR");
     let mut t = Table::new("Classification, CR-like", &["Model", "Accuracy"]);
     for m in models {
-        let acc = classification::run_single(&cr, m, scale);
+        let acc = classification::run_single(&cr, m, scale, &base);
         t.row(&[m.name().to_string(), format!("{acc:.3}")]);
     }
     t.footnote("Paper Table II: TimesNet is the strongest task-general baseline overall.");

@@ -9,8 +9,8 @@ use msd_harness::{fmt3, Scale, Table};
 use msd_mixer::variants::Variant;
 
 fn main() {
-    let scale = msd_bench::banner("Figure 4 — Decomposition case study");
-    let rows = case_study::results(scale);
+    let (scale, base) = msd_bench::banner("Figure 4 — Decomposition case study");
+    let rows = case_study::results(scale, &base);
 
     let mut t = Table::new(
         "Figure 4: decomposition with vs without the Residual Loss",
@@ -46,7 +46,7 @@ fn main() {
         let dir = cache_dir();
         let _ = std::fs::create_dir_all(&dir);
         for variant in [Variant::Full, Variant::NoResidualLoss] {
-            let (_, d) = case_study::run_variant(variant, Scale::Smoke);
+            let (_, d) = case_study::run_variant(variant, Scale::Smoke, &base);
             let path = dir.join(format!(
                 "figure_04_components_{}.csv",
                 variant.name().replace('-', "_")

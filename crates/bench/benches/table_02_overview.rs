@@ -7,16 +7,16 @@ use msd_harness::{ModelSpec, Table};
 use msd_metrics::win_counts;
 
 fn main() {
-    let scale = msd_bench::banner("Table II — Overall performance comparison");
+    let (scale, base) = msd_bench::banner("Table II — Overall performance comparison");
 
     // Long-term: 64 benchmarks.
-    let lt = long_term::results(scale);
+    let lt = long_term::results(scale, &base);
     let (_, models, lt_scores) = long_term::score_matrix(&lt);
     let lt_wins = win_counts(&lt_scores);
 
     // Short-term: 15 benchmarks (5 subsets incl. weighted avg × 3 metrics in
     // the paper; here 6 subsets × 3 metrics among the shared model set).
-    let st = short_term::results(scale);
+    let st = short_term::results(scale, &base);
     let shared: Vec<String> = ModelSpec::TASK_GENERAL
         .iter()
         .map(|m| m.name().to_string())
@@ -42,17 +42,17 @@ fn main() {
     let st_wins = win_counts(&st_scores);
 
     // Imputation: 48 benchmarks.
-    let imp = imputation::results(scale);
+    let imp = imputation::results(scale, &base);
     let (_, _, imp_scores) = imputation::score_matrix(&imp);
     let imp_wins = win_counts(&imp_scores);
 
     // Anomaly detection: 5 benchmarks.
-    let an = anomaly::results(scale);
+    let an = anomaly::results(scale, &base);
     let (_, _, an_scores) = anomaly::score_matrix(&an);
     let an_wins = win_counts(&an_scores);
 
     // Classification: 10 benchmarks.
-    let cl = classification::results(scale);
+    let cl = classification::results(scale, &base);
     let (_, _, cl_scores) = classification::score_matrix(&cl);
     let cl_wins = win_counts(&cl_scores);
 

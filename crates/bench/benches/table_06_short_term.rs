@@ -5,8 +5,8 @@ use msd_harness::experiments::short_term;
 use msd_harness::{fmt3, Table};
 
 fn main() {
-    let scale = msd_bench::banner("Table VI — Short-term forecasting");
-    let rows = short_term::results(scale);
+    let (scale, base) = msd_bench::banner("Table VI — Short-term forecasting");
+    let rows = short_term::results(scale, &base);
 
     let models: Vec<String> = short_term::short_term_models()
         .iter()

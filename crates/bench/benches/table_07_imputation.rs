@@ -6,8 +6,8 @@ use msd_harness::{fmt3, ModelSpec, Table};
 use msd_metrics::win_counts;
 
 fn main() {
-    let scale = msd_bench::banner("Table VII — Imputation");
-    let rows = imputation::results(scale);
+    let (scale, base) = msd_bench::banner("Table VII — Imputation");
+    let rows = imputation::results(scale, &base);
 
     let models: Vec<&str> = ModelSpec::TASK_GENERAL.iter().map(|m| m.name()).collect();
     let mut header = vec!["Dataset", "Missing", "Metric"];

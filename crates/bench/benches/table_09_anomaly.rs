@@ -5,8 +5,8 @@ use msd_harness::experiments::anomaly;
 use msd_harness::{ModelSpec, Table};
 
 fn main() {
-    let scale = msd_bench::banner("Table IX — Anomaly detection");
-    let rows = anomaly::results(scale);
+    let (scale, base) = msd_bench::banner("Table IX — Anomaly detection");
+    let rows = anomaly::results(scale, &base);
 
     let models: Vec<&str> = ModelSpec::TASK_GENERAL.iter().map(|m| m.name()).collect();
     let mut header = vec!["Dataset", "Metric"];

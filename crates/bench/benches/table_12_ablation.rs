@@ -5,8 +5,8 @@ use msd_harness::experiments::ablation;
 use msd_harness::{fmt3, Table};
 
 fn main() {
-    let scale = msd_bench::banner("Table XII — Ablation study");
-    let rows = ablation::results(scale);
+    let (scale, base) = msd_bench::banner("Table XII — Ablation study");
+    let rows = ablation::results(scale, &base);
 
     let mut t = Table::new(
         "Table XII: Average results of MSD-Mixer variants on five tasks",

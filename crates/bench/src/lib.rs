@@ -149,29 +149,38 @@ pub mod paper {
     ];
 }
 
-/// Prints the shared bench banner (scale, cache dir, telemetry sink).
+/// Prints the shared bench banner (scale, cache dir, telemetry sink) and
+/// returns the bench's [`msd_harness::Scale`] and the base
+/// [`msd_harness::TrainConfig`] its experiment runners start every fit
+/// from.
 ///
-/// Every table bench funnels its training runs through the harness's
-/// `fit`, which honours `MSD_TELEMETRY`: when the variable is set, the
-/// banner says where the JSONL event log of those runs is going, so an
-/// instrumented bench run is visibly instrumented.
+/// This is the bench binaries' one configuration read. The base is the
+/// compiled default except for `telemetry`, taken from `MSD_TELEMETRY`:
+/// when that is set, every fit of the bench appends its JSONL event log
+/// there, and the banner says so, so an instrumented bench run is visibly
+/// instrumented.
 // Reads MSD_TELEMETRY.
 #[allow(clippy::disallowed_methods)]
-pub fn banner(table: &str) -> msd_harness::Scale {
+pub fn banner(table: &str) -> (msd_harness::Scale, msd_harness::TrainConfig) {
     let scale = msd_harness::Scale::from_env();
+    let telemetry = std::env::var("MSD_TELEMETRY")
+        .ok()
+        .filter(|path| !path.is_empty());
     println!();
     println!(
         "### {table} — MSD-Mixer reproduction (scale: {}, cache: {}) ###",
         scale.name(),
         msd_harness::experiments::cache_dir().display()
     );
-    if let Ok(path) = std::env::var("MSD_TELEMETRY") {
-        if !path.is_empty() {
-            println!("### training telemetry (JSONL): {path} ###");
-        }
+    if let Some(path) = &telemetry {
+        println!("### training telemetry (JSONL): {path} ###");
     }
     println!();
-    scale
+    let base = msd_harness::TrainConfig {
+        telemetry: telemetry.map(Into::into),
+        ..msd_harness::TrainConfig::default()
+    };
+    (scale, base)
 }
 
 #[cfg(test)]

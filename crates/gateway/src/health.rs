@@ -186,10 +186,10 @@ impl ReplicaHealth {
         }
     }
 
-    /// Records a breaker-relevant error (worker panic, deadline blown,
-    /// gateway-side wait timeout). Queue-full rejections are *not* errors:
-    /// backpressure is load, not sickness, and feeds the brownout policy
-    /// instead.
+    /// Records a breaker-relevant error (worker panic, gateway-side wait
+    /// timeout). Queue-full rejections and a replica's own deadline sheds
+    /// are *not* errors: they are load, not sickness, and queue-full feeds
+    /// the brownout policy instead.
     pub fn on_error(&self) {
         let mut core = self.lock();
         core.errors_total += 1;

@@ -44,7 +44,7 @@
 //! `503` (shutting down), `504` (deadline exceeded). Requests may cap
 //! their wait with an `X-Msd-Deadline-Ms` header; DESIGN.md §14 documents
 //! the deadline contract, per-replica circuit breakers, brownout, and the
-//! deterministic chaos harness (`MSD_CHAOS`).
+//! deterministic chaos harness ([`GatewayConfig::chaos`]).
 
 pub mod health;
 pub mod http;
@@ -92,8 +92,9 @@ pub struct GatewayConfig {
     /// exactly the pre-deadline gateway.
     pub default_deadline: Option<Duration>,
     /// Fault-injection plan for the gateway's own connection handling
-    /// (conn drops, slow-loris writes). `None` falls back to the
-    /// process-wide `MSD_CHAOS` plan, so one env var arms every layer.
+    /// (conn drops, slow-loris writes), also handed to every replica whose
+    /// `serve.chaos` is unset, so one plan arms every layer. `None` (the
+    /// default) injects nothing.
     pub chaos: Option<Arc<Chaos>>,
 }
 
@@ -133,11 +134,10 @@ impl Gateway {
         let listener = TcpListener::bind(addr)?;
         listener.set_nonblocking(true)?;
         let addr = listener.local_addr()?;
-        // One chaos plan arms every layer: an explicit config handle wins,
-        // then the process-wide MSD_CHAOS plan, then nothing. The serve
-        // side inherits the same handle so worker faults and connection
-        // faults share one deterministic schedule.
-        let chaos = cfg.chaos.clone().or_else(Chaos::from_env);
+        // One chaos plan arms every layer: the serve side inherits the
+        // gateway's handle (unless it has its own) so worker faults and
+        // connection faults share one deterministic schedule.
+        let chaos = cfg.chaos;
         let mut serve_cfg = cfg.serve.clone();
         if serve_cfg.chaos.is_none() {
             serve_cfg.chaos = chaos.clone();
@@ -313,8 +313,8 @@ fn connection_loop(
         };
         let keep_alive = req.keep_alive();
         let resp = handle_request(registry, &req);
-        // Connection-level fault injection (only armed under MSD_CHAOS or
-        // an explicit plan). The model answer is already computed and
+        // Connection-level fault injection (only armed by
+        // `GatewayConfig::chaos`). The model answer is already computed and
         // accounted — these faults corrupt only the wire, which is exactly
         // what a retrying client must absorb.
         if let Some(c) = chaos {

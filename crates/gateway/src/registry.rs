@@ -351,7 +351,9 @@ impl Registry {
     /// surfaces as its typed `DeadlineExceeded`. A replica sheds an expired
     /// request when a worker next collects, so one whose workers all stay
     /// busy past the grace hits the gateway-side timeout instead. Both are
-    /// a 504 and both count as a breaker error.
+    /// a 504, but only the timeout counts as a breaker error: a replica
+    /// that sheds is answering (its shed is load, like a full queue), while
+    /// one that holds a request past deadline plus grace is wedged.
     pub fn predict(
         &self,
         name: &str,
@@ -449,10 +451,10 @@ impl Registry {
                 health.on_error();
                 GatewayError::Internal(msg)
             }
-            ServeError::DeadlineExceeded => {
-                health.on_error();
-                GatewayError::DeadlineExceeded
-            }
+            // The replica shed the request for its deadline: load, not
+            // sickness, so no breaker feedback (the gateway-side timeout
+            // in `predict` is the wedged-replica evidence).
+            ServeError::DeadlineExceeded => GatewayError::DeadlineExceeded,
             ServeError::Overloaded => GatewayError::Overloaded {
                 retry_after_secs: retry_after_secs(
                     0,

@@ -200,6 +200,77 @@ fn sick_replica_trips_the_breaker_reroutes_and_heals() {
 }
 
 #[test]
+fn a_busy_replicas_deadline_sheds_do_not_trip_its_breaker() {
+    // One replica, one worker, 50 ms per forward: busy, not wedged — it
+    // answers well inside deadline + grace (2 × 20 ms + 50 ms).
+    let busy = Arc::new(AtomicBool::new(true));
+    let breaker = BreakerConfig {
+        consecutive_errors: 3,
+        cooldown: Duration::from_secs(60),
+        ..BreakerConfig::default()
+    };
+    let registry = Registry::with_policies(
+        ServeConfig {
+            max_wait: Duration::from_millis(20),
+            ..serve_cfg()
+        },
+        1,
+        breaker.clone(),
+        BrownoutConfig::default(),
+        None,
+    );
+    registry
+        .register(
+            "m",
+            factory_with_sick_replica0(busy, Duration::from_millis(50)),
+            None,
+        )
+        .unwrap();
+    let sheds = breaker.consecutive_errors as usize + 1;
+    let set = registry.current_set("m").unwrap();
+    std::thread::scope(|s| {
+        // Occupies the worker for 50 ms from the moment it is collected.
+        let blocker = s.spawn(|| registry.predict("m", b"k", sample(1), None));
+        while set.stats()[0].batches == 0 {
+            std::thread::yield_now();
+        }
+        // Queued behind it with a 5 ms deadline, each expires before the
+        // worker frees up, and the worker sheds it as it collects it.
+        let short: Vec<_> = (0..sheds as u64)
+            .map(|i| {
+                let registry = &registry;
+                s.spawn(move || {
+                    let deadline = Instant::now() + Duration::from_millis(5);
+                    registry.predict("m", b"k", sample(2 + i), Some(deadline))
+                })
+            })
+            .collect();
+        for h in short {
+            match h.join().unwrap() {
+                Err(GatewayError::DeadlineExceeded) => {}
+                other => panic!("expected DeadlineExceeded, got {other:?}"),
+            }
+        }
+        blocker
+            .join()
+            .unwrap()
+            .expect("the blocking request is answered");
+    });
+    assert_eq!(
+        set.stats()[0].expired,
+        sheds as u64,
+        "the replica itself shed every short-deadline request"
+    );
+    assert_eq!(set.health()[0].state(), BreakerState::Closed);
+    assert_eq!(
+        set.health()[0].totals().1,
+        0,
+        "a replica's deadline shed is load, not breaker evidence"
+    );
+    registry.shutdown();
+}
+
+#[test]
 fn all_breakers_open_still_answers_via_least_bad_fail_static() {
     let sick = Arc::new(AtomicBool::new(false));
     let registry = Registry::with_policies(

@@ -9,7 +9,7 @@
 use msd_harness::experiments::{
     ablation, anomaly, case_study, classification, imputation, long_term, short_term,
 };
-use msd_harness::Scale;
+use msd_harness::{Scale, TrainConfig};
 
 fn usage() -> ! {
     eprintln!(
@@ -18,13 +18,13 @@ fn usage() -> ! {
                    classification | ablation | case-study | smoke |\n\
                    ckpt-smoke | plan-dump | all\n\
          options:\n\
-           --telemetry <path>       write JSONL training telemetry (= MSD_TELEMETRY)\n\
-           --max-retries <n>        divergence retries before abort (= MSD_MAX_RETRIES)\n\
-           --lr-backoff <f>         lr multiplier per rollback (= MSD_LR_BACKOFF)\n\
-           --checkpoint-dir <dir>   durable crash-safe checkpoints (= MSD_CHECKPOINT_DIR)\n\
-           --checkpoint-every <n>   applied batches between checkpoints (= MSD_CHECKPOINT_EVERY)\n\
-           --resume                 resume from the newest valid checkpoint (= MSD_RESUME)\n\
-           --kill-after <n>         fault injection: die after n applied batches (= MSD_KILL_AFTER)\n\
+           --telemetry <path>       append JSONL training telemetry to <path>\n\
+           --max-retries <n>        divergence retries before abort\n\
+           --lr-backoff <f>         lr multiplier per rollback\n\
+           --checkpoint-dir <dir>   durable crash-safe checkpoints\n\
+           --checkpoint-every <n>   applied batches between checkpoints\n\
+           --resume                 resume from the newest valid checkpoint\n\
+           --kill-after <n>         fault injection: die after n applied batches\n\
            --save-params <path>     (ckpt-smoke) save final parameters for diffing\n\
          scale via MSD_SCALE=smoke|fast|full (default fast);\n\
          results cached under target/msd-results/;\n\
@@ -40,46 +40,38 @@ fn usage() -> ! {
 }
 
 fn main() {
-    use msd_harness::TrainConfig;
-
     let args: Vec<String> = std::env::args().skip(1).collect();
     let mut family: Option<String> = None;
     let mut save_params: Option<String> = None;
-    // Flags parse into a typed TrainConfigBuilder; install_env then
-    // publishes the explicitly-set knobs as their documented MSD_* env
-    // variables so the experiment runners (which build their own configs
-    // through the builder's env-fallback layer) pick them up without
-    // plumbing.
-    let mut builder = TrainConfig::builder();
+    // The flags fill one base config; every fit of the chosen family starts
+    // from it and sets only its own epochs, batch size, lr and seed.
+    let mut base = TrainConfig::default();
     let mut it = args.iter();
     while let Some(arg) = it.next() {
         match arg.as_str() {
-            // Telemetry is TrainMonitor config, not TrainConfig. Runs at
-            // msd-experiment start-up, before any other thread exists.
-            #[allow(clippy::disallowed_methods)]
             "--telemetry" => match it.next() {
-                Some(v) => std::env::set_var("MSD_TELEMETRY", v),
+                Some(v) => base.telemetry = Some(v.into()),
                 None => usage(),
             },
             "--max-retries" => match it.next().and_then(|v| v.parse::<usize>().ok()) {
-                Some(v) => builder = builder.max_retries(v),
+                Some(v) => base.max_retries = v,
                 None => usage(),
             },
             "--lr-backoff" => match it.next().and_then(|v| v.parse::<f32>().ok()) {
-                Some(v) => builder = builder.lr_backoff(v),
+                Some(v) => base.lr_backoff = v,
                 None => usage(),
             },
             "--checkpoint-dir" => match it.next() {
-                Some(v) => builder = builder.checkpoint_dir(Some(v.into())),
+                Some(v) => base.checkpoint_dir = Some(v.into()),
                 None => usage(),
             },
             "--checkpoint-every" => match it.next().and_then(|v| v.parse::<usize>().ok()) {
-                Some(v) => builder = builder.checkpoint_every(v),
+                Some(v) => base.checkpoint_every = v,
                 None => usage(),
             },
-            "--resume" => builder = builder.resume(true),
+            "--resume" => base.resume = true,
             "--kill-after" => match it.next().and_then(|v| v.parse::<usize>().ok()) {
-                Some(v) => builder = builder.kill_after_batches(Some(v)),
+                Some(v) => base.kill_after_batches = Some(v),
                 None => usage(),
             },
             "--save-params" => match it.next() {
@@ -90,29 +82,29 @@ fn main() {
             _ => usage(),
         }
     }
-    builder.install_env();
     let family = family.unwrap_or_else(|| usage());
     let scale = Scale::from_env();
     eprintln!("running '{family}' at scale '{}'", scale.name());
+    let base = &base;
     match family.as_str() {
-        "long-term" => run_long_term(scale),
-        "short-term" => run_short_term(scale),
-        "imputation" => run_imputation(scale),
-        "anomaly" => run_anomaly(scale),
-        "classification" => run_classification(scale),
-        "ablation" => run_ablation(scale),
-        "case-study" => run_case_study(scale),
-        "smoke" => run_smoke(),
-        "ckpt-smoke" => run_ckpt_smoke(save_params.as_deref()),
+        "long-term" => run_long_term(scale, base),
+        "short-term" => run_short_term(scale, base),
+        "imputation" => run_imputation(scale, base),
+        "anomaly" => run_anomaly(scale, base),
+        "classification" => run_classification(scale, base),
+        "ablation" => run_ablation(scale, base),
+        "case-study" => run_case_study(scale, base),
+        "smoke" => run_smoke(base),
+        "ckpt-smoke" => run_ckpt_smoke(base, save_params.as_deref()),
         "plan-dump" => run_plan_dump(),
         "all" => {
-            run_long_term(scale);
-            run_short_term(scale);
-            run_imputation(scale);
-            run_anomaly(scale);
-            run_classification(scale);
-            run_ablation(scale);
-            run_case_study(scale);
+            run_long_term(scale, base);
+            run_short_term(scale, base);
+            run_imputation(scale, base);
+            run_anomaly(scale, base);
+            run_classification(scale, base);
+            run_ablation(scale, base);
+            run_case_study(scale, base);
         }
         _ => usage(),
     }
@@ -120,11 +112,11 @@ fn main() {
 
 /// A seconds-long end-to-end check of the training runtime: trains a tiny
 /// DLinear forecaster on a synthetic sine with one NaN-poisoned batch
-/// injected mid-run, so the emitted telemetry (honouring `MSD_TELEMETRY`
-/// or `--telemetry`) demonstrates the full recovery path: non-finite
-/// detection, rollback, optimiser reset, lr backoff, and a finished run.
-fn run_smoke() {
-    use msd_harness::{fit, BatchSource, ModelSpec, TrainConfig};
+/// injected mid-run, so the emitted telemetry (`--telemetry`) demonstrates
+/// the full recovery path: non-finite detection, rollback, optimiser reset,
+/// lr backoff, and a finished run.
+fn run_smoke(base: &TrainConfig) {
+    use msd_harness::{fit, BatchSource, ModelSpec};
     use msd_nn::{ParamStore, Task};
     use msd_tensor::{rng::Rng, Tensor};
 
@@ -176,11 +168,12 @@ fn run_smoke() {
         &mut store,
         &src,
         None,
-        &TrainConfig::builder()
-            .epochs(3)
-            .batch_size(16)
-            .lr(5e-3)
-            .build(),
+        &TrainConfig {
+            epochs: 3,
+            batch_size: 16,
+            lr: 5e-3,
+            ..base.clone()
+        },
     );
     println!(
         "smoke,epochs={},skipped={},rollbacks={},aborted={},final_loss={:.5}",
@@ -209,9 +202,9 @@ fn run_smoke() {
 /// injection are all driven by the shared `--checkpoint-dir` /
 /// `--resume` / `--kill-after` flags; `--save-params` writes the final
 /// parameters so the tier-1 gate can byte-compare runs.
-fn run_ckpt_smoke(save_params: Option<&str>) {
+fn run_ckpt_smoke(base: &TrainConfig, save_params: Option<&str>) {
     use msd_data::{SlidingWindows, Split};
-    use msd_harness::{fit, ForecastSource, ModelSpec, TrainConfig};
+    use msd_harness::{fit, ForecastSource, ModelSpec};
     use msd_mixer::variants::Variant;
     use msd_nn::{ParamStore, Task};
     use msd_tensor::{rng::Rng, Tensor};
@@ -237,12 +230,13 @@ fn run_ckpt_smoke(save_params: Option<&str>) {
         &mut store,
         &src,
         None,
-        &TrainConfig::builder()
-            .epochs(3)
-            .batch_size(16)
-            .lr(5e-3)
-            .seed(11)
-            .build(),
+        &TrainConfig {
+            epochs: 3,
+            batch_size: 16,
+            lr: 5e-3,
+            seed: 11,
+            ..base.clone()
+        },
     );
     println!(
         "ckpt-smoke,epochs={},batches={},aborted={},resumed={},final_loss={:.6}",
@@ -260,8 +254,8 @@ fn run_ckpt_smoke(save_params: Option<&str>) {
     }
 }
 
-fn run_long_term(scale: Scale) {
-    for r in long_term::results(scale) {
+fn run_long_term(scale: Scale, base: &TrainConfig) {
+    for r in long_term::results(scale, base) {
         println!(
             "long-term,{},{},{},{:.4},{:.4}",
             r.dataset, r.horizon, r.model, r.mse, r.mae
@@ -269,8 +263,8 @@ fn run_long_term(scale: Scale) {
     }
 }
 
-fn run_short_term(scale: Scale) {
-    for r in short_term::results(scale) {
+fn run_short_term(scale: Scale, base: &TrainConfig) {
+    for r in short_term::results(scale, base) {
         println!(
             "short-term,{},{},{:.4},{:.4},{:.4}",
             r.subset, r.model, r.smape, r.mase, r.owa
@@ -278,8 +272,8 @@ fn run_short_term(scale: Scale) {
     }
 }
 
-fn run_imputation(scale: Scale) {
-    for r in imputation::results(scale) {
+fn run_imputation(scale: Scale, base: &TrainConfig) {
+    for r in imputation::results(scale, base) {
         println!(
             "imputation,{},{},{},{:.4},{:.4}",
             r.dataset, r.ratio, r.model, r.mse, r.mae
@@ -287,8 +281,8 @@ fn run_imputation(scale: Scale) {
     }
 }
 
-fn run_anomaly(scale: Scale) {
-    for r in anomaly::results(scale) {
+fn run_anomaly(scale: Scale, base: &TrainConfig) {
+    for r in anomaly::results(scale, base) {
         println!(
             "anomaly,{},{},{:.2},{:.2},{:.2}",
             r.dataset, r.model, r.precision, r.recall, r.f1
@@ -296,14 +290,14 @@ fn run_anomaly(scale: Scale) {
     }
 }
 
-fn run_classification(scale: Scale) {
-    for r in classification::results(scale) {
+fn run_classification(scale: Scale, base: &TrainConfig) {
+    for r in classification::results(scale, base) {
         println!("classification,{},{},{:.4}", r.dataset, r.model, r.accuracy);
     }
 }
 
-fn run_ablation(scale: Scale) {
-    for r in ablation::results(scale) {
+fn run_ablation(scale: Scale, base: &TrainConfig) {
+    for r in ablation::results(scale, base) {
         println!(
             "ablation,{},{:.4},{:.4},{:.4},{:.4},{:.4}",
             r.variant, r.long_mse, r.owa, r.imp_mse, r.f1, r.acc
@@ -311,8 +305,8 @@ fn run_ablation(scale: Scale) {
     }
 }
 
-fn run_case_study(scale: Scale) {
-    for r in case_study::results(scale) {
+fn run_case_study(scale: Scale, base: &TrainConfig) {
+    for r in case_study::results(scale, base) {
         println!(
             "case-study,{},{:.5},{:.4},{:.4}",
             r.model, r.residual_energy, r.residual_acf_violation, r.explained_energy

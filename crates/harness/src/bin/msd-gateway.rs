@@ -82,6 +82,15 @@ fn main() {
         usage();
     }
 
+    // The one read of the fault plan: it arms the gateway's connections
+    // and every replica's workers. Surface it before serving a single
+    // request, so a CI log always shows whether a run was a chaos run and
+    // under which seed.
+    let chaos = msd_serve::Chaos::from_env();
+    match &chaos {
+        Some(chaos) => eprintln!("chaos armed: {}", chaos.plan().to_spec()),
+        None => eprintln!("chaos: off (set MSD_CHAOS=<spec> to arm)"),
+    }
     let cfg = GatewayConfig {
         serve: ServeConfig {
             max_batch,
@@ -94,14 +103,9 @@ fn main() {
             ..ServeConfig::default()
         },
         replicas,
+        chaos,
         ..GatewayConfig::default()
     };
-    // Surface an armed fault plan before serving a single request, so a CI
-    // log always shows whether a run was a chaos run and under which seed.
-    match msd_serve::Chaos::from_env() {
-        Some(chaos) => eprintln!("chaos armed: {}", chaos.plan().to_spec()),
-        None => eprintln!("chaos: off (set MSD_CHAOS=<spec> to arm)"),
-    }
     let gw = Gateway::bind(addr.as_str(), cfg).expect("bind gateway");
     for m in DEMO_MODELS {
         // Always register through an encoded artifact at the requested tier

@@ -6,17 +6,19 @@
 //! MSD_SCALE=smoke cargo run --release -p msd-harness --bin msd-report
 //! ```
 //!
-//! Requires the results cache (run the table benches or `msd-experiment
-//! all` first); exits with an error naming the missing family otherwise.
+//! Reads the results cache (run the table benches or `msd-experiment all`
+//! first); a family missing from it is computed here, with the compiled
+//! training defaults, which takes as long as that family's bench.
 
 use msd_harness::experiments::{
     anomaly, case_study, classification, imputation, long_term, short_term,
 };
-use msd_harness::{ModelSpec, Scale};
+use msd_harness::{ModelSpec, Scale, TrainConfig};
 use msd_metrics::{mean_ranks, win_counts};
 
 fn main() {
     let scale = Scale::from_env();
+    let base = TrainConfig::default();
     println!(
         "<!-- generated by msd-report at scale '{}' -->",
         scale.name()
@@ -24,11 +26,11 @@ fn main() {
     println!();
 
     // Table II overview from all families.
-    let lt = long_term::results(scale);
+    let lt = long_term::results(scale, &base);
     let (_, models, lt_scores) = long_term::score_matrix(&lt);
     let lt_wins = win_counts(&lt_scores);
 
-    let st = short_term::results(scale);
+    let st = short_term::results(scale, &base);
     let shared: Vec<String> = ModelSpec::TASK_GENERAL
         .iter()
         .map(|m| m.name().to_string())
@@ -55,15 +57,15 @@ fn main() {
     }
     let st_wins = win_counts(&st_scores);
 
-    let imp = imputation::results(scale);
+    let imp = imputation::results(scale, &base);
     let (_, _, imp_scores) = imputation::score_matrix(&imp);
     let imp_wins = win_counts(&imp_scores);
 
-    let an = anomaly::results(scale);
+    let an = anomaly::results(scale, &base);
     let (_, _, an_scores) = anomaly::score_matrix(&an);
     let an_wins = win_counts(&an_scores);
 
-    let cl = classification::results(scale);
+    let cl = classification::results(scale, &base);
     let (_, _, cl_scores) = classification::score_matrix(&cl);
     let cl_wins = win_counts(&cl_scores);
     let cl_ranks = mean_ranks(&cl_scores);
@@ -157,7 +159,7 @@ fn main() {
     println!();
     println!("| Model | Residual energy | ACF violation | Explained energy |");
     println!("|---|---|---|---|");
-    for r in case_study::results(scale) {
+    for r in case_study::results(scale, &base) {
         println!(
             "| {} | {:.4} | {:.3} | {:.3} |",
             r.model, r.residual_energy, r.residual_acf_violation, r.explained_energy

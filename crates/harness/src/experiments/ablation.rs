@@ -11,7 +11,7 @@
 //! the same plateau at this budget.
 
 use super::{anomaly, classification, imputation, long_term, short_term};
-use crate::{ModelSpec, Scale};
+use crate::{ModelSpec, Scale, TrainConfig};
 use msd_data::{anomaly_datasets, classification_datasets, long_term_datasets, m4_subsets};
 use msd_mixer::variants::Variant;
 
@@ -41,39 +41,39 @@ pub struct AblationRow {
 }
 
 /// Runs one variant across the representative benchmark of each task.
-pub fn run_variant(variant: Variant, scale: Scale) -> AblationRow {
+pub fn run_variant(variant: Variant, scale: Scale, base: &TrainConfig) -> AblationRow {
     let spec = ModelSpec::MsdMixer(variant);
 
     let ettm1 = long_term_datasets()
         .into_iter()
         .find(|s| s.name == "ETTm1")
         .expect("ETTm1 spec");
-    let (long_mse, long_mae) = long_term::run_single(&ettm1, 192, spec, scale);
+    let (long_mse, long_mae) = long_term::run_single(&ettm1, 192, spec, scale, base);
 
     let hourly = m4_subsets()
         .into_iter()
         .find(|s| s.name == "Hourly")
         .expect("Hourly spec")
         .generate();
-    let st = short_term::run_single(&hourly, spec, scale);
+    let st = short_term::run_single(&hourly, spec, scale, base);
 
     let etth1 = long_term_datasets()
         .into_iter()
         .find(|s| s.name == "ETTh1")
         .expect("ETTh1 spec");
-    let (imp_mse, imp_mae) = imputation::run_single(&etth1, 0.25, spec, scale);
+    let (imp_mse, imp_mae) = imputation::run_single(&etth1, 0.25, spec, scale, base);
 
     let smd = anomaly_datasets()
         .into_iter()
         .find(|s| s.name == "SMD")
         .expect("SMD spec");
-    let det = anomaly::run_single(&smd, spec, scale);
+    let det = anomaly::run_single(&smd, spec, scale, base);
 
     let cr = classification_datasets()
         .into_iter()
         .find(|s| s.name == "CR")
         .expect("CR spec");
-    let acc = classification::run_single(&cr, spec, scale);
+    let acc = classification::run_single(&cr, spec, scale, base);
 
     AblationRow {
         variant: variant.name().to_string(),
@@ -90,7 +90,7 @@ pub fn run_variant(variant: Variant, scale: Scale) -> AblationRow {
 }
 
 /// Computes (or loads) all five Table XII columns.
-pub fn results(scale: Scale) -> Vec<AblationRow> {
+pub fn results(scale: Scale, base: &TrainConfig) -> Vec<AblationRow> {
     super::cache::load_or_compute(
         &super::cache_dir(),
         "ablation",
@@ -127,7 +127,7 @@ pub fn results(scale: Scale) -> Vec<AblationRow> {
             Variant::ALL
                 .into_iter()
                 .map(|v| {
-                    let row = run_variant(v, scale);
+                    let row = run_variant(v, scale, base);
                     eprintln!(
                         "[ablation] {}: long mse={:.3} owa={:.3} imp mse={:.3} f1={:.3} acc={:.3}",
                         row.variant, row.long_mse, row.owa, row.imp_mse, row.f1, row.acc

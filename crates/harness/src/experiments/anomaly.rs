@@ -30,7 +30,12 @@ pub struct AnomalyRow {
 }
 
 /// Trains one model on one stream and scores the test split.
-pub fn run_single(spec: &AnomalySpec, model_spec: ModelSpec, scale: Scale) -> DetectionScores {
+pub fn run_single(
+    spec: &AnomalySpec,
+    model_spec: ModelSpec,
+    scale: Scale,
+    base: &TrainConfig,
+) -> DetectionScores {
     let stream = spec.generate();
     let scaler = StandardScaler::fit(&stream.train, spec.train_steps);
     let train = scaler.transform(&stream.train);
@@ -60,11 +65,12 @@ pub fn run_single(spec: &AnomalySpec, model_spec: ModelSpec, scale: Scale) -> De
         None,
         // Reconstruction heads need a few more passes than forecasting
         // (uniform across models for fairness).
-        &TrainConfig::builder()
-            .epochs(scale.epochs() + 3)
-            .batch_size(scale.batch_size())
-            .lr(model_spec.default_lr())
-            .build(),
+        &TrainConfig {
+            epochs: scale.epochs() + 3,
+            batch_size: scale.batch_size(),
+            lr: model_spec.default_lr(),
+            ..base.clone()
+        },
     );
 
     // Score the test stream with non-overlapping windows using *masked*
@@ -115,7 +121,7 @@ pub fn run_single(spec: &AnomalySpec, model_spec: ModelSpec, scale: Scale) -> De
 }
 
 /// Computes (or loads) every Table IX row.
-pub fn results(scale: Scale) -> Vec<AnomalyRow> {
+pub fn results(scale: Scale, base: &TrainConfig) -> Vec<AnomalyRow> {
     super::cache::load_or_compute(
         &super::cache_dir(),
         "anomaly",
@@ -142,7 +148,7 @@ pub fn results(scale: Scale) -> Vec<AnomalyRow> {
             let mut rows = Vec::new();
             for spec in anomaly_datasets() {
                 for m in ModelSpec::TASK_GENERAL {
-                    let s = run_single(&spec, m, scale);
+                    let s = run_single(&spec, m, scale, base);
                     eprintln!(
                         "[anomaly] {} {}: P={:.1} R={:.1} F1={:.1}",
                         spec.name,
@@ -200,7 +206,12 @@ mod tests {
             channels: 8,
             ..anomaly_datasets()[0].clone()
         };
-        let s = run_single(&spec, ModelSpec::DLinear, Scale::Smoke);
+        let s = run_single(
+            &spec,
+            ModelSpec::DLinear,
+            Scale::Smoke,
+            &TrainConfig::default(),
+        );
         // Random flagging at ratio r yields F1 ≈ r (≈ 0.04 here); with
         // point-adjust even weak models land far above that.
         assert!(s.f1 > 0.2, "f1 {} too low", s.f1);

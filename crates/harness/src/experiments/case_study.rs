@@ -32,7 +32,11 @@ pub struct CaseStudyResult {
 
 /// Trains a variant on ETTh1-like forecasting and decomposes a test window.
 /// Returns the summary plus the full decomposition (for CSV export).
-pub fn run_variant(variant: Variant, scale: Scale) -> (CaseStudyResult, Decomposition) {
+pub fn run_variant(
+    variant: Variant,
+    scale: Scale,
+    base: &TrainConfig,
+) -> (CaseStudyResult, Decomposition) {
     let spec = long_term_datasets()
         .into_iter()
         .find(|s| s.name == "ETTh1")
@@ -71,11 +75,12 @@ pub fn run_variant(variant: Variant, scale: Scale) -> (CaseStudyResult, Decompos
         &mut store,
         &train_src,
         None,
-        &TrainConfig::builder()
-            .epochs(scale.epochs() + 1)
-            .batch_size(scale.batch_size())
-            .lr(2e-3)
-            .build(),
+        &TrainConfig {
+            epochs: scale.epochs() + 1,
+            batch_size: scale.batch_size(),
+            lr: 2e-3,
+            ..base.clone()
+        },
     );
 
     // Decompose the first test window.
@@ -100,7 +105,7 @@ fn component_std(s: &Tensor) -> f32 {
 }
 
 /// Runs the full Figure 4 comparison: with vs without the Residual Loss.
-pub fn results(scale: Scale) -> Vec<CaseStudyResult> {
+pub fn results(scale: Scale, base: &TrainConfig) -> Vec<CaseStudyResult> {
     super::cache::load_or_compute(
         &super::cache_dir(),
         "case_study",
@@ -137,7 +142,7 @@ pub fn results(scale: Scale) -> Vec<CaseStudyResult> {
             [Variant::Full, Variant::NoResidualLoss]
                 .into_iter()
                 .map(|v| {
-                    let (summary, _) = run_variant(v, scale);
+                    let (summary, _) = run_variant(v, scale, base);
                     eprintln!(
                         "[case-study] {}: residual energy={:.4} acf violation={:.3} explained={:.3}",
                         summary.model,

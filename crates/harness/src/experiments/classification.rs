@@ -19,7 +19,12 @@ pub struct ClassificationRow {
 }
 
 /// Trains one model on one dataset and returns test accuracy.
-pub fn run_single(spec: &ClassSpec, model_spec: ModelSpec, scale: Scale) -> f32 {
+pub fn run_single(
+    spec: &ClassSpec,
+    model_spec: ModelSpec,
+    scale: Scale,
+    base: &TrainConfig,
+) -> f32 {
     let data = spec.generate();
     let train_src = ClassifySource::new(data.train_x, data.train_y);
     let test_src = ClassifySource::new(data.test_x, data.test_y);
@@ -41,17 +46,18 @@ pub fn run_single(spec: &ClassSpec, model_spec: ModelSpec, scale: Scale) -> f32 
         &mut store,
         &train_src,
         None,
-        &TrainConfig::builder()
-            .epochs(scale.epochs() + 2) // classification sets are small
-            .batch_size(scale.batch_size().min(16))
-            .lr(model_spec.default_lr())
-            .build(),
+        &TrainConfig {
+            epochs: scale.epochs() + 2, // classification sets are small
+            batch_size: scale.batch_size().min(16),
+            lr: model_spec.default_lr(),
+            ..base.clone()
+        },
     );
     evaluate_accuracy(&model, &store, &test_src, 16)
 }
 
 /// Computes (or loads) every Table XI cell.
-pub fn results(scale: Scale) -> Vec<ClassificationRow> {
+pub fn results(scale: Scale, base: &TrainConfig) -> Vec<ClassificationRow> {
     super::cache::load_or_compute(
         &super::cache_dir(),
         "classification",
@@ -68,7 +74,7 @@ pub fn results(scale: Scale) -> Vec<ClassificationRow> {
             let mut rows = Vec::new();
             for spec in classification_datasets() {
                 for m in ModelSpec::TASK_GENERAL {
-                    let acc = run_single(&spec, m, scale);
+                    let acc = run_single(&spec, m, scale, base);
                     eprintln!("[classification] {} {}: acc={acc:.3}", spec.name, m.name());
                     rows.push(ClassificationRow {
                         dataset: spec.name.to_string(),
@@ -118,7 +124,12 @@ mod tests {
             noise: 0.3,
             ..classification_datasets()[3].clone() // CR-like, 6 classes
         };
-        let acc = run_single(&spec, ModelSpec::DLinear, Scale::Smoke);
+        let acc = run_single(
+            &spec,
+            ModelSpec::DLinear,
+            Scale::Smoke,
+            &TrainConfig::default(),
+        );
         let chance = 1.0 / spec.classes as f32;
         assert!(acc > chance * 1.5, "accuracy {acc} vs chance {chance}");
     }

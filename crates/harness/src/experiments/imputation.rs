@@ -43,6 +43,7 @@ pub fn run_single(
     ratio: f32,
     model_spec: ModelSpec,
     scale: Scale,
+    base: &TrainConfig,
 ) -> (f32, f32) {
     let raw = spec.generate();
     let train_steps = (spec.total_steps as f32 * 0.7) as usize;
@@ -70,17 +71,18 @@ pub fn run_single(
         &mut store,
         &train_src,
         None,
-        &TrainConfig::builder()
-            .epochs(scale.epochs())
-            .batch_size(scale.batch_size())
-            .lr(model_spec.default_lr())
-            .build(),
+        &TrainConfig {
+            epochs: scale.epochs(),
+            batch_size: scale.batch_size(),
+            lr: model_spec.default_lr(),
+            ..base.clone()
+        },
     );
     evaluate_forecast(&model, &store, &test_src, scale.batch_size())
 }
 
 /// Computes (or loads) every Table VII row.
-pub fn results(scale: Scale) -> Vec<ImputationRow> {
+pub fn results(scale: Scale, base: &TrainConfig) -> Vec<ImputationRow> {
     super::cache::load_or_compute(
         &super::cache_dir(),
         "imputation",
@@ -108,7 +110,7 @@ pub fn results(scale: Scale) -> Vec<ImputationRow> {
             for spec in imputation_datasets() {
                 for &ratio in &RATIOS {
                     for m in ModelSpec::TASK_GENERAL {
-                        let (mse, mae) = run_single(&spec, ratio, m, scale);
+                        let (mse, mae) = run_single(&spec, ratio, m, scale, base);
                         eprintln!(
                             "[imputation] {} {:.3} {}: mse={mse:.3} mae={mae:.3}",
                             spec.name,
@@ -184,7 +186,13 @@ mod tests {
             channels: 4,
             ..imputation_datasets()[2].clone() // ETTh1-like
         };
-        let (mse, mae) = run_single(&spec, 0.25, ModelSpec::DLinear, Scale::Fast);
+        let (mse, mae) = run_single(
+            &spec,
+            0.25,
+            ModelSpec::DLinear,
+            Scale::Fast,
+            &TrainConfig::default(),
+        );
         assert!(mse.is_finite() && mae.is_finite());
         assert!(mse < 1.2, "imputation mse {mse} not better than zero-fill");
     }

@@ -34,6 +34,7 @@ pub fn run_single(
     horizon: usize,
     model_spec: ModelSpec,
     scale: Scale,
+    base: &TrainConfig,
 ) -> (f32, f32) {
     let raw = spec.generate();
     let train_steps = (spec.total_steps as f32 * 0.7) as usize;
@@ -62,18 +63,19 @@ pub fn run_single(
         &mut store,
         &train_src,
         Some(&val_src),
-        &TrainConfig::builder()
-            .epochs(scale.epochs())
-            .batch_size(scale.batch_size())
-            .lr(model_spec.default_lr())
-            .build(),
+        &TrainConfig {
+            epochs: scale.epochs(),
+            batch_size: scale.batch_size(),
+            lr: model_spec.default_lr(),
+            ..base.clone()
+        },
     );
     evaluate_forecast(&model, &store, &test_src, scale.batch_size())
 }
 
 /// Computes (or loads) every Table IV row: all datasets, horizons, and
 /// task-general models.
-pub fn results(scale: Scale) -> Vec<LongTermRow> {
+pub fn results(scale: Scale, base: &TrainConfig) -> Vec<LongTermRow> {
     super::cache::load_or_compute(
         &super::cache_dir(),
         "long_term",
@@ -101,7 +103,7 @@ pub fn results(scale: Scale) -> Vec<LongTermRow> {
             for spec in long_term_datasets() {
                 for &h in &HORIZONS {
                     for m in ModelSpec::TASK_GENERAL {
-                        let (mse, mae) = run_single(&spec, h, m, scale);
+                        let (mse, mae) = run_single(&spec, h, m, scale, base);
                         eprintln!(
                             "[long-term] {} h={h} {}: mse={mse:.3} mae={mae:.3}",
                             spec.name,
@@ -162,7 +164,13 @@ mod tests {
             total_steps: 700,
             ..long_term_datasets()[2].clone() // ETTh1, 7 channels
         };
-        let (mse, mae) = run_single(&spec, 96, ModelSpec::DLinear, Scale::Smoke);
+        let (mse, mae) = run_single(
+            &spec,
+            96,
+            ModelSpec::DLinear,
+            Scale::Smoke,
+            &TrainConfig::default(),
+        );
         assert!(mse.is_finite() && mse > 0.0, "mse {mse}");
         assert!(mae.is_finite() && mae > 0.0, "mae {mae}");
         // Standardised data ⇒ a sane model beats variance-scale errors.
@@ -181,7 +189,13 @@ mod tests {
             channels: 4,
             ..spec
         };
-        let (mse, _) = run_single(&spec, 96, ModelSpec::DLinear, Scale::Fast);
+        let (mse, _) = run_single(
+            &spec,
+            96,
+            ModelSpec::DLinear,
+            Scale::Fast,
+            &TrainConfig::default(),
+        );
         assert!(mse < 1.0, "trained DLinear mse {mse} not better than zeros");
     }
 }

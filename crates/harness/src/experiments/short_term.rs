@@ -102,7 +102,12 @@ fn window_stats(x: &[f32]) -> (f32, f32) {
 }
 
 /// Trains one model on one subset and scores it on the held-out futures.
-pub fn run_single(col: &M4Collection, model_spec: ModelSpec, scale: Scale) -> M4Score {
+pub fn run_single(
+    col: &M4Collection,
+    model_spec: ModelSpec,
+    scale: Scale,
+    base: &TrainConfig,
+) -> M4Score {
     let spec = &col.spec;
     let src = PooledSource::new(col);
     let mut store = ParamStore::new();
@@ -122,11 +127,12 @@ pub fn run_single(col: &M4Collection, model_spec: ModelSpec, scale: Scale) -> M4
         &mut store,
         &src,
         None,
-        &TrainConfig::builder()
-            .epochs(scale.epochs() + 2) // short univariate series train fast
-            .batch_size(scale.batch_size())
-            .lr(model_spec.default_lr())
-            .build(),
+        &TrainConfig {
+            epochs: scale.epochs() + 2, // short univariate series train fast
+            batch_size: scale.batch_size(),
+            lr: model_spec.default_lr(),
+            ..base.clone()
+        },
     );
     score_forecasts(col, |hist_window| {
         let (mean, std) = window_stats(hist_window);
@@ -181,7 +187,7 @@ pub fn score_forecasts(
 }
 
 /// Computes (or loads) every Table VI row.
-pub fn results(scale: Scale) -> Vec<ShortTermRow> {
+pub fn results(scale: Scale, base: &TrainConfig) -> Vec<ShortTermRow> {
     super::cache::load_or_compute(
         &super::cache_dir(),
         "short_term",
@@ -211,7 +217,7 @@ pub fn results(scale: Scale) -> Vec<ShortTermRow> {
             for spec in m4_subsets() {
                 let col = spec.generate();
                 for m in short_term_models() {
-                    let score = run_single(&col, m, scale);
+                    let score = run_single(&col, m, scale, base);
                     eprintln!(
                         "[short-term] {} {}: smape={:.3} mase={:.3} owa={:.3}",
                         spec.name,
@@ -296,7 +302,12 @@ mod tests {
     #[test]
     fn dlinear_beats_or_matches_naive_on_seasonal_data() {
         let col = tiny_subset();
-        let trained = run_single(&col, ModelSpec::DLinear, Scale::Smoke);
+        let trained = run_single(
+            &col,
+            ModelSpec::DLinear,
+            Scale::Smoke,
+            &TrainConfig::default(),
+        );
         let naive = score_forecasts(&col, |w| {
             msd_baselines::naive::naive_last(w, col.spec.horizon)
         });

@@ -38,6 +38,4 @@ pub use sources::{
 };
 pub use telemetry::{read_events_tolerant, TelemetrySummary, TrainEvent, TrainMonitor};
 pub use train::{evaluate_accuracy, validation_loss};
-pub use train::{
-    evaluate_forecast, fit, fit_monitored, FitReport, TrainConfig, TrainConfigBuilder,
-};
+pub use train::{evaluate_forecast, fit, fit_monitored, FitReport, TrainConfig};

@@ -141,7 +141,7 @@ mod tests {
 
     #[test]
     fn csv_round_trips_through_fs() {
-        let dir = std::env::temp_dir().join("msd_report_test");
+        let dir = std::env::temp_dir().join(format!("msd_report_test_{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("t.csv");
         let mut t = Table::new("x", &["a", "b"]);

@@ -1,7 +1,7 @@
 //! Structured training telemetry: every batch, epoch, and recovery action
 //! of the training driver is recorded as a [`TrainEvent`], aggregated into
 //! an in-memory [`TelemetrySummary`], and optionally appended as JSON Lines
-//! to the path named by the `MSD_TELEMETRY` environment variable.
+//! to the path in `TrainConfig::telemetry`.
 //!
 //! The monitor is pure observation: with the sink disabled it only bumps
 //! counters, so enabling or disabling telemetry never changes training
@@ -309,8 +309,8 @@ enum Sink {
 
 /// Records [`TrainEvent`]s from the training driver.
 ///
-/// Construct with [`TrainMonitor::from_env`] (honours `MSD_TELEMETRY`),
-/// [`TrainMonitor::to_path`], or [`TrainMonitor::in_memory`]; a
+/// Construct with [`TrainMonitor::to_path`] (what [`crate::fit`] does for
+/// `TrainConfig::telemetry`) or [`TrainMonitor::in_memory`]; a
 /// [`TrainMonitor::disabled`] monitor costs a few counter bumps per batch.
 pub struct TrainMonitor {
     summary: TelemetrySummary,
@@ -329,22 +329,6 @@ impl TrainMonitor {
         Self {
             summary: TelemetrySummary::default(),
             sink: Sink::None,
-        }
-    }
-
-    /// Honours `MSD_TELEMETRY`: when set, events append to that path as
-    /// JSONL; otherwise equivalent to [`TrainMonitor::disabled`]. A path
-    /// that cannot be opened disables the sink with a warning on stderr
-    /// rather than failing the run.
-    // Reads MSD_TELEMETRY.
-    #[allow(clippy::disallowed_methods)]
-    pub fn from_env() -> Self {
-        match std::env::var("MSD_TELEMETRY") {
-            Ok(path) if !path.is_empty() => Self::to_path(&path).unwrap_or_else(|e| {
-                eprintln!("[telemetry] cannot open {path}: {e}; telemetry disabled");
-                Self::disabled()
-            }),
-            _ => Self::disabled(),
         }
     }
 
@@ -574,7 +558,8 @@ mod tests {
 
     #[test]
     fn tolerant_reader_skips_torn_final_line() {
-        let path = std::env::temp_dir().join("msd_telemetry_torn.jsonl");
+        let path =
+            std::env::temp_dir().join(format!("msd_telemetry_torn_{}.jsonl", std::process::id()));
         let mut content = String::new();
         content.push_str(&TrainEvent::EarlyStop { epoch: 1 }.to_json());
         content.push('\n');
@@ -600,7 +585,8 @@ mod tests {
 
     #[test]
     fn file_sink_appends_jsonl() {
-        let path = std::env::temp_dir().join("msd_telemetry_unit.jsonl");
+        let path =
+            std::env::temp_dir().join(format!("msd_telemetry_unit_{}.jsonl", std::process::id()));
         let _ = std::fs::remove_file(&path);
         {
             let mut mon = TrainMonitor::to_path(&path).unwrap();

@@ -11,8 +11,9 @@
 //! After [`TrainConfig::max_retries`] *consecutive* failures the run aborts
 //! cleanly with a diagnostic in [`FitReport::aborted`] rather than looping
 //! on garbage. Every action is recorded by a [`TrainMonitor`]
-//! (JSONL via `MSD_TELEMETRY`, counters in [`FitReport::telemetry`]); with
-//! telemetry disabled the driver's numerics are unchanged.
+//! (JSONL to [`TrainConfig::telemetry`], counters in
+//! [`FitReport::telemetry`]); with telemetry disabled the driver's numerics
+//! are unchanged.
 
 use crate::checkpoint::{Fingerprint, TrainCheckpoint, TrainerState};
 use crate::telemetry::{TrainEvent, TrainMonitor};
@@ -27,6 +28,10 @@ use std::path::PathBuf;
 use std::time::Instant;
 
 /// Training hyperparameters.
+///
+/// A plain value: nothing reads the environment to fill it. A binary's
+/// `main` builds one base config (from its flags) and each experiment
+/// runner derives its fits' configs from that base by struct update.
 #[derive(Clone, Debug)]
 pub struct TrainConfig {
     /// Maximum epochs.
@@ -42,41 +47,40 @@ pub struct TrainConfig {
     /// RNG seed (shuffling, dropout).
     pub seed: u64,
     /// Consecutive non-finite batches tolerated before the run aborts
-    /// (default 4, overridable via `MSD_MAX_RETRIES`).
+    /// (default 4).
     pub max_retries: usize,
     /// Learning-rate multiplier applied on each divergence rollback
-    /// (default 0.5, overridable via `MSD_LR_BACKOFF`).
+    /// (default 0.5).
     pub lr_backoff: f32,
     /// Take the rollback snapshot every N applied batches (default 1:
     /// after every good batch; raise to trade recovery granularity for
     /// less cloning on very large models).
     pub snapshot_every: usize,
     /// Directory for durable crash-safe checkpoints (`None` disables them
-    /// entirely — and changes no numerics). Overridable via
-    /// `MSD_CHECKPOINT_DIR`.
+    /// entirely — and changes no numerics).
     pub checkpoint_dir: Option<PathBuf>,
-    /// Write a durable checkpoint every N applied batches (default 8,
-    /// overridable via `MSD_CHECKPOINT_EVERY`). Only meaningful with
-    /// [`TrainConfig::checkpoint_dir`] set.
+    /// Write a durable checkpoint every N applied batches (default 8).
+    /// Only meaningful with [`TrainConfig::checkpoint_dir`] set.
     pub checkpoint_every: usize,
-    /// Rotated checkpoint generations kept besides the latest (default 2,
-    /// overridable via `MSD_CHECKPOINT_KEEP`).
+    /// Rotated checkpoint generations kept besides the latest (default 2).
     pub checkpoint_keep: usize,
     /// Resume from the newest valid checkpoint in
-    /// [`TrainConfig::checkpoint_dir`] before training (overridable via
-    /// `MSD_RESUME=1`). When no compatible checkpoint exists the run
-    /// starts fresh with a warning on stderr.
+    /// [`TrainConfig::checkpoint_dir`] before training. When no compatible
+    /// checkpoint exists the run starts fresh with a warning on stderr.
     pub resume: bool,
     /// Fault injection: end the process's training loop abruptly after N
     /// applied batches, exactly as `kill -9` would — no best-checkpoint
-    /// restore, no cleanup (overridable via `MSD_KILL_AFTER`). Tests use
-    /// this to exercise the resume path deterministically.
+    /// restore, no cleanup. Tests use this to exercise the resume path
+    /// deterministically.
     pub kill_after_batches: Option<usize>,
+    /// JSONL telemetry log that [`fit`] appends the run's
+    /// [`TrainEvent`]s to (`None`, the default, logs nothing; the summary
+    /// counters are kept either way). [`fit_monitored`] ignores it: its
+    /// caller supplies the monitor.
+    pub telemetry: Option<PathBuf>,
 }
 
 impl Default for TrainConfig {
-    /// Pure compiled defaults — no environment reads. The `MSD_*` fallback
-    /// layer lives in exactly one place: [`TrainConfigBuilder::build`].
     fn default() -> Self {
         Self {
             epochs: 5,
@@ -93,225 +97,7 @@ impl Default for TrainConfig {
             checkpoint_keep: 2,
             resume: false,
             kill_after_batches: None,
-        }
-    }
-}
-
-impl TrainConfig {
-    /// Starts a [`TrainConfigBuilder`]. Use this (not `Default`) anywhere
-    /// the documented `MSD_*` environment overrides should apply.
-    pub fn builder() -> TrainConfigBuilder {
-        TrainConfigBuilder::default()
-    }
-}
-
-/// Typed construction of a [`TrainConfig`], replacing the `MSD_*` env
-/// parsing that used to be scattered through `TrainConfig::default()` and
-/// the flag handling in `msd-experiment`.
-///
-/// [`TrainConfigBuilder::build`] layers three sources, weakest first:
-///
-/// 1. the compiled defaults ([`TrainConfig::default`]);
-/// 2. the documented `MSD_*` environment variables (`MSD_MAX_RETRIES`,
-///    `MSD_LR_BACKOFF`, `MSD_CHECKPOINT_DIR`, `MSD_CHECKPOINT_EVERY`,
-///    `MSD_CHECKPOINT_KEEP`, `MSD_RESUME`, `MSD_KILL_AFTER`) — parsed
-///    *here and nowhere else*; malformed values fall back silently, like
-///    the old behaviour;
-/// 3. values set explicitly on the builder.
-#[derive(Clone, Debug, Default)]
-pub struct TrainConfigBuilder {
-    epochs: Option<usize>,
-    batch_size: Option<usize>,
-    lr: Option<f32>,
-    patience: Option<usize>,
-    schedule: Option<LrSchedule>,
-    seed: Option<u64>,
-    max_retries: Option<usize>,
-    lr_backoff: Option<f32>,
-    snapshot_every: Option<usize>,
-    checkpoint_dir: Option<Option<PathBuf>>,
-    checkpoint_every: Option<usize>,
-    checkpoint_keep: Option<usize>,
-    resume: Option<bool>,
-    kill_after_batches: Option<Option<usize>>,
-}
-
-/// Parses an environment variable, falling back to `default` when unset or
-/// malformed.
-// Reads the variable named by `key`: MSD_MAX_RETRIES, MSD_LR_BACKOFF,
-// MSD_CHECKPOINT_EVERY or MSD_CHECKPOINT_KEEP (see `build`).
-#[allow(clippy::disallowed_methods)]
-fn env_or<T: std::str::FromStr>(key: &str, default: T) -> T {
-    std::env::var(key)
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(default)
-}
-
-impl TrainConfigBuilder {
-    /// Maximum epochs.
-    pub fn epochs(mut self, v: usize) -> Self {
-        self.epochs = Some(v);
-        self
-    }
-
-    /// Mini-batch size.
-    pub fn batch_size(mut self, v: usize) -> Self {
-        self.batch_size = Some(v);
-        self
-    }
-
-    /// Base learning rate.
-    pub fn lr(mut self, v: f32) -> Self {
-        self.lr = Some(v);
-        self
-    }
-
-    /// Early-stopping patience in epochs.
-    pub fn patience(mut self, v: usize) -> Self {
-        self.patience = Some(v);
-        self
-    }
-
-    /// Learning-rate schedule.
-    pub fn schedule(mut self, v: LrSchedule) -> Self {
-        self.schedule = Some(v);
-        self
-    }
-
-    /// RNG seed (shuffling, dropout).
-    pub fn seed(mut self, v: u64) -> Self {
-        self.seed = Some(v);
-        self
-    }
-
-    /// Consecutive non-finite batches tolerated before abort.
-    pub fn max_retries(mut self, v: usize) -> Self {
-        self.max_retries = Some(v);
-        self
-    }
-
-    /// Learning-rate multiplier applied on each divergence rollback.
-    pub fn lr_backoff(mut self, v: f32) -> Self {
-        self.lr_backoff = Some(v);
-        self
-    }
-
-    /// Rollback-snapshot cadence in applied batches.
-    pub fn snapshot_every(mut self, v: usize) -> Self {
-        self.snapshot_every = Some(v);
-        self
-    }
-
-    /// Directory for durable checkpoints (`None` disables them).
-    pub fn checkpoint_dir(mut self, v: Option<PathBuf>) -> Self {
-        self.checkpoint_dir = Some(v);
-        self
-    }
-
-    /// Durable-checkpoint cadence in applied batches.
-    pub fn checkpoint_every(mut self, v: usize) -> Self {
-        self.checkpoint_every = Some(v);
-        self
-    }
-
-    /// Rotated checkpoint generations kept besides the latest.
-    pub fn checkpoint_keep(mut self, v: usize) -> Self {
-        self.checkpoint_keep = Some(v);
-        self
-    }
-
-    /// Resume from the newest valid checkpoint before training.
-    pub fn resume(mut self, v: bool) -> Self {
-        self.resume = Some(v);
-        self
-    }
-
-    /// Fault injection: die after N applied batches.
-    pub fn kill_after_batches(mut self, v: Option<usize>) -> Self {
-        self.kill_after_batches = Some(v);
-        self
-    }
-
-    /// Resolves the config: defaults ← `MSD_*` env fallback ← explicit
-    /// builder values.
-    // Reads MSD_CHECKPOINT_DIR, MSD_RESUME and MSD_KILL_AFTER (the other
-    // variables through `env_or`).
-    #[allow(clippy::disallowed_methods)]
-    pub fn build(&self) -> TrainConfig {
-        let d = TrainConfig::default();
-        TrainConfig {
-            epochs: self.epochs.unwrap_or(d.epochs),
-            batch_size: self.batch_size.unwrap_or(d.batch_size),
-            lr: self.lr.unwrap_or(d.lr),
-            patience: self.patience.unwrap_or(d.patience),
-            schedule: self.schedule.unwrap_or(d.schedule),
-            seed: self.seed.unwrap_or(d.seed),
-            max_retries: self
-                .max_retries
-                .unwrap_or_else(|| env_or("MSD_MAX_RETRIES", d.max_retries)),
-            lr_backoff: self
-                .lr_backoff
-                .unwrap_or_else(|| env_or("MSD_LR_BACKOFF", d.lr_backoff)),
-            snapshot_every: self.snapshot_every.unwrap_or(d.snapshot_every),
-            checkpoint_dir: self.checkpoint_dir.clone().unwrap_or_else(|| {
-                std::env::var("MSD_CHECKPOINT_DIR")
-                    .ok()
-                    .filter(|v| !v.is_empty())
-                    .map(PathBuf::from)
-            }),
-            checkpoint_every: self
-                .checkpoint_every
-                .unwrap_or_else(|| env_or("MSD_CHECKPOINT_EVERY", d.checkpoint_every)),
-            checkpoint_keep: self
-                .checkpoint_keep
-                .unwrap_or_else(|| env_or("MSD_CHECKPOINT_KEEP", d.checkpoint_keep)),
-            resume: self.resume.unwrap_or_else(|| {
-                matches!(std::env::var("MSD_RESUME").as_deref(), Ok("1") | Ok("true"))
-            }),
-            kill_after_batches: self.kill_after_batches.unwrap_or_else(|| {
-                std::env::var("MSD_KILL_AFTER")
-                    .ok()
-                    .and_then(|v| v.parse().ok())
-            }),
-        }
-    }
-
-    /// Publishes the builder's *explicitly set* env-backed knobs as their
-    /// `MSD_*` variables, so configs built elsewhere in the process (the
-    /// experiment runners build their own) pick them up through the
-    /// fallback layer. This is the one sanctioned writer of those
-    /// variables; `msd-experiment` uses it to turn its typed flags into
-    /// process-wide settings.
-    // Runs at msd-experiment start-up, before any other thread exists.
-    #[allow(clippy::disallowed_methods)]
-    pub fn install_env(&self) {
-        if let Some(v) = self.max_retries {
-            std::env::set_var("MSD_MAX_RETRIES", v.to_string());
-        }
-        if let Some(v) = self.lr_backoff {
-            std::env::set_var("MSD_LR_BACKOFF", v.to_string());
-        }
-        if let Some(dir) = &self.checkpoint_dir {
-            match dir {
-                Some(p) => std::env::set_var("MSD_CHECKPOINT_DIR", p),
-                None => std::env::remove_var("MSD_CHECKPOINT_DIR"),
-            }
-        }
-        if let Some(v) = self.checkpoint_every {
-            std::env::set_var("MSD_CHECKPOINT_EVERY", v.to_string());
-        }
-        if let Some(v) = self.checkpoint_keep {
-            std::env::set_var("MSD_CHECKPOINT_KEEP", v.to_string());
-        }
-        if let Some(v) = self.resume {
-            std::env::set_var("MSD_RESUME", if v { "1" } else { "0" });
-        }
-        if let Some(kill) = self.kill_after_batches {
-            match kill {
-                Some(n) => std::env::set_var("MSD_KILL_AFTER", n.to_string()),
-                None => std::env::remove_var("MSD_KILL_AFTER"),
-            }
+            telemetry: None,
         }
     }
 }
@@ -345,9 +131,10 @@ pub struct FitReport {
 }
 
 /// Trains `model` on `train`, optionally early-stopping on `val`, restoring
-/// the best validation checkpoint at the end. Telemetry goes to the JSONL
-/// path in `MSD_TELEMETRY` when set; see [`fit_monitored`] to supply an
-/// explicit monitor.
+/// the best validation checkpoint at the end. Telemetry is appended to
+/// [`TrainConfig::telemetry`] when set; a path that cannot be opened warns
+/// on stderr and disables the log rather than failing the run. See
+/// [`fit_monitored`] to supply an explicit monitor.
 pub fn fit(
     model: &AnyModel,
     store: &mut ParamStore,
@@ -355,12 +142,21 @@ pub fn fit(
     val: Option<&dyn BatchSource>,
     cfg: &TrainConfig,
 ) -> FitReport {
-    let mut monitor = TrainMonitor::from_env();
+    let mut monitor = match &cfg.telemetry {
+        Some(path) => TrainMonitor::to_path(path).unwrap_or_else(|e| {
+            eprintln!(
+                "[telemetry] cannot open {}: {e}; telemetry disabled",
+                path.display()
+            );
+            TrainMonitor::disabled()
+        }),
+        None => TrainMonitor::disabled(),
+    };
     fit_monitored(model, store, train, val, cfg, &mut monitor)
 }
 
 /// [`fit`] with a caller-supplied [`TrainMonitor`] (tests and programmatic
-/// telemetry consumers).
+/// telemetry consumers); [`TrainConfig::telemetry`] is ignored.
 pub fn fit_monitored(
     model: &AnyModel,
     store: &mut ParamStore,
@@ -858,6 +654,51 @@ mod tests {
             report.train_losses.last().unwrap() < &(report.train_losses[0] * 0.7),
             "losses {:?}",
             report.train_losses
+        );
+    }
+
+    #[test]
+    fn fit_appends_telemetry_to_the_configured_path() {
+        let path =
+            std::env::temp_dir().join(format!("msd_fit_telemetry_{}.jsonl", std::process::id()));
+        let _ = std::fs::remove_file(&path);
+        let data = sine_series(200);
+        let windows = SlidingWindows::new(&data, 24, 8, Split::Train);
+        let src = ForecastSource::new(windows, 64);
+        let mut store = ParamStore::new();
+        let mut rng = Rng::seed_from(5);
+        let model = ModelSpec::DLinear.build(
+            &mut store,
+            &mut rng,
+            1,
+            24,
+            Task::Forecast { horizon: 8 },
+            8,
+        );
+        let report = fit(
+            &model,
+            &mut store,
+            &src,
+            None,
+            &TrainConfig {
+                epochs: 2,
+                batch_size: 16,
+                telemetry: Some(path.clone()),
+                ..TrainConfig::default()
+            },
+        );
+        let log = std::fs::read_to_string(&path).unwrap();
+        std::fs::remove_file(&path).unwrap();
+        let batch_events = log
+            .lines()
+            .filter(|l| l.starts_with('{') && l.ends_with('}'))
+            .filter(|l| l.contains("\"event\":\"batch\""))
+            .count();
+        assert!(report.telemetry.batches > 0);
+        assert!(
+            batch_events >= report.telemetry.batches,
+            "{batch_events} complete batch events for {} applied batches",
+            report.telemetry.batches
         );
     }
 

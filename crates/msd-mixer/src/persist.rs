@@ -192,7 +192,8 @@ mod tests {
     #[test]
     fn file_round_trip_is_atomic_and_crc_verified() {
         let (model, store, x) = trained_fixture();
-        let path = std::env::temp_dir().join("msd_mixer_persist_file.msd");
+        let path =
+            std::env::temp_dir().join(format!("msd_mixer_persist_file_{}.msd", std::process::id()));
         let _ = std::fs::remove_file(&path);
         save_model_file(&model, &store, &path).unwrap();
         // No tmp droppings from the atomic write.

@@ -627,7 +627,7 @@ mod tests {
 
     #[test]
     fn atomic_write_then_read_back() {
-        let dir = std::env::temp_dir().join("msd_ckpt_atomic_test");
+        let dir = std::env::temp_dir().join(format!("msd_ckpt_atomic_test_{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("file.bin");
@@ -643,7 +643,8 @@ mod tests {
 
     #[test]
     fn rotation_keeps_n_generations_and_falls_back() {
-        let dir = std::env::temp_dir().join("msd_ckpt_rotation_test");
+        let dir =
+            std::env::temp_dir().join(format!("msd_ckpt_rotation_test_{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         let ckpts = CheckpointDir::new(&dir, 2);
         for gen in 0..4u8 {

@@ -178,7 +178,7 @@ mod tests {
         let dir = std::env::temp_dir();
         let store = sample_store(10);
 
-        let new_path = dir.join("msd_store_new.ckpt");
+        let new_path = dir.join(format!("msd_store_new_{}.ckpt", std::process::id()));
         save_file(&store, &new_path).unwrap();
         let mut restored = sample_store(11);
         load_file(&mut restored, &new_path).unwrap();
@@ -186,7 +186,7 @@ mod tests {
         let _ = std::fs::remove_file(&new_path);
 
         // A legacy raw-stream *file* loads through load_file too.
-        let old_path = dir.join("msd_store_legacy.ckpt");
+        let old_path = dir.join(format!("msd_store_legacy_{}.ckpt", std::process::id()));
         let mut legacy = Vec::new();
         crate::serialize::save_raw(&store, &mut legacy).unwrap();
         std::fs::write(&old_path, &legacy).unwrap();

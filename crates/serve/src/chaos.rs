@@ -9,10 +9,12 @@
 //! thread interleaving *within* a point (each point keeps its own arrival
 //! counter, and arrival order at a point is what the schedule is keyed on).
 //!
-//! Plans come from the environment (`MSD_CHAOS`, read once per process) or
-//! are built explicitly and injected through `ServeConfig::chaos` /
-//! `GatewayConfig` for tests that need two isolated instances of the same
-//! schedule. The spec syntax is a comma-separated key:value list:
+//! A plan reaches a server only through `ServeConfig::chaos` or a gateway's
+//! `GatewayConfig::chaos`: with neither set nothing is injected. The
+//! `msd-gateway` binary builds its plan once, in `main`, with
+//! [`Chaos::from_env`] (`MSD_CHAOS`); tests build plans explicitly, for
+//! instance two isolated instances of the same schedule. The spec syntax
+//! is a comma-separated key:value list:
 //!
 //! ```text
 //! MSD_CHAOS=seed:42,worker_panic:0.01,worker_stall:0.05,worker_stall_ms:50,conn_drop:0.02
@@ -29,7 +31,7 @@ use std::fs::File;
 use std::io::{BufWriter, Write as _};
 use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
 /// A named injection point in the serving stack.
@@ -271,33 +273,29 @@ impl Chaos {
         })
     }
 
-    /// The process-global injector configured by `MSD_CHAOS` (with an
-    /// optional `MSD_CHAOS_LOG` sink), or `None` when the variable is
-    /// unset. Read once per process so every server and gateway in it
-    /// shares one set of arrival counters.
+    /// The injector configured by `MSD_CHAOS` (with an optional
+    /// `MSD_CHAOS_LOG` sink), or `None` when the variable is unset or
+    /// blank. Each call builds a new injector with its own arrival
+    /// counters; a binary calls it once, in `main`, and hands the result to
+    /// every layer it arms.
     ///
     /// Panics on a malformed spec: a chaos run must never silently degrade
     /// to a clean run.
     // Reads MSD_CHAOS and MSD_CHAOS_LOG.
     #[allow(clippy::disallowed_methods)]
     pub fn from_env() -> Option<Arc<Chaos>> {
-        static GLOBAL: OnceLock<Option<Arc<Chaos>>> = OnceLock::new();
-        GLOBAL
-            .get_or_init(|| {
-                let spec = std::env::var("MSD_CHAOS").ok()?;
-                if spec.trim().is_empty() {
-                    return None;
-                }
-                let plan = FaultPlan::parse(&spec)
-                    .unwrap_or_else(|e| panic!("invalid MSD_CHAOS spec `{spec}`: {e}"));
-                let chaos = match std::env::var("MSD_CHAOS_LOG") {
-                    Ok(path) if !path.is_empty() => Chaos::with_log(plan, &path)
-                        .unwrap_or_else(|e| panic!("cannot open MSD_CHAOS_LOG `{path}`: {e}")),
-                    _ => Chaos::new(plan),
-                };
-                Some(Arc::new(chaos))
-            })
-            .clone()
+        let spec = std::env::var("MSD_CHAOS").ok()?;
+        if spec.trim().is_empty() {
+            return None;
+        }
+        let plan = FaultPlan::parse(&spec)
+            .unwrap_or_else(|e| panic!("invalid MSD_CHAOS spec `{spec}`: {e}"));
+        let chaos = match std::env::var("MSD_CHAOS_LOG") {
+            Ok(path) if !path.is_empty() => Chaos::with_log(plan, &path)
+                .unwrap_or_else(|e| panic!("cannot open MSD_CHAOS_LOG `{path}`: {e}")),
+            _ => Chaos::new(plan),
+        };
+        Some(Arc::new(chaos))
     }
 
     /// The plan this injector runs.

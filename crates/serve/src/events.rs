@@ -189,7 +189,8 @@ mod tests {
 
     #[test]
     fn sink_appends_one_line_per_event() {
-        let dir = std::env::temp_dir().join("msd_serve_events_test");
+        let dir =
+            std::env::temp_dir().join(format!("msd_serve_events_test_{}", std::process::id()));
         let _ = std::fs::create_dir_all(&dir);
         let path = dir.join("events.jsonl");
         let _ = std::fs::remove_file(&path);

@@ -105,10 +105,9 @@ pub struct ServeConfig {
     /// default) means requests never expire — the pre-deadline behavior,
     /// bit for bit.
     pub default_deadline: Option<Duration>,
-    /// Explicit fault injector for this server. `None` (the default) falls
-    /// back to the process-global `MSD_CHAOS` plan ([`Chaos::from_env`]);
-    /// tests inject two isolated instances of one plan to assert schedule
-    /// determinism.
+    /// Fault injector for this server; `None` (the default) injects
+    /// nothing. Tests inject two isolated instances of one plan to assert
+    /// schedule determinism.
     pub chaos: Option<Arc<Chaos>>,
 }
 
@@ -293,7 +292,7 @@ impl Server {
         let (intake_tx, rx) = sync_channel::<Request>(cfg.queue_cap.max(1));
         let intake = Arc::new(Mutex::new(Intake { rx, parked: None }));
         let use_plans = cfg.use_plans;
-        let chaos = cfg.chaos.clone().or_else(Chaos::from_env);
+        let chaos = cfg.chaos.clone();
         // Compiled plans are pool-global: compilation is expensive (traces
         // at batches 1 and 2 plus probe verification at 1, 2 and 3), so a
         // sample shape compiles at most once per server, not once per

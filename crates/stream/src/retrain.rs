@@ -54,9 +54,8 @@ impl RetrainParams {
     /// The `TrainConfig` of a fine-tune checkpointing into `dir`. Both the
     /// engine and the standalone replay build their config here, so the
     /// fingerprints (and numerics) cannot diverge. Every other knob is the
-    /// compiled default: the stream engine reads none of msd-experiment's
-    /// `MSD_*` training variables, so a replay does not depend on the
-    /// environment it runs in.
+    /// compiled default, so a replay does not depend on the flags or the
+    /// environment of the process it runs in.
     pub fn train_config(&self, dir: &Path) -> TrainConfig {
         TrainConfig {
             epochs: self.epochs,
@@ -206,6 +205,7 @@ mod tests {
             checkpoint_keep,
             resume,
             kill_after_batches,
+            telemetry,
         } = p.train_config(dir);
         assert_eq!(epochs, 4);
         assert_eq!(batch_size, 16);
@@ -221,5 +221,6 @@ mod tests {
         assert_eq!(checkpoint_keep, 2);
         assert!(resume);
         assert_eq!(kill_after_batches, None);
+        assert_eq!(telemetry, None);
     }
 }

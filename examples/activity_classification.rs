@@ -8,7 +8,7 @@
 use msd_baselines::MiniRocketClassifier;
 use msd_data::{classification_datasets, ClassSpec};
 use msd_harness::experiments::classification::run_single;
-use msd_harness::{ModelSpec, Scale};
+use msd_harness::{ModelSpec, Scale, TrainConfig};
 use msd_metrics::accuracy;
 use msd_mixer::variants::Variant;
 
@@ -32,7 +32,7 @@ fn main() {
         ModelSpec::DLinear,
         ModelSpec::NHits,
     ] {
-        let acc = run_single(&spec, model, Scale::Fast);
+        let acc = run_single(&spec, model, Scale::Fast, &TrainConfig::default());
         println!(
             "  {:<10} accuracy {:>5.1}%  ({}x chance)",
             model.name(),

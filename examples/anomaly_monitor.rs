@@ -9,7 +9,7 @@
 use msd_data::anomaly_datasets;
 use msd_data::AnomalySpec;
 use msd_harness::experiments::anomaly::run_single;
-use msd_harness::{ModelSpec, Scale};
+use msd_harness::{ModelSpec, Scale, TrainConfig};
 use msd_mixer::variants::Variant;
 
 fn main() {
@@ -38,7 +38,7 @@ fn main() {
         ModelSpec::DLinear,
         ModelSpec::LightTs,
     ] {
-        let scores = run_single(&spec, model, Scale::Fast);
+        let scores = run_single(&spec, model, Scale::Fast, &TrainConfig::default());
         println!(
             "  {:<10} precision {:>5.1}%  recall {:>5.1}%  F1 {:>5.1}%",
             model.name(),

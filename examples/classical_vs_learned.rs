@@ -12,7 +12,7 @@ use msd_baselines::ar::ArModel;
 use msd_baselines::ets::holt_winters_forecast;
 use msd_baselines::naive::{naive2, naive_last};
 use msd_harness::experiments::short_term::{run_single, score_forecasts};
-use msd_harness::{ModelSpec, Scale};
+use msd_harness::{ModelSpec, Scale, TrainConfig};
 use msd_mixer::variants::Variant;
 
 fn main() {
@@ -63,7 +63,7 @@ fn main() {
         ModelSpec::NHits,
         ModelSpec::MsdMixer(Variant::Full),
     ] {
-        let score = run_single(&col, model, Scale::Fast);
+        let score = run_single(&col, model, Scale::Fast, &TrainConfig::default());
         report(model.name(), score);
     }
 

@@ -11,7 +11,7 @@ cargo test --workspace -q --offline
 
 # Lint gate: the workspace is kept clippy-clean, warnings are errors. The
 # root clippy.toml also bans std::env::set_var/remove_var: nothing writes
-# the process environment except msd-experiment's start-up flags.
+# the process environment.
 # Fail fast with a clear message when the clippy component is missing —
 # otherwise cargo emits a confusing "no such command" late in the run.
 if ! cargo clippy --version >/dev/null 2>&1; then
@@ -21,9 +21,10 @@ if ! cargo clippy --version >/dev/null 2>&1; then
 fi
 cargo clippy --workspace --all-targets --offline -- -D warnings
 
-# Format gate: msd-tensor (the kernels) is kept rustfmt-clean, so a kernel
-# diff shows only its change. The other crates are not formatted yet.
-cargo fmt --check -p msd-tensor
+# Format gate: these crates are kept rustfmt-clean, so a diff shows only its
+# change. The other crates are not formatted yet.
+cargo fmt --check -p msd-tensor -p msd-harness -p msd-serve -p msd-gateway \
+  -p msd-bench -p msd-stream
 
 # Benchmark build tripwire: msdbench/ is a workspace of its own, built against
 # this workspace's public API through path dependencies, so the workspace
@@ -69,16 +70,18 @@ echo "telemetry smoke OK: $COMPLETE_EVENTS events in $TELEMETRY_OUT"
 # Kill-and-resume smoke: run a seeded deterministic training job, kill it
 # mid-epoch via fault injection, resume from the durable checkpoint, and
 # require the final parameters to be byte-identical to an uninterrupted
-# run of the same seed.
+# run of the same seed. The uninterrupted run sets MSD_KILL_AFTER=1, which
+# nothing reads: training knobs enter only through msd-experiment's flags,
+# so the comparison also proves the environment cannot cut a run short.
 CKPT_DIR=target/ckpt-smoke
 REF_PARAMS=target/ckpt-smoke-ref.params
 RES_PARAMS=target/ckpt-smoke-resumed.params
 rm -rf "$CKPT_DIR" "$REF_PARAMS" "$RES_PARAMS"
-cargo run --release --offline -p msd-harness --bin msd-experiment -- \
+MSD_KILL_AFTER=1 cargo run --release --offline -p msd-harness --bin msd-experiment -- \
   ckpt-smoke --save-params "$REF_PARAMS"
 cargo run --release --offline -p msd-harness --bin msd-experiment -- \
   ckpt-smoke --checkpoint-dir "$CKPT_DIR" --checkpoint-every 2 --kill-after 5
-MSD_KILL_AFTER= cargo run --release --offline -p msd-harness --bin msd-experiment -- \
+cargo run --release --offline -p msd-harness --bin msd-experiment -- \
   ckpt-smoke --checkpoint-dir "$CKPT_DIR" --resume --save-params "$RES_PARAMS" \
   | tee target/ckpt-smoke-resume.out
 grep -q 'resumed=true' target/ckpt-smoke-resume.out || {
@@ -285,9 +288,8 @@ cargo test -p msd-stream -q --offline
 # events, a missing hot-swap, any lost request, or no point-adjusted F1
 # improvement after adaptation, so this gate also covers the "zero dropped
 # requests" and "adaptation helps" contracts. The second run sets
-# msd-experiment's kill-after fault injection, which the stream's warm
-# retrain must ignore: the byte comparison then also proves the replay
-# reads no training knob from the environment.
+# MSD_KILL_AFTER=1, which nothing reads: the byte comparison then also
+# proves the replay reads no training knob from the environment.
 rm -rf target/stream-run1 target/stream-run2
 cargo run --release --offline -p msd-stream -- --out-dir target/stream-run1
 MSD_KILL_AFTER=1 cargo run --release --offline -p msd-stream -- --out-dir target/stream-run2

@@ -3,7 +3,7 @@
 
 use msd_data::{anomaly_datasets, AnomalySpec};
 use msd_harness::experiments::anomaly::run_single;
-use msd_harness::{ModelSpec, Scale};
+use msd_harness::{ModelSpec, Scale, TrainConfig};
 use msd_mixer::variants::Variant;
 
 fn small_spec() -> AnomalySpec {
@@ -24,6 +24,7 @@ fn mixer_detects_injected_anomalies() {
         &small_spec(),
         ModelSpec::MsdMixer(Variant::Full),
         Scale::Smoke,
+        &TrainConfig::default(),
     );
     assert!(scores.f1 > 0.3, "F1 {} too low", scores.f1);
     assert!(scores.precision > 0.0 && scores.recall > 0.0);
@@ -31,7 +32,12 @@ fn mixer_detects_injected_anomalies() {
 
 #[test]
 fn scores_are_valid_probabilities() {
-    let scores = run_single(&small_spec(), ModelSpec::LightTs, Scale::Smoke);
+    let scores = run_single(
+        &small_spec(),
+        ModelSpec::LightTs,
+        Scale::Smoke,
+        &TrainConfig::default(),
+    );
     for v in [scores.precision, scores.recall, scores.f1] {
         assert!((0.0..=1.0).contains(&v), "score {v} out of range");
     }

@@ -3,7 +3,7 @@
 
 use msd_data::{classification_datasets, ClassSpec};
 use msd_harness::experiments::classification::run_single;
-use msd_harness::{ModelSpec, Scale};
+use msd_harness::{ModelSpec, Scale, TrainConfig};
 use msd_mixer::variants::Variant;
 
 fn easy_spec() -> ClassSpec {
@@ -21,19 +21,34 @@ fn easy_spec() -> ClassSpec {
 #[test]
 fn mixer_classifies_above_chance() {
     let spec = easy_spec();
-    let acc = run_single(&spec, ModelSpec::MsdMixer(Variant::Full), Scale::Smoke);
+    let acc = run_single(
+        &spec,
+        ModelSpec::MsdMixer(Variant::Full),
+        Scale::Smoke,
+        &TrainConfig::default(),
+    );
     let chance = 1.0 / spec.classes as f32;
     assert!(acc > chance * 1.5, "accuracy {acc} vs chance {chance}");
 }
 
 #[test]
 fn harder_noise_reduces_accuracy_or_ties() {
-    let clean = run_single(&easy_spec(), ModelSpec::DLinear, Scale::Smoke);
+    let clean = run_single(
+        &easy_spec(),
+        ModelSpec::DLinear,
+        Scale::Smoke,
+        &TrainConfig::default(),
+    );
     let noisy_spec = ClassSpec {
         noise: 2.5,
         ..easy_spec()
     };
-    let noisy = run_single(&noisy_spec, ModelSpec::DLinear, Scale::Smoke);
+    let noisy = run_single(
+        &noisy_spec,
+        ModelSpec::DLinear,
+        Scale::Smoke,
+        &TrainConfig::default(),
+    );
     assert!(
         noisy <= clean + 0.15,
         "noise {noisy} should not beat clean {clean}"

@@ -4,7 +4,7 @@
 use msd_baselines::naive::naive2;
 use msd_data::M4Spec;
 use msd_harness::experiments::short_term::{run_single, score_forecasts};
-use msd_harness::{ModelSpec, Scale};
+use msd_harness::{ModelSpec, Scale, TrainConfig};
 use msd_mixer::variants::Variant;
 
 fn tiny_hourly() -> msd_data::M4Collection {
@@ -41,7 +41,12 @@ fn naive2_scores_owa_one_against_itself() {
 #[test]
 fn trained_mixer_beats_naive2_on_seasonal_subset() {
     let col = tiny_hourly();
-    let score = run_single(&col, ModelSpec::MsdMixer(Variant::Full), Scale::Fast);
+    let score = run_single(
+        &col,
+        ModelSpec::MsdMixer(Variant::Full),
+        Scale::Fast,
+        &TrainConfig::default(),
+    );
     assert!(
         score.owa < 1.0,
         "MSD-Mixer OWA {} should beat Naive2 on seasonal data",
@@ -56,7 +61,12 @@ fn learned_models_generalise_across_series() {
     // collapse to a per-series memoriser: evaluate on a *fresh* collection
     // from a different seed with the same structure.
     let col = tiny_hourly();
-    let score_same = run_single(&col, ModelSpec::DLinear, Scale::Fast);
+    let score_same = run_single(
+        &col,
+        ModelSpec::DLinear,
+        Scale::Fast,
+        &TrainConfig::default(),
+    );
     assert!(score_same.owa.is_finite());
     // The same spec with another seed gives a disjoint set of series.
     let other = M4Spec {
@@ -64,7 +74,12 @@ fn learned_models_generalise_across_series() {
         ..col.spec.clone()
     }
     .generate();
-    let score_other = run_single(&other, ModelSpec::DLinear, Scale::Fast);
+    let score_other = run_single(
+        &other,
+        ModelSpec::DLinear,
+        Scale::Fast,
+        &TrainConfig::default(),
+    );
     assert!(
         score_other.owa < score_same.owa * 2.0 + 0.5,
         "cross-seed degradation too large: {} vs {}",
