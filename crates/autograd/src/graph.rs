@@ -292,10 +292,7 @@ impl Graph {
             nodes[loss.0 as usize].value.shape()
         );
         let mut grads: Vec<Option<Tensor>> = (0..n).map(|_| None).collect();
-        grads[loss.0 as usize] = Some(Tensor::full(
-            nodes[loss.0 as usize].value.shape(),
-            1.0,
-        ));
+        grads[loss.0 as usize] = Some(Tensor::full(nodes[loss.0 as usize].value.shape(), 1.0));
 
         for idx in (0..n).rev() {
             if !nodes[idx].needs_grad {
@@ -405,10 +402,7 @@ pub(crate) fn backward_op(node: &Node, grad_out: &Tensor, nodes: &[Node]) -> Vec
         Op::Leaf => vec![],
         Op::Add => vec![Some(grad_out.clone()), Some(grad_out.clone())],
         Op::Sub => vec![Some(grad_out.clone()), Some(grad_out.neg())],
-        Op::Mul => vec![
-            Some(grad_out.mul(pv(1))),
-            Some(grad_out.mul(pv(0))),
-        ],
+        Op::Mul => vec![Some(grad_out.mul(pv(1))), Some(grad_out.mul(pv(0)))],
         Op::Div => {
             // y = a / b: da = g / b; db = -g * a / b^2
             let b = pv(1);
@@ -433,10 +427,18 @@ pub(crate) fn backward_op(node: &Node, grad_out: &Tensor, nodes: &[Node]) -> Vec
             vec![Some(grad_out.permute(&inv))]
         }
         Op::Reshape => vec![Some(grad_out.reshape(pv(0).shape()))],
-        Op::PadAxis { axis, before, orig_len } => {
+        Op::PadAxis {
+            axis,
+            before,
+            orig_len,
+        } => {
             vec![Some(grad_out.narrow(*axis, *before, *orig_len))]
         }
-        Op::Narrow { axis, start, orig_len } => {
+        Op::Narrow {
+            axis,
+            start,
+            orig_len,
+        } => {
             vec![Some(grad_out.widen(*axis, *start, *orig_len))]
         }
         Op::Concat { axis, extents } => {
@@ -601,12 +603,7 @@ pub(crate) fn backward_op(node: &Node, grad_out: &Tensor, nodes: &[Node]) -> Vec
             let gs = grad_out.mul(s);
             let last = s.shape().len() - 1;
             let dot = gs.sum_axis(last);
-            let dot_b = crate::ops_reduce::broadcast_along_axis(
-                &dot,
-                s.shape(),
-                last,
-                1.0,
-            );
+            let dot_b = crate::ops_reduce::broadcast_along_axis(&dot, s.shape(), last, 1.0);
             vec![Some(s.mul(&grad_out.sub(&dot_b)))]
         }
         Op::SoftmaxCe { probs, labels } => {
@@ -635,7 +632,10 @@ mod tests {
         assert_eq!(Op::Add.name(), "Add");
         assert_eq!(Op::Scale(2.0).name(), "Scale");
         assert_eq!(
-            Op::FusedLoss { input_grad: Tensor::zeros(&[1]) }.name(),
+            Op::FusedLoss {
+                input_grad: Tensor::zeros(&[1])
+            }
+            .name(),
             "FusedLoss"
         );
         let mut names: Vec<&str> = ALL_OPS.to_vec();

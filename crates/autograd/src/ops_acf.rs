@@ -57,7 +57,11 @@ impl Graph {
 /// tier.
 fn acf_hinge_forward_backward(z: &Tensor, alpha: f32) -> (Tensor, Tensor) {
     let nd = z.ndim();
-    assert!(nd >= 2, "acf_hinge_loss expects [..., C, L], got {:?}", z.shape());
+    assert!(
+        nd >= 2,
+        "acf_hinge_loss expects [..., C, L], got {:?}",
+        z.shape()
+    );
     let l = z.shape()[nd - 1];
     let rows = z.len() / l;
     assert!(l >= 2, "acf needs at least 2 time steps");
@@ -209,8 +213,7 @@ mod tests {
             // signal + noise so the hinge is active at several lags
             let data: Vec<f32> = (0..2 * l)
                 .map(|i| {
-                    (2.0 * std::f32::consts::PI * (i % l) as f32 / 4.0).sin()
-                        + 0.2 * rng.normal()
+                    (2.0 * std::f32::consts::PI * (i % l) as f32 / 4.0).sin() + 0.2 * rng.normal()
                 })
                 .collect();
             Tensor::from_vec(&[1, 2, l], data)

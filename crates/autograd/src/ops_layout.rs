@@ -78,7 +78,10 @@ mod tests {
     #[test]
     fn permute_grad_is_inverse_permute() {
         let g = Graph::new();
-        let x = g.param(0, Tensor::from_vec(&[2, 3], (0..6).map(|i| i as f32).collect()));
+        let x = g.param(
+            0,
+            Tensor::from_vec(&[2, 3], (0..6).map(|i| i as f32).collect()),
+        );
         let y = g.permute(x, &[1, 0]);
         // Weight the loss so the gradient is position-dependent.
         let w = Tensor::from_vec(&[3, 2], (0..6).map(|i| i as f32).collect());

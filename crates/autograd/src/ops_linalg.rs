@@ -69,8 +69,8 @@ impl Graph {
     /// either `[..., m, k] · [k, n]` (2-D right-hand side broadcast over
     /// batches) or equal-rank batched `[..., m, k] · [..., k, n]`.
     pub fn matmul(&self, a: Var, b: Var) -> Var {
-        let rhs_is_2d = self.with_value(b, |tb| tb.ndim() == 2)
-            && self.with_value(a, |ta| ta.ndim() > 2);
+        let rhs_is_2d =
+            self.with_value(b, |tb| tb.ndim() == 2) && self.with_value(a, |ta| ta.ndim() > 2);
         let value = self.with_value(a, |ta| self.with_value(b, |tb| ta.matmul(tb)));
         self.push_binary(a, b, value, Op::Matmul { rhs_is_2d })
     }
@@ -145,7 +145,10 @@ mod tests {
     #[test]
     fn linear_forward_matches_tensor() {
         let g = Graph::new();
-        let x = g.input(Tensor::from_vec(&[2, 3], (0..6).map(|i| i as f32).collect()));
+        let x = g.input(Tensor::from_vec(
+            &[2, 3],
+            (0..6).map(|i| i as f32).collect(),
+        ));
         let w = g.param(0, Tensor::from_vec(&[3, 2], vec![1.0; 6]));
         let b = g.param(1, Tensor::from_vec(&[2], vec![0.5, -0.5]));
         let y = g.linear(x, w, Some(b));

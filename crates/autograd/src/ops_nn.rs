@@ -41,7 +41,13 @@ impl Graph {
         let keep = 1.0 - p;
         let mask = self.with_value(a, |t| {
             let data = (0..t.len())
-                .map(|_| if rng.uniform() < keep { 1.0 / keep } else { 0.0 })
+                .map(|_| {
+                    if rng.uniform() < keep {
+                        1.0 / keep
+                    } else {
+                        0.0
+                    }
+                })
                 .collect();
             Tensor::from_vec(t.shape(), data)
         });
@@ -63,7 +69,11 @@ impl Graph {
             let per = t.len() / batch;
             let mut data = Vec::with_capacity(t.len());
             for _ in 0..batch {
-                let v = if rng.uniform() < keep { 1.0 / keep } else { 0.0 };
+                let v = if rng.uniform() < keep {
+                    1.0 / keep
+                } else {
+                    0.0
+                };
                 data.extend(std::iter::repeat_n(v, per));
             }
             Tensor::from_vec(t.shape(), data)
@@ -79,7 +89,11 @@ impl Graph {
         assert!(k >= 1, "pool kernel must be >= 1");
         let (value, argmax) = self.with_value(a, |t| {
             let last = *t.shape().last().expect("maxpool on scalar");
-            assert_eq!(last % k, 0, "maxpool_last: extent {last} not divisible by {k}");
+            assert_eq!(
+                last % k,
+                0,
+                "maxpool_last: extent {last} not divisible by {k}"
+            );
             let out_last = last / k;
             let rows = t.len() / last;
             let mut out = Vec::with_capacity(rows * out_last);
@@ -172,7 +186,11 @@ impl Graph {
     /// Panics if `logits` is not 2-D or `labels` length mismatches the batch.
     pub fn softmax_cross_entropy(&self, logits: Var, labels: &[usize]) -> Var {
         let (loss, probs) = self.with_value(logits, |t| {
-            assert_eq!(t.ndim(), 2, "softmax_cross_entropy expects [batch, classes]");
+            assert_eq!(
+                t.ndim(),
+                2,
+                "softmax_cross_entropy expects [batch, classes]"
+            );
             let batch = t.shape()[0];
             let classes = t.shape()[1];
             assert_eq!(labels.len(), batch, "label count mismatch");
@@ -259,7 +277,10 @@ mod tests {
     #[test]
     fn softmax_rows_sum_to_one() {
         let g = Graph::new();
-        let x = g.input(Tensor::from_vec(&[2, 3], vec![1.0, 2.0, 3.0, -1.0, 0.0, 1.0]));
+        let x = g.input(Tensor::from_vec(
+            &[2, 3],
+            vec![1.0, 2.0, 3.0, -1.0, 0.0, 1.0],
+        ));
         let s = g.value(g.softmax_last(x));
         for row in s.data().chunks_exact(3) {
             let sum: f32 = row.iter().sum();

@@ -101,7 +101,10 @@ mod tests {
         let sw = g.mul_const(s, &w);
         let loss = g.sum_all(sw);
         let grads = g.backward(loss);
-        assert_eq!(grads.get(0).unwrap().data(), &[2.0, 2.0, 2.0, 5.0, 5.0, 5.0]);
+        assert_eq!(
+            grads.get(0).unwrap().data(),
+            &[2.0, 2.0, 2.0, 5.0, 5.0, 5.0]
+        );
     }
 
     #[test]
@@ -112,7 +115,12 @@ mod tests {
         assert_eq!(g.shape_of(m), vec![2, 3]);
         let loss = g.sum_all(m);
         let grads = g.backward(loss);
-        assert!(grads.get(0).unwrap().data().iter().all(|&v| (v - 0.25).abs() < 1e-6));
+        assert!(grads
+            .get(0)
+            .unwrap()
+            .data()
+            .iter()
+            .all(|&v| (v - 0.25).abs() < 1e-6));
     }
 
     #[test]

@@ -153,7 +153,9 @@ impl PolyShape {
     /// a shape has at most one proportional axis.
     fn classify(at1: &[usize], at2: &[usize]) -> Result<PolyShape, String> {
         if at1.len() != at2.len() {
-            return Err(format!("rank differs: {at1:?} at batch 1, {at2:?} at batch 2"));
+            return Err(format!(
+                "rank differs: {at1:?} at batch 1, {at2:?} at batch 2"
+            ));
         }
         let mut axis = None;
         for (i, (&x, &y)) in at1.iter().zip(at2).enumerate() {
@@ -166,10 +168,15 @@ impl PolyShape {
                 ));
             }
             if axis.replace(i).is_some() {
-                return Err(format!("two proportional axes: {at1:?} at batch 1, {at2:?} at batch 2"));
+                return Err(format!(
+                    "two proportional axes: {at1:?} at batch 1, {at2:?} at batch 2"
+                ));
             }
         }
-        Ok(PolyShape { dims: at1.to_vec(), axis })
+        Ok(PolyShape {
+            dims: at1.to_vec(),
+            axis,
+        })
     }
 
     /// Elements at batch 1: per sample, for a proportional shape.
@@ -214,7 +221,10 @@ struct Dims {
 }
 
 impl Dims {
-    const EMPTY: Dims = Dims { n: 0, d: [0; MAX_RANK] };
+    const EMPTY: Dims = Dims {
+        n: 0,
+        d: [0; MAX_RANK],
+    };
 
     fn of(shape: &[usize]) -> Dims {
         let mut d = [0; MAX_RANK];
@@ -291,14 +301,27 @@ enum PKind {
     /// Whole MLP block `gelu(x · W1 + b1) · W2 + b2`; scratch 0/1 hold the
     /// pre-activation and hidden activation (`rows × hidden`). `w2_at` is
     /// the index in `srcs` where the second linear's weight sits.
-    Mlp { w2_at: usize, hidden: usize },
+    Mlp {
+        w2_at: usize,
+        hidden: usize,
+    },
     Matmul,
     Permute(Vec<usize>),
     /// Zero-copy alias; never executed.
     Reshape,
-    PadAxis { axis: usize, before: usize, after: usize },
-    Narrow { axis: usize, start: usize, len: usize },
-    Concat { axis: usize },
+    PadAxis {
+        axis: usize,
+        before: usize,
+        after: usize,
+    },
+    Narrow {
+        axis: usize,
+        start: usize,
+        len: usize,
+    },
+    Concat {
+        axis: usize,
+    },
     SumAll,
     MeanAll,
     SumAxis(usize),
@@ -306,8 +329,12 @@ enum PKind {
     BroadcastLast(usize),
     MulBcastLast,
     AddBcastLast,
-    LayerNorm { eps: f32 },
-    MaxPoolLast { k: usize },
+    LayerNorm {
+        eps: f32,
+    },
+    MaxPoolLast {
+        k: usize,
+    },
     SoftmaxLast,
 }
 
@@ -372,7 +399,11 @@ impl Step {
             kind,
             srcs,
             shape,
-            root: Root::Arena(Region { off: 0, len: 0, per_sample: false }),
+            root: Root::Arena(Region {
+                off: 0,
+                len: 0,
+                per_sample: false,
+            }),
             scratch: Vec::new(),
             int8: false,
         }
@@ -521,8 +552,7 @@ impl CompiledPlan {
             }
 
             // Interior node: lower the op.
-            let mut srcs: Vec<Src> =
-                na.parents.iter().map(|p| lowered[p.0 as usize]).collect();
+            let mut srcs: Vec<Src> = na.parents.iter().map(|p| lowered[p.0 as usize]).collect();
             let along_batch = |axis: usize| {
                 PlanError::NotBatchAffine(format!("node {idx}: {name} along the batch axis {axis}"))
             };
@@ -569,10 +599,22 @@ impl CompiledPlan {
                 }
                 (Op::Reshape, _) => PKind::Reshape,
                 (
-                    Op::PadAxis { axis, before, orig_len },
-                    Op::PadAxis { axis: xb, before: bb, orig_len: ob },
+                    Op::PadAxis {
+                        axis,
+                        before,
+                        orig_len,
+                    },
+                    Op::PadAxis {
+                        axis: xb,
+                        before: bb,
+                        orig_len: ob,
+                    },
                 ) => {
-                    same(idx, "PadAxis payload", (axis, before, orig_len) == (xb, bb, ob))?;
+                    same(
+                        idx,
+                        "PadAxis payload",
+                        (axis, before, orig_len) == (xb, bb, ob),
+                    )?;
                     if parent_axis(0) == Some(*axis) {
                         return Err(along_batch(*axis));
                     }
@@ -584,13 +626,21 @@ impl CompiledPlan {
                 }
                 (
                     Op::Narrow { axis, start, .. },
-                    Op::Narrow { axis: xb, start: sb, .. },
+                    Op::Narrow {
+                        axis: xb,
+                        start: sb,
+                        ..
+                    },
                 ) => {
                     same(idx, "Narrow payload", (axis, start) == (xb, sb))?;
                     if parent_axis(0) == Some(*axis) {
                         return Err(along_batch(*axis));
                     }
-                    PKind::Narrow { axis: *axis, start: *start, len: shape.dims[*axis] }
+                    PKind::Narrow {
+                        axis: *axis,
+                        start: *start,
+                        len: shape.dims[*axis],
+                    }
                 }
                 (Op::Concat { axis, .. }, Op::Concat { axis: xb, .. }) => {
                     same(idx, "Concat axis", axis == xb)?;
@@ -734,7 +784,14 @@ impl CompiledPlan {
             for (l1, l2) in at1.into_iter().zip(at2) {
                 debug_assert!(l2 == l1 || l2 == 2 * l1, "scratch {l1} -> {l2}");
                 let (len, per_sample) = (l1.max(1), l2 != l1);
-                reqs.push(Req { birth: i, death: i, len, per_sample, step: i, scratch: true });
+                reqs.push(Req {
+                    birth: i,
+                    death: i,
+                    len,
+                    per_sample,
+                    step: i,
+                    scratch: true,
+                });
             }
         }
 
@@ -762,7 +819,11 @@ impl CompiledPlan {
             }
             placed[region].push((off, len, r.death));
             lanes[region] = lanes[region].max(off + len);
-            let buf = Region { off, len: r.len, per_sample: r.per_sample };
+            let buf = Region {
+                off,
+                len: r.len,
+                per_sample: r.per_sample,
+            };
             let step = &mut self.steps[r.step];
             if r.scratch {
                 step.scratch.push(buf);
@@ -857,7 +918,11 @@ impl CompiledPlan {
                     Src::Const(c) => format!("c{c}"),
                 })
                 .collect();
-            let alias = if matches!(step.kind, PKind::Reshape) { "  [alias]" } else { "" };
+            let alias = if matches!(step.kind, PKind::Reshape) {
+                "  [alias]"
+            } else {
+                ""
+            };
             let precision = if step.int8 { "  [int8]" } else { "" };
             let _ = writeln!(
                 s,
@@ -949,7 +1014,9 @@ impl CompiledPlan {
             }
             times.sort_by(f64::total_cmp);
             let shape = step.shape.at(b);
-            let rows = shape[..shape.len().saturating_sub(1)].iter().product::<usize>();
+            let rows = shape[..shape.len().saturating_sub(1)]
+                .iter()
+                .product::<usize>();
             let flops = match &step.kind {
                 PKind::Linear | PKind::LinearGelu => {
                     let w = shape_of(step.srcs[1]);
@@ -1048,7 +1115,8 @@ impl CompiledPlan {
                 }
             }
         };
-        let scratch = |step: &Step, slot: usize| step_scratch(base, step.scratch[slot], batch, lanes);
+        let scratch =
+            |step: &Step, slot: usize| step_scratch(base, step.scratch[slot], batch, lanes);
 
         for (i, step) in self.steps.iter().enumerate() {
             if matches!(step.kind, PKind::Reshape) {
@@ -1060,8 +1128,7 @@ impl CompiledPlan {
             let (off, out_len) = region.at(batch, lanes);
             // SAFETY: see `src_view` — the output region is disjoint from
             // every live source and scratch region by construction.
-            let out: &mut [f32] =
-                unsafe { std::slice::from_raw_parts_mut(base.add(off), out_len) };
+            let out: &mut [f32] = unsafe { std::slice::from_raw_parts_mut(base.add(off), out_len) };
 
             match &step.kind {
                 PKind::Reshape => unreachable!("reshape steps are aliases"),
@@ -1085,8 +1152,7 @@ impl CompiledPlan {
                     let (ws, w) = src_view(step.srcs[1]);
                     let bias = step.srcs.get(2).map(|&s| src_view(s).1);
                     let (in_dim, out_dim) = (ws[0], ws[1]);
-                    if let Some(qw) = step.int8.then(|| quant_src(params, step.srcs[1])).flatten()
-                    {
+                    if let Some(qw) = step.int8.then(|| quant_src(params, step.srcs[1])).flatten() {
                         quant::linear_i8_into(x, x.len() / in_dim, in_dim, qw, bias, false, out);
                     } else {
                         linear_into(x, x.len() / in_dim, in_dim, w, out_dim, bias, out);
@@ -1097,8 +1163,7 @@ impl CompiledPlan {
                     let (ws, w) = src_view(step.srcs[1]);
                     let bias = step.srcs.get(2).map(|&s| src_view(s).1);
                     let (in_dim, out_dim) = (ws[0], ws[1]);
-                    if let Some(qw) = step.int8.then(|| quant_src(params, step.srcs[1])).flatten()
-                    {
+                    if let Some(qw) = step.int8.then(|| quant_src(params, step.srcs[1])).flatten() {
                         // The int8 epilogue fuses bias + GELU, so the
                         // pre-activation scratch is bypassed entirely.
                         quant::linear_i8_into(x, x.len() / in_dim, in_dim, qw, bias, true, out);
@@ -1119,7 +1184,10 @@ impl CompiledPlan {
                     let pre = scratch(step, 0);
                     let h = scratch(step, 1);
                     let q1 = step.int8.then(|| quant_src(params, step.srcs[1])).flatten();
-                    let q2 = step.int8.then(|| quant_src(params, step.srcs[*w2_at])).flatten();
+                    let q2 = step
+                        .int8
+                        .then(|| quant_src(params, step.srcs[*w2_at]))
+                        .flatten();
                     if let (Some(qw1), Some(qw2)) = (q1, q2) {
                         quant::linear_i8_into(x, rows, in_dim, qw1, b1, true, h);
                         quant::linear_i8_into(h, rows, *hidden, qw2, b2, false, out);
@@ -1138,7 +1206,11 @@ impl CompiledPlan {
                     let (in_s, a) = src_view(step.srcs[0]);
                     permute_into(&in_s, a, perm, out);
                 }
-                PKind::PadAxis { axis, before, after } => {
+                PKind::PadAxis {
+                    axis,
+                    before,
+                    after,
+                } => {
                     let (in_s, a) = src_view(step.srcs[0]);
                     pad_axis_into(&in_s, a, *axis, *before, *after, out);
                 }
@@ -1165,7 +1237,11 @@ impl CompiledPlan {
                 PKind::SumAll => out[0] = kred::sum(src_view(step.srcs[0]).1),
                 PKind::MeanAll => {
                     let a = src_view(step.srcs[0]).1;
-                    out[0] = if a.is_empty() { 0.0 } else { kred::sum(a) / a.len() as f32 };
+                    out[0] = if a.is_empty() {
+                        0.0
+                    } else {
+                        kred::sum(a) / a.len() as f32
+                    };
                 }
                 PKind::SumAxis(ax) => {
                     let (in_s, a) = src_view(step.srcs[0]);
@@ -1289,7 +1365,9 @@ fn same(idx: usize, what: &str, equal: bool) -> Result<(), PlanError> {
     if equal {
         Ok(())
     } else {
-        Err(PlanError::TraceMismatch(format!("node {idx}: {what} differs between the traces")))
+        Err(PlanError::TraceMismatch(format!(
+            "node {idx}: {what} differs between the traces"
+        )))
     }
 }
 
@@ -1345,7 +1423,11 @@ fn fuse(steps: Vec<Step>, out_src: Src) -> (Vec<Step>, Src, Vec<String>) {
             continue;
         }
         fusions.push(format!("Linear(%{i}) + Gelu(%{j}) -> LinearGelu"));
-        steps[j] = Some(Step::new(PKind::LinearGelu, si.srcs.clone(), sj.shape.clone()));
+        steps[j] = Some(Step::new(
+            PKind::LinearGelu,
+            si.srcs.clone(),
+            sj.shape.clone(),
+        ));
         steps[i] = None;
     }
 
@@ -1365,8 +1447,14 @@ fn fuse(steps: Vec<Step>, out_src: Src) -> (Vec<Step>, Src, Vec<String>) {
         let w2_at = srcs.len();
         srcs.extend_from_slice(&sj.srcs[1..]);
         let hidden = *si.shape.dims.last().unwrap();
-        fusions.push(format!("LinearGelu(%{i}) + Linear(%{j}) -> MlpBlock (hidden {hidden})"));
-        steps[j] = Some(Step::new(PKind::Mlp { w2_at, hidden }, srcs, sj.shape.clone()));
+        fusions.push(format!(
+            "LinearGelu(%{i}) + Linear(%{j}) -> MlpBlock (hidden {hidden})"
+        ));
+        steps[j] = Some(Step::new(
+            PKind::Mlp { w2_at, hidden },
+            srcs,
+            sj.shape.clone(),
+        ));
         steps[i] = None;
     }
 
@@ -1411,16 +1499,14 @@ mod tests {
 
     /// A random input of `batch` samples of shape `sample`.
     fn input(batch: usize, sample: &[usize], seed: u64) -> Tensor {
-        let shape: Vec<usize> = std::iter::once(batch).chain(sample.iter().copied()).collect();
+        let shape: Vec<usize> = std::iter::once(batch)
+            .chain(sample.iter().copied())
+            .collect();
         randn(&shape, seed)
     }
 
     /// Traces `f` in eval mode on `x` and returns (graph, out var).
-    fn trace(
-        params: &Params,
-        x: &Tensor,
-        f: impl Fn(&Graph, Var, &[Var]) -> Var,
-    ) -> (Graph, Var) {
+    fn trace(params: &Params, x: &Tensor, f: impl Fn(&Graph, Var, &[Var]) -> Var) -> (Graph, Var) {
         let g = Graph::eval();
         let xv = g.input(x.clone());
         let pv: Vec<Var> = params
@@ -1479,7 +1565,10 @@ mod tests {
         for (i, &b) in batches.iter().enumerate() {
             let x = input(b, sample, 100 + i as u64);
             let want = tape(params, &x, &f);
-            assert_bits(&plan.execute(params, std::slice::from_ref(&x), arena), &want);
+            assert_bits(
+                &plan.execute(params, std::slice::from_ref(&x), arena),
+                &want,
+            );
         }
     }
 
@@ -1570,7 +1659,11 @@ mod tests {
             g.add(g.gelu(h), h)
         };
         let plan = compile(&params, &[4], f).unwrap();
-        assert!(plan.fusions().is_empty(), "fusion must be blocked: {:?}", plan.fusions());
+        assert!(
+            plan.fusions().is_empty(),
+            "fusion must be blocked: {:?}",
+            plan.fusions()
+        );
         let mut arena = PlanArena::new();
         assert_matches_tape(&plan, &params, &[4], f, &[2, 1, 3], &mut arena);
     }
@@ -1666,7 +1759,11 @@ mod tests {
             g.add_bcast_last(g.linear(x, w, None), p[1])
         };
         let plan = compile(&params, &[4], f).unwrap();
-        assert!(plan.describe().contains("arena: 32·b + 16 f32"), "{}", plan.describe());
+        assert!(
+            plan.describe().contains("arena: 32·b + 16 f32"),
+            "{}",
+            plan.describe()
+        );
         let mut arena = PlanArena::new();
         assert_matches_tape(&plan, &params, &[4], f, &[1, 3, 2, 6], &mut arena);
         assert_eq!(arena.len(), plan.arena_len(6));

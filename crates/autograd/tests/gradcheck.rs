@@ -290,7 +290,10 @@ fn grad_softmax_cross_entropy() {
 fn grad_fused_losses() {
     let target = randn(&[2, 6], 32);
     assert_gradcheck(&randn(&[2, 6], 33), EPS, TOL, |g, x| g.mse_loss(x, &target));
-    let mask = Tensor::from_vec(&[2, 6], vec![1.0, 0.0, 1.0, 1.0, 0.0, 1.0, 0.0, 1.0, 1.0, 0.0, 1.0, 1.0]);
+    let mask = Tensor::from_vec(
+        &[2, 6],
+        vec![1.0, 0.0, 1.0, 1.0, 0.0, 1.0, 0.0, 1.0, 1.0, 0.0, 1.0, 1.0],
+    );
     assert_gradcheck(&randn(&[2, 6], 34), EPS, TOL, |g, x| {
         g.masked_mse_loss(x, &target, &mask)
     });
@@ -378,7 +381,10 @@ fn grad_shared_parameter_accumulates() {
 #[test]
 fn grad_maxpool_last() {
     // Values spread out so the argmax is stable under the FD perturbation.
-    let x0 = Tensor::from_vec(&[2, 6], vec![1.0, 5.0, 2.0, 9.0, 3.0, 4.0, 8.0, 1.0, 6.0, 2.0, 7.0, 3.0]);
+    let x0 = Tensor::from_vec(
+        &[2, 6],
+        vec![1.0, 5.0, 2.0, 9.0, 3.0, 4.0, 8.0, 1.0, 6.0, 2.0, 7.0, 3.0],
+    );
     assert_gradcheck(&x0, 1e-3, TOL, |g, x| {
         let y = g.maxpool_last(x, 3);
         g.mean_all(g.square(y))

@@ -60,14 +60,20 @@ fn chain_through_reshape_is_transparent() {
             let g = Graph::new();
             let x = g.param(0, x0.clone());
             let loss = g.mean_all(g.square(x));
-            (g.value(loss).item(), g.backward(loss).get(0).unwrap().clone())
+            (
+                g.value(loss).item(),
+                g.backward(loss).get(0).unwrap().clone(),
+            )
         };
         let reshaped = {
             let g = Graph::new();
             let x = g.param(0, x0.clone());
             let r = g.reshape(x, &[3, 4]);
             let loss = g.mean_all(g.square(r));
-            (g.value(loss).item(), g.backward(loss).get(0).unwrap().clone())
+            (
+                g.value(loss).item(),
+                g.backward(loss).get(0).unwrap().clone(),
+            )
         };
         assert!((direct.0 - reshaped.0).abs() < 1e-6);
         assert!(allclose(&direct.1, &reshaped.1.reshape(&[2, 6]), 1e-6));

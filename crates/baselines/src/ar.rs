@@ -23,7 +23,7 @@ impl ArModel {
         }
         let rows = n - p;
         let dim = p + 1; // intercept + p lags
-        // Accumulate XᵀX and Xᵀy in f64.
+                         // Accumulate XᵀX and Xᵀy in f64.
         let mut xtx = vec![0.0f64; dim * dim];
         let mut xty = vec![0.0f64; dim];
         for t in p..n {
@@ -135,8 +135,16 @@ mod tests {
             series.push(2.0 + 0.8 * last + 0.01 * rng.normal());
         }
         let model = ArModel::fit(&series, 1).unwrap();
-        assert!((model.coeffs[0] - 0.8).abs() < 0.02, "phi {}", model.coeffs[0]);
-        assert!((model.intercept - 2.0).abs() < 0.25, "c {}", model.intercept);
+        assert!(
+            (model.coeffs[0] - 0.8).abs() < 0.02,
+            "phi {}",
+            model.coeffs[0]
+        );
+        assert!(
+            (model.intercept - 2.0).abs() < 0.25,
+            "c {}",
+            model.intercept
+        );
     }
 
     #[test]
@@ -150,7 +158,11 @@ mod tests {
             "phi1 {}",
             model.coeffs[0]
         );
-        assert!((model.coeffs[1] + 1.0).abs() < 1e-3, "phi2 {}", model.coeffs[1]);
+        assert!(
+            (model.coeffs[1] + 1.0).abs() < 1e-3,
+            "phi2 {}",
+            model.coeffs[1]
+        );
         // And the forecast continues the sinusoid.
         let fcst = model.forecast(&series, 12);
         for (h, &v) in fcst.iter().enumerate() {

@@ -123,9 +123,7 @@ mod tests {
 
     #[test]
     fn dlinear_all_tasks() {
-        exercise_baseline(|store, rng, c, l, task| {
-            Box::new(DLinear::new(store, rng, c, l, task))
-        });
+        exercise_baseline(|store, rng, c, l, task| Box::new(DLinear::new(store, rng, c, l, task)));
     }
 
     #[test]

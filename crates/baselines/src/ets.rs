@@ -100,14 +100,16 @@ mod tests {
             .iter()
             .enumerate()
             .map(|(i, &v)| {
-                (v - (10.0 + 3.0 * (std::f32::consts::TAU * (80 + i) as f32 / m as f32).sin())).abs()
+                (v - (10.0 + 3.0 * (std::f32::consts::TAU * (80 + i) as f32 / m as f32).sin()))
+                    .abs()
             })
             .sum();
         let ses_err: f32 = ses
             .iter()
             .enumerate()
             .map(|(i, &v)| {
-                (v - (10.0 + 3.0 * (std::f32::consts::TAU * (80 + i) as f32 / m as f32).sin())).abs()
+                (v - (10.0 + 3.0 * (std::f32::consts::TAU * (80 + i) as f32 / m as f32).sin()))
+                    .abs()
             })
             .sum();
         assert!(hw_err < ses_err * 0.6, "hw {hw_err} vs ses {ses_err}");

@@ -29,16 +29,16 @@
 //! and support the same three head shapes as MSD-Mixer (forecast /
 //! reconstruct / classify) so the harness can train them on all five tasks.
 
+pub mod ar;
 mod dlinear;
+pub mod ets;
 mod lightts;
 mod minirocket;
+pub mod naive;
 mod nbeats;
 mod nbeats_interp;
-mod nlinear;
 mod nhits;
-pub mod ar;
-pub mod ets;
-pub mod naive;
+mod nlinear;
 mod patchtst;
 mod timesnet;
 
@@ -51,8 +51,8 @@ pub use lightts::LightTs;
 pub use minirocket::{MiniRocket, MiniRocketClassifier};
 pub use nbeats::NBeats;
 pub use nbeats_interp::{InterpretableForecast, NBeatsInterpretable};
-pub use nlinear::NLinear;
 pub use nhits::NHits;
+pub use nlinear::NLinear;
 pub use patchtst::PatchTst;
 pub use timesnet::TimesNet;
 

@@ -134,9 +134,7 @@ mod tests {
 
     #[test]
     fn lightts_all_tasks() {
-        exercise_baseline(|store, rng, c, l, task| {
-            Box::new(LightTs::new(store, rng, c, l, task))
-        });
+        exercise_baseline(|store, rng, c, l, task| Box::new(LightTs::new(store, rng, c, l, task)));
     }
 
     #[test]

@@ -63,7 +63,8 @@ fn is_seasonal(history: &[f32], m: usize) -> bool {
         return false;
     }
     let coeffs = msd_tensor::stats::acf(history, m);
-    let limit = 1.645 * (1.0 / history.len() as f32).sqrt()
+    let limit = 1.645
+        * (1.0 / history.len() as f32).sqrt()
         * (1.0 + 2.0 * coeffs[..m - 1].iter().map(|a| a * a).sum::<f32>()).sqrt();
     coeffs[m - 1].abs() > limit
 }

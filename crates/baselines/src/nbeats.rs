@@ -163,9 +163,7 @@ mod tests {
 
     #[test]
     fn nbeats_all_tasks() {
-        exercise_baseline(|store, rng, c, l, task| {
-            Box::new(NBeats::new(store, rng, c, l, task))
-        });
+        exercise_baseline(|store, rng, c, l, task| Box::new(NBeats::new(store, rng, c, l, task)));
     }
 
     #[test]

@@ -25,7 +25,13 @@ enum BasisKind {
 
 /// Evaluates the basis matrix `[n_coeffs, len]` over normalised time
 /// `t ∈ [0, 1)` (backcast) or the forecast continuation.
-fn basis_matrix(kind: BasisKind, n_coeffs: usize, len: usize, forecast: bool, input_len: usize) -> Tensor {
+fn basis_matrix(
+    kind: BasisKind,
+    n_coeffs: usize,
+    len: usize,
+    forecast: bool,
+    input_len: usize,
+) -> Tensor {
     let mut m = Tensor::zeros(&[n_coeffs, len]);
     for j in 0..len {
         // Time continues past the input for the forecast side.
@@ -138,12 +144,7 @@ impl NBeatsInterpretable {
         }
     }
 
-    fn run_stack(
-        &self,
-        ctx: &Ctx,
-        blocks: &[BasisBlock],
-        mut residual: Var,
-    ) -> (Var, Option<Var>) {
+    fn run_stack(&self, ctx: &Ctx, blocks: &[BasisBlock], mut residual: Var) -> (Var, Option<Var>) {
         let g = ctx.g;
         let mut forecast: Option<Var> = None;
         for block in blocks {

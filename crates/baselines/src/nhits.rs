@@ -203,9 +203,7 @@ mod tests {
 
     #[test]
     fn nhits_all_tasks() {
-        exercise_baseline(|store, rng, c, l, task| {
-            Box::new(NHits::new(store, rng, c, l, task))
-        });
+        exercise_baseline(|store, rng, c, l, task| Box::new(NHits::new(store, rng, c, l, task)));
     }
 
     #[test]

@@ -119,9 +119,7 @@ mod tests {
 
     #[test]
     fn nlinear_all_tasks() {
-        exercise_baseline(|store, rng, c, l, task| {
-            Box::new(NLinear::new(store, rng, c, l, task))
-        });
+        exercise_baseline(|store, rng, c, l, task| Box::new(NLinear::new(store, rng, c, l, task)));
     }
 
     #[test]

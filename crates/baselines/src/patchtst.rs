@@ -52,7 +52,10 @@ impl PatchTst {
         heads: usize,
         depth: usize,
     ) -> Self {
-        assert!(d_model.is_multiple_of(heads), "d_model must divide into heads");
+        assert!(
+            d_model.is_multiple_of(heads),
+            "d_model must divide into heads"
+        );
         let patch_len = patch_len.clamp(1, input_len);
         let num_patches = input_len.div_ceil(patch_len);
         let out_len = match &task {
@@ -76,13 +79,7 @@ impl PatchTst {
                 ff2: Linear::new(store, rng, &format!("ptst.l{i}.ff2"), 2 * d_model, d_model),
             })
             .collect();
-        let head_fc = Linear::new(
-            store,
-            rng,
-            "ptst.head",
-            num_patches * d_model,
-            out_len,
-        );
+        let head_fc = Linear::new(store, rng, "ptst.head", num_patches * d_model, out_len);
         let classify_fc = match &task {
             Task::Classify { classes } => Some(Linear::new(
                 store,
@@ -140,7 +137,7 @@ impl PatchTst {
         let scores = g.scale(g.matmul(q, kt), 1.0 / (dh as f32).sqrt());
         let attn = g.softmax_last(scores);
         let mixed = g.matmul(attn, v); // [B'*h, N, dh]
-        // Back to [B', N, d].
+                                       // Back to [B', N, d].
         let mixed = g.reshape(mixed, &[bprime, h, n, dh]);
         let mixed = g.permute(mixed, &[0, 2, 1, 3]);
         let mixed = g.reshape(mixed, &[bprime, n, d]);
@@ -184,7 +181,9 @@ impl Baseline for PatchTst {
             let attn = self.attention(ctx, layer, normed, bprime);
             hidden = g.add(hidden, attn);
             let normed = layer.ln2.forward(ctx, hidden);
-            let ff = layer.ff2.forward(ctx, g.gelu(layer.ff1.forward(ctx, normed)));
+            let ff = layer
+                .ff2
+                .forward(ctx, g.gelu(layer.ff1.forward(ctx, normed)));
             hidden = g.add(hidden, ff);
         }
 
@@ -215,9 +214,7 @@ mod tests {
 
     #[test]
     fn patchtst_all_tasks() {
-        exercise_baseline(|store, rng, c, l, task| {
-            Box::new(PatchTst::new(store, rng, c, l, task))
-        });
+        exercise_baseline(|store, rng, c, l, task| Box::new(PatchTst::new(store, rng, c, l, task)));
     }
 
     #[test]
@@ -247,7 +244,10 @@ mod tests {
         };
         let a = run(&fwd);
         let b = run(&rev);
-        assert!(!msd_tensor::allclose(&a, &b, 1e-4), "order-blind transformer");
+        assert!(
+            !msd_tensor::allclose(&a, &b, 1e-4),
+            "order-blind transformer"
+        );
     }
 
     #[test]

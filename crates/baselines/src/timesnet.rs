@@ -246,9 +246,7 @@ mod tests {
 
     #[test]
     fn timesnet_all_tasks() {
-        exercise_baseline(|store, rng, c, l, task| {
-            Box::new(TimesNet::new(store, rng, c, l, task))
-        });
+        exercise_baseline(|store, rng, c, l, task| Box::new(TimesNet::new(store, rng, c, l, task)));
     }
 
     #[test]
@@ -291,14 +289,8 @@ mod tests {
     fn oversized_periods_are_clamped() {
         let mut store = ParamStore::new();
         let mut rng = Rng::seed_from(9);
-        let model = TimesNet::with_periods(
-            &mut store,
-            &mut rng,
-            2,
-            24,
-            Task::Reconstruct,
-            &[500, 3],
-        );
+        let model =
+            TimesNet::with_periods(&mut store, &mut rng, 2, 24, Task::Reconstruct, &[500, 3]);
         assert_eq!(model.periods(), vec![24, 3]);
     }
 }

@@ -87,7 +87,11 @@ pub fn point_adjusted_scores(pred: &[bool], truth: &[bool]) -> DetectionScores {
 /// protocol reports per (dataset, threshold) pair; pick `threshold` with
 /// [`threshold_by_ratio`] to reproduce the anomaly-ratio convention.
 pub fn point_adjusted_f1(scores: &[f32], truth: &[bool], threshold: f32) -> f32 {
-    assert_eq!(scores.len(), truth.len(), "point_adjusted_f1 length mismatch");
+    assert_eq!(
+        scores.len(),
+        truth.len(),
+        "point_adjusted_f1 length mismatch"
+    );
     let pred: Vec<bool> = scores.iter().map(|&s| s > threshold).collect();
     point_adjusted_scores(&pred, truth).f1
 }
@@ -180,7 +184,11 @@ mod tests {
         let truth = [false, true, true, false, false, true, true, true];
         let pred = [false, false, true, false, true, false, false, false];
         let s = point_adjusted_scores(&pred, &truth);
-        assert!((s.precision - 2.0 / 3.0).abs() < 1e-6, "precision {}", s.precision);
+        assert!(
+            (s.precision - 2.0 / 3.0).abs() < 1e-6,
+            "precision {}",
+            s.precision
+        );
         assert!((s.recall - 2.0 / 5.0).abs() < 1e-6, "recall {}", s.recall);
         assert!((s.f1 - 0.5).abs() < 1e-6, "f1 {}", s.f1);
     }
@@ -208,9 +216,15 @@ mod tests {
     fn all_anomalous_series() {
         let truth = [true; 5];
         let one_hit = point_adjusted_scores(&[false, false, true, false, false], &truth);
-        assert_eq!((one_hit.precision, one_hit.recall, one_hit.f1), (1.0, 1.0, 1.0));
+        assert_eq!(
+            (one_hit.precision, one_hit.recall, one_hit.f1),
+            (1.0, 1.0, 1.0)
+        );
         let silent = point_adjusted_scores(&[false; 5], &truth);
-        assert_eq!((silent.precision, silent.recall, silent.f1), (0.0, 0.0, 0.0));
+        assert_eq!(
+            (silent.precision, silent.recall, silent.f1),
+            (0.0, 0.0, 0.0)
+        );
     }
 
     #[test]

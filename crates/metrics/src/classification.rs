@@ -34,7 +34,11 @@ pub fn macro_f1(pred: &[usize], truth: &[usize], classes: usize) -> f32 {
             .filter(|(&p, &t)| p != c && t == c)
             .count() as f32;
         let precision = if tp + fp == 0.0 { 0.0 } else { tp / (tp + fp) };
-        let recall = if tp + fn_ == 0.0 { 0.0 } else { tp / (tp + fn_) };
+        let recall = if tp + fn_ == 0.0 {
+            0.0
+        } else {
+            tp / (tp + fn_)
+        };
         f1_sum += if precision + recall == 0.0 {
             0.0
         } else {

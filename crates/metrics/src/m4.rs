@@ -54,7 +54,10 @@ pub fn mase(pred: &[f32], truth: &[f32], insample: &[f32], m: usize) -> f32 {
 /// The overall weighted average (Eq. 8): the mean of SMAPE and MASE, each
 /// normalised by the Naive2 reference values.
 pub fn owa(smape_model: f32, mase_model: f32, smape_naive2: f32, mase_naive2: f32) -> f32 {
-    assert!(smape_naive2 > 0.0 && mase_naive2 > 0.0, "owa reference must be positive");
+    assert!(
+        smape_naive2 > 0.0 && mase_naive2 > 0.0,
+        "owa reference must be positive"
+    );
     0.5 * (smape_model / smape_naive2 + mase_model / mase_naive2)
 }
 
@@ -151,8 +154,16 @@ mod tests {
 
     #[test]
     fn weighted_average_respects_weights() {
-        let a = M4Score { smape: 10.0, mase: 1.0, owa: 0.8 };
-        let b = M4Score { smape: 20.0, mase: 2.0, owa: 1.2 };
+        let a = M4Score {
+            smape: 10.0,
+            mase: 1.0,
+            owa: 0.8,
+        };
+        let b = M4Score {
+            smape: 20.0,
+            mase: 2.0,
+            owa: 1.2,
+        };
         let avg = M4Score::weighted_average(&[(a, 3.0), (b, 1.0)]);
         assert!((avg.smape - 12.5).abs() < 1e-5);
         assert!((avg.mase - 1.25).abs() < 1e-5);

@@ -161,7 +161,11 @@ fn point_adjust_never_reduces_scores() {
         // Raw (non-adjusted) recall computed directly:
         let tp = pred.iter().zip(&truth).filter(|(&p, &t)| p && t).count() as f32;
         let fn_ = pred.iter().zip(&truth).filter(|(&p, &t)| !p && t).count() as f32;
-        let raw_recall = if tp + fn_ == 0.0 { 0.0 } else { tp / (tp + fn_) };
+        let raw_recall = if tp + fn_ == 0.0 {
+            0.0
+        } else {
+            tp / (tp + fn_)
+        };
         assert!(adjusted.recall + 1e-6 >= raw_recall);
         assert!((0.0..=1.0).contains(&adjusted.f1));
     }

@@ -88,7 +88,13 @@ impl PatchEncoder {
                 dims.hidden(dims.patch_size),
                 dims.drop_path,
             ),
-            proj: Linear::new(store, rng, &format!("{name}.proj"), dims.patch_size, dims.d_model),
+            proj: Linear::new(
+                store,
+                rng,
+                &format!("{name}.proj"),
+                dims.patch_size,
+                dims.d_model,
+            ),
         }
     }
 
@@ -116,7 +122,12 @@ impl PatchDecoder {
             // Zero-initialised so each layer's component starts at exactly
             // zero (Z_i = X at init), which stabilises the doubly-residual
             // stack and speeds convergence markedly.
-            proj: Linear::zeroed(store, &format!("{name}.proj"), dims.d_model, dims.patch_size),
+            proj: Linear::zeroed(
+                store,
+                &format!("{name}.proj"),
+                dims.d_model,
+                dims.patch_size,
+            ),
             intra_block: MlpBlock::new(
                 store,
                 rng,

@@ -40,9 +40,7 @@ impl Head {
             // `forward`), then consumes all channels at once; pooling keeps
             // the head small enough to generalise from the archive's small
             // training sets.
-            Task::Classify { classes } => {
-                Linear::zeroed(store, name, channels * d_model, *classes)
-            }
+            Task::Classify { classes } => Linear::zeroed(store, name, channels * d_model, *classes),
         };
         Self {
             task: task.clone(),

@@ -67,8 +67,8 @@ impl MsdLayer {
             hidden_ratio,
             drop_path,
         };
-        let interp = matches!(mode, PatchMode::Pool(_))
-            .then(|| interp_matrix(num_patches, input_len));
+        let interp =
+            matches!(mode, PatchMode::Pool(_)).then(|| interp_matrix(num_patches, input_len));
         Self {
             mode,
             input_len,

@@ -31,10 +31,17 @@ pub fn patch(g: &Graph, x: Var, p: usize) -> Var {
 /// the left padding that [`patch`] added.
 pub fn unpatch(g: &Graph, s: Var, len: usize) -> Var {
     let shape = g.shape_of(s);
-    assert_eq!(shape.len(), 4, "unpatch expects [B, C, L', p], got {shape:?}");
+    assert_eq!(
+        shape.len(),
+        4,
+        "unpatch expects [B, C, L', p], got {shape:?}"
+    );
     let (b, c, lp, p) = (shape[0], shape[1], shape[2], shape[3]);
     let l_star = lp * p;
-    assert!(l_star >= len, "unpatch target length {len} exceeds padded {l_star}");
+    assert!(
+        l_star >= len,
+        "unpatch target length {len} exceeds padded {l_star}"
+    );
     let flat = g.reshape(s, &[b, c, l_star]);
     if l_star == len {
         flat

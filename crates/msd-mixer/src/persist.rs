@@ -55,21 +55,23 @@ pub fn load_model(r: &mut impl Read) -> io::Result<(MsdMixer, ParamStore)> {
         if line.is_empty() {
             break;
         }
-        let (k, v) = line.split_once('=').ok_or_else(|| bad("malformed header line"))?;
+        let (k, v) = line
+            .split_once('=')
+            .ok_or_else(|| bad("malformed header line"))?;
         fields.insert(k.to_string(), v.to_string());
     }
     if fields.get("format").map(String::as_str) != Some("msd-mixer-v1") {
         return Err(bad("unknown format"));
     }
     let get = |k: &str| -> io::Result<&String> {
-        fields.get(k).ok_or_else(|| bad(&format!("missing field {k}")))
+        fields
+            .get(k)
+            .ok_or_else(|| bad(&format!("missing field {k}")))
     };
-    let parse_usize = |k: &str| -> io::Result<usize> {
-        get(k)?.parse().map_err(|_| bad(&format!("bad {k}")))
-    };
-    let parse_f32 = |k: &str| -> io::Result<f32> {
-        get(k)?.parse().map_err(|_| bad(&format!("bad {k}")))
-    };
+    let parse_usize =
+        |k: &str| -> io::Result<usize> { get(k)?.parse().map_err(|_| bad(&format!("bad {k}"))) };
+    let parse_f32 =
+        |k: &str| -> io::Result<f32> { get(k)?.parse().map_err(|_| bad(&format!("bad {k}"))) };
     let task_str = get("task")?;
     let task = if let Some(h) = task_str.strip_prefix("forecast:") {
         Task::Forecast {
@@ -165,7 +167,11 @@ mod tests {
         let model = MsdMixer::new(&mut store, &mut rng, &cfg);
         // Nudge weights so they differ from a fresh init.
         for i in 0..store.len() {
-            store.get_mut(i).data_mut().iter_mut().for_each(|v| *v += 0.01);
+            store
+                .get_mut(i)
+                .data_mut()
+                .iter_mut()
+                .for_each(|v| *v += 0.01);
         }
         let x = Tensor::randn(&[1, 2, 16], 1.0, &mut rng);
         (model, store, x)

@@ -37,7 +37,10 @@ mod tests {
         let v = g.input(z);
         let loss = g.value(residual_loss(&g, v, 2.0, false)).item();
         // ACF term ~0 for white noise; total ≈ magnitude term.
-        assert!((loss - energy).abs() < 0.01, "loss {loss} vs energy {energy}");
+        assert!(
+            (loss - energy).abs() < 0.01,
+            "loss {loss} vs energy {energy}"
+        );
     }
 
     #[test]
@@ -51,7 +54,10 @@ mod tests {
         let g = Graph::new();
         let v = g.input(z);
         let loss = g.value(residual_loss(&g, v, 2.0, false)).item();
-        assert!(loss > energy + 0.05, "loss {loss} should exceed energy {energy}");
+        assert!(
+            loss > energy + 0.05,
+            "loss {loss} should exceed energy {energy}"
+        );
     }
 
     #[test]
@@ -91,7 +97,10 @@ mod tests {
         }
         let final_violation = msd_tensor::stats::acf_violation_rate(z.data(), l - 1);
         let final_energy = z.square().mean_all();
-        assert!(final_energy < initial_energy * 0.5, "energy {initial_energy} -> {final_energy}");
+        assert!(
+            final_energy < initial_energy * 0.5,
+            "energy {initial_energy} -> {final_energy}"
+        );
         assert!(
             final_violation <= initial_violation,
             "violation {initial_violation} -> {final_violation}"

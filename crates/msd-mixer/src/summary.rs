@@ -47,7 +47,12 @@ pub fn summarize(store: &ParamStore) -> Vec<ModuleSummary> {
 pub fn describe(model: &MsdMixer, store: &ParamStore) -> String {
     let cfg = model.config();
     let mut out = String::new();
-    let _ = writeln!(out, "MSD-Mixer: {} layers, task {:?}", model.num_layers(), cfg.task);
+    let _ = writeln!(
+        out,
+        "MSD-Mixer: {} layers, task {:?}",
+        model.num_layers(),
+        cfg.task
+    );
     let _ = writeln!(
         out,
         "  input: {} channels x {} steps; d_model {}; hidden_ratio {}; drop_path {}",
@@ -59,11 +64,19 @@ pub fn describe(model: &MsdMixer, store: &ParamStore) -> String {
         cfg.patch_sizes,
         cfg.lambda,
         cfg.alpha,
-        if cfg.magnitude_only { " (magnitude only)" } else { "" }
+        if cfg.magnitude_only {
+            " (magnitude only)"
+        } else {
+            ""
+        }
     );
     let _ = writeln!(out, "  parameters: {} total", store.num_scalars());
     for g in summarize(store) {
-        let _ = writeln!(out, "    {:<14} {:>4} tensors {:>9} scalars", g.module, g.tensors, g.scalars);
+        let _ = writeln!(
+            out,
+            "    {:<14} {:>4} tensors {:>9} scalars",
+            g.module, g.tensors, g.scalars
+        );
     }
     out
 }

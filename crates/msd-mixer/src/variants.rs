@@ -69,13 +69,15 @@ pub fn build_variant(
             MsdMixer::new(store, rng, &cfg)
         }
         Variant::NoPatching => {
-            let modes: Vec<PatchMode> =
-                cfg.patch_sizes.iter().map(|&p| PatchMode::Pool(p)).collect();
+            let modes: Vec<PatchMode> = cfg
+                .patch_sizes
+                .iter()
+                .map(|&p| PatchMode::Pool(p))
+                .collect();
             MsdMixer::with_modes(store, rng, &cfg, &modes)
         }
         Variant::UniformPatch => {
-            let p = ((cfg.input_len as f32).sqrt().round() as usize)
-                .clamp(1, cfg.input_len);
+            let p = ((cfg.input_len as f32).sqrt().round() as usize).clamp(1, cfg.input_len);
             cfg.patch_sizes = vec![p; base.patch_sizes.len()];
             MsdMixer::new(store, rng, &cfg)
         }

@@ -223,8 +223,8 @@ fn encode_params_i8(store: &ParamStore) -> io::Result<Vec<u8>> {
     let mut w = ByteWriter::new();
     for (_, name, value) in store.iter() {
         put_param_header(&mut w, name, value.shape());
-        let q = QuantTensor::quantize(value.data(), value.shape())
-            .map_err(|e| quant_err(name, e))?;
+        let q =
+            QuantTensor::quantize(value.data(), value.shape()).map_err(|e| quant_err(name, e))?;
         let mut scales = Vec::with_capacity(q.scales.len() * 4);
         for &s in &q.scales {
             scales.extend_from_slice(&s.to_le_bytes());
@@ -307,7 +307,9 @@ impl ArtifactReader {
         };
         let payload = find(section)
             .ok_or_else(|| {
-                corrupt(format!("{tier} artifact is missing its '{section}' section"))
+                corrupt(format!(
+                    "{tier} artifact is missing its '{section}' section"
+                ))
             })?
             .clone();
         Ok(ArtifactReader {
@@ -380,7 +382,10 @@ impl ArtifactReader {
             PrecisionTier::F16 => {
                 let values = decode_params_f16(&self.payload, store)?;
                 store.load_values(&values);
-                store.install_tier(PrecisionTier::F16, (0..values.len()).map(|_| None).collect());
+                store.install_tier(
+                    PrecisionTier::F16,
+                    (0..values.len()).map(|_| None).collect(),
+                );
             }
             PrecisionTier::Int8 => {
                 let (values, quants) = decode_params_i8(&self.payload, store)?;
@@ -464,7 +469,11 @@ fn decode_params_i8(
     for idx in 0..store.len() {
         let (name, shape) = read_param_header(&mut r, store, idx)?;
         let numel: usize = shape.iter().product();
-        let channels = if shape.len() >= 2 { *shape.last().unwrap() } else { 1 };
+        let channels = if shape.len() >= 2 {
+            *shape.last().unwrap()
+        } else {
+            1
+        };
 
         let scale_blob = r.get_bytes("int8 scales")?;
         if scale_blob.len() != channels * 4 {
@@ -529,7 +538,9 @@ mod tests {
     #[test]
     fn f32_round_trip_is_bit_exact_and_tagged() {
         let store = sample_store(1);
-        let bytes = ArtifactWriter::new(PrecisionTier::F32).encode(&store).unwrap();
+        let bytes = ArtifactWriter::new(PrecisionTier::F32)
+            .encode(&store)
+            .unwrap();
         let reader = ArtifactReader::decode(&bytes).unwrap();
         assert_eq!(reader.tier(), PrecisionTier::F32);
         assert_eq!(reader.format_version(), FORMAT_VERSION);
@@ -544,7 +555,9 @@ mod tests {
     #[test]
     fn f16_round_trip_matches_scalar_conversion() {
         let store = sample_store(3);
-        let bytes = ArtifactWriter::new(PrecisionTier::F16).encode(&store).unwrap();
+        let bytes = ArtifactWriter::new(PrecisionTier::F16)
+            .encode(&store)
+            .unwrap();
         let reader = ArtifactReader::decode(&bytes).unwrap();
         assert_eq!(reader.tier(), PrecisionTier::F16);
         let mut restored = sample_store(4);
@@ -554,10 +567,9 @@ mod tests {
         // original — the only loss is the f16 rounding itself.
         for ((_, _, orig), (_, _, got)) in store.iter().zip(restored.iter()) {
             for (&o, &g) in orig.data().iter().zip(got.data()) {
-                let expect =
-                    msd_tensor::ops::kernels::quant::f16_bits_to_f32(
-                        msd_tensor::ops::kernels::quant::f32_to_f16_bits(o),
-                    );
+                let expect = msd_tensor::ops::kernels::quant::f16_bits_to_f32(
+                    msd_tensor::ops::kernels::quant::f32_to_f16_bits(o),
+                );
                 assert_eq!(g.to_bits(), expect.to_bits());
             }
         }
@@ -568,7 +580,9 @@ mod tests {
     #[test]
     fn int8_round_trip_installs_quant_table() {
         let store = sample_store(5);
-        let bytes = ArtifactWriter::new(PrecisionTier::Int8).encode(&store).unwrap();
+        let bytes = ArtifactWriter::new(PrecisionTier::Int8)
+            .encode(&store)
+            .unwrap();
         let reader = ArtifactReader::decode(&bytes).unwrap();
         assert_eq!(reader.tier(), PrecisionTier::Int8);
         let mut restored = sample_store(6);
@@ -588,7 +602,11 @@ mod tests {
             assert_eq!(q.data, expected.data);
             assert_eq!(
                 q.scales.iter().map(|s| s.to_bits()).collect::<Vec<_>>(),
-                expected.scales.iter().map(|s| s.to_bits()).collect::<Vec<_>>()
+                expected
+                    .scales
+                    .iter()
+                    .map(|s| s.to_bits())
+                    .collect::<Vec<_>>()
             );
         }
     }
@@ -601,14 +619,22 @@ mod tests {
             let err = ArtifactWriter::new(tier).encode(&store).unwrap_err();
             assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{tier}");
             assert!(err.to_string().contains("layer.w"), "{tier}: {err}");
-            assert!(err.to_string().to_lowercase().contains("nan"), "{tier}: {err}");
+            assert!(
+                err.to_string().to_lowercase().contains("nan"),
+                "{tier}: {err}"
+            );
         }
         // f32 tier is a bit-exact container: NaN round-trips instead.
         let mut store = sample_store(7);
         store.get_mut(0).data_mut()[3] = f32::NAN;
-        let bytes = ArtifactWriter::new(PrecisionTier::F32).encode(&store).unwrap();
+        let bytes = ArtifactWriter::new(PrecisionTier::F32)
+            .encode(&store)
+            .unwrap();
         let mut restored = sample_store(8);
-        ArtifactReader::decode(&bytes).unwrap().load_into(&mut restored).unwrap();
+        ArtifactReader::decode(&bytes)
+            .unwrap()
+            .load_into(&mut restored)
+            .unwrap();
         assert!(restored.get(0).data()[3].is_nan());
     }
 
@@ -616,27 +642,39 @@ mod tests {
     fn infinity_is_an_int8_save_time_error_but_f16_representable() {
         let mut store = sample_store(9);
         store.get_mut(1).data_mut()[0] = f32::INFINITY;
-        let err = ArtifactWriter::new(PrecisionTier::Int8).encode(&store).unwrap_err();
+        let err = ArtifactWriter::new(PrecisionTier::Int8)
+            .encode(&store)
+            .unwrap_err();
         assert_eq!(err.kind(), io::ErrorKind::InvalidData);
         assert!(err.to_string().contains("layer.b"), "{err}");
 
-        let bytes = ArtifactWriter::new(PrecisionTier::F16).encode(&store).unwrap();
+        let bytes = ArtifactWriter::new(PrecisionTier::F16)
+            .encode(&store)
+            .unwrap();
         let mut restored = sample_store(10);
-        ArtifactReader::decode(&bytes).unwrap().load_into(&mut restored).unwrap();
+        ArtifactReader::decode(&bytes)
+            .unwrap()
+            .load_into(&mut restored)
+            .unwrap();
         assert_eq!(restored.get(1).data()[0], f32::INFINITY);
     }
 
     #[test]
     fn fingerprint_mismatch_is_rejected_before_payload_parse() {
         let store = sample_store(11);
-        let bytes = ArtifactWriter::new(PrecisionTier::F16).encode(&store).unwrap();
+        let bytes = ArtifactWriter::new(PrecisionTier::F16)
+            .encode(&store)
+            .unwrap();
         let mut other = ParamStore::new();
         let mut rng = Rng::seed_from(12);
         other.register("layer.w", Tensor::randn(&[4, 6], 1.0, &mut rng)); // transposed
         other.register("layer.b", Tensor::randn(&[4], 1.0, &mut rng));
         other.register("head.w", Tensor::randn(&[4, 2], 0.5, &mut rng));
         let before = bits(&other);
-        let err = ArtifactReader::decode(&bytes).unwrap().load_into(&mut other).unwrap_err();
+        let err = ArtifactReader::decode(&bytes)
+            .unwrap()
+            .load_into(&mut other)
+            .unwrap_err();
         assert_eq!(err.kind(), io::ErrorKind::InvalidData);
         assert!(err.to_string().contains("fingerprint"), "{err}");
         assert_eq!(before, bits(&other), "failed load mutated the store");
@@ -651,8 +689,10 @@ mod tests {
         meta.put_str("f8");
         meta.put_u32(arch_fingerprint(&store));
         meta.put_u32(store.len() as u32);
-        let bytes =
-            checkpoint::encode_container(&[(META_SECTION, meta.into_bytes()), (PARAMS_SECTION, Vec::new())]);
+        let bytes = checkpoint::encode_container(&[
+            (META_SECTION, meta.into_bytes()),
+            (PARAMS_SECTION, Vec::new()),
+        ]);
         let err = ArtifactReader::decode(&bytes).unwrap_err();
         assert_eq!(err.kind(), io::ErrorKind::InvalidData);
         assert!(err.to_string().contains("unknown precision tier"), "{err}");
@@ -666,8 +706,10 @@ mod tests {
         meta.put_str("f32");
         meta.put_u32(arch_fingerprint(&store));
         meta.put_u32(store.len() as u32);
-        let bytes =
-            checkpoint::encode_container(&[(META_SECTION, meta.into_bytes()), (PARAMS_SECTION, Vec::new())]);
+        let bytes = checkpoint::encode_container(&[
+            (META_SECTION, meta.into_bytes()),
+            (PARAMS_SECTION, Vec::new()),
+        ]);
         let err = ArtifactReader::decode(&bytes).unwrap_err();
         assert!(err.to_string().contains("newer than supported"), "{err}");
     }
@@ -679,15 +721,26 @@ mod tests {
         // f16-tier save/load bit-exactly (all are exactly representable),
         // and an int8-tier save/load within the documented half-step bound.
         let mut store = ParamStore::new();
-        store.register("edge.subnormal", Tensor::from_vec(&[2], vec![1.0e-41, -1.0e-41]));
+        store.register(
+            "edge.subnormal",
+            Tensor::from_vec(&[2], vec![1.0e-41, -1.0e-41]),
+        );
         store.register("edge.zeros", Tensor::from_vec(&[2], vec![0.0, -0.0]));
-        store.register("edge.maxmag", Tensor::from_vec(&[2, 2], vec![127.0, -127.0, 63.5, 0.0]));
+        store.register(
+            "edge.maxmag",
+            Tensor::from_vec(&[2, 2], vec![127.0, -127.0, 63.5, 0.0]),
+        );
         store.register("edge.allzero", Tensor::zeros(&[3]));
         store.register("edge.single", Tensor::from_vec(&[1], vec![2.5]));
 
-        let f16 = ArtifactWriter::new(PrecisionTier::F16).encode(&store).unwrap();
+        let f16 = ArtifactWriter::new(PrecisionTier::F16)
+            .encode(&store)
+            .unwrap();
         let mut r16 = snapshot_clone(&store);
-        ArtifactReader::decode(&f16).unwrap().load_into(&mut r16).unwrap();
+        ArtifactReader::decode(&f16)
+            .unwrap()
+            .load_into(&mut r16)
+            .unwrap();
         // Signed zero keeps its sign through f16.
         assert_eq!(r16.get(1).data()[0].to_bits(), 0.0f32.to_bits());
         assert_eq!(r16.get(1).data()[1].to_bits(), (-0.0f32).to_bits());
@@ -703,9 +756,14 @@ mod tests {
             assert_eq!(v.data(), r16.get(id).data(), "param {id}");
         }
 
-        let i8b = ArtifactWriter::new(PrecisionTier::Int8).encode(&store).unwrap();
+        let i8b = ArtifactWriter::new(PrecisionTier::Int8)
+            .encode(&store)
+            .unwrap();
         let mut r8 = snapshot_clone(&store);
-        ArtifactReader::decode(&i8b).unwrap().load_into(&mut r8).unwrap();
+        ArtifactReader::decode(&i8b)
+            .unwrap()
+            .load_into(&mut r8)
+            .unwrap();
         for (id, _, v) in store.iter() {
             let scales = &r8.quant(id).unwrap().scales;
             for (i, (&orig, &got)) in v.data().iter().zip(r8.get(id).data()).enumerate() {
@@ -740,9 +798,18 @@ mod tests {
         store.register("w1", Tensor::randn(&[64, 128], 1.0, &mut rng));
         store.register("b1", Tensor::randn(&[128], 1.0, &mut rng));
         store.register("w2", Tensor::randn(&[128, 64], 1.0, &mut rng));
-        let f32b = ArtifactWriter::new(PrecisionTier::F32).encode(&store).unwrap().len() as f64;
-        let f16b = ArtifactWriter::new(PrecisionTier::F16).encode(&store).unwrap().len() as f64;
-        let i8b = ArtifactWriter::new(PrecisionTier::Int8).encode(&store).unwrap().len() as f64;
+        let f32b = ArtifactWriter::new(PrecisionTier::F32)
+            .encode(&store)
+            .unwrap()
+            .len() as f64;
+        let f16b = ArtifactWriter::new(PrecisionTier::F16)
+            .encode(&store)
+            .unwrap()
+            .len() as f64;
+        let i8b = ArtifactWriter::new(PrecisionTier::Int8)
+            .encode(&store)
+            .unwrap()
+            .len() as f64;
         assert!(f32b / f16b >= 1.9, "f16 ratio {:.2}", f32b / f16b);
         assert!(f32b / i8b >= 3.5, "int8 ratio {:.2}", f32b / i8b);
     }

@@ -53,7 +53,11 @@ fn crc_table() -> &'static [u32; 256] {
         for (i, entry) in table.iter_mut().enumerate() {
             let mut c = i as u32;
             for _ in 0..8 {
-                c = if c & 1 != 0 { 0xEDB8_8320 ^ (c >> 1) } else { c >> 1 };
+                c = if c & 1 != 0 {
+                    0xEDB8_8320 ^ (c >> 1)
+                } else {
+                    c >> 1
+                };
             }
             *entry = c;
         }
@@ -225,8 +229,7 @@ impl<'a> ByteReader<'a> {
     /// Reads a `u32`-length-prefixed UTF-8 string.
     pub fn get_str(&mut self, what: &str) -> io::Result<String> {
         let bytes = self.get_bytes(what)?;
-        String::from_utf8(bytes.to_vec())
-            .map_err(|_| corrupt(format!("{what} is not valid utf-8")))
+        String::from_utf8(bytes.to_vec()).map_err(|_| corrupt(format!("{what} is not valid utf-8")))
     }
 }
 
@@ -262,7 +265,10 @@ pub fn read_tensor(r: &mut ByteReader) -> io::Result<Tensor> {
             .ok_or_else(|| corrupt("tensor element count overflows"))?;
         shape.push(d);
     }
-    if numel.checked_mul(4).is_none_or(|bytes| bytes > r.remaining()) {
+    if numel
+        .checked_mul(4)
+        .is_none_or(|bytes| bytes > r.remaining())
+    {
         return Err(corrupt(format!(
             "implausible tensor: {numel} elements with {} bytes remaining",
             r.remaining()
@@ -313,7 +319,10 @@ pub fn encode_container(sections: &[(&str, Vec<u8>)]) -> Vec<u8> {
 /// [`io::Error`]; nothing panics and no oversized allocation is attempted.
 pub fn decode_container(bytes: &[u8]) -> io::Result<Vec<(String, Vec<u8>)>> {
     if bytes.len() < MAGIC.len() + 8 {
-        return Err(corrupt(format!("container too short: {} bytes", bytes.len())));
+        return Err(corrupt(format!(
+            "container too short: {} bytes",
+            bytes.len()
+        )));
     }
     if &bytes[..MAGIC.len()] != MAGIC {
         return Err(corrupt(format!(
@@ -375,12 +384,10 @@ pub fn section_bounds(bytes: &[u8]) -> io::Result<Vec<(String, usize)>> {
     let mut pos = MAGIC.len() + 4;
     let count = u32::from_le_bytes(bytes[MAGIC.len()..MAGIC.len() + 4].try_into().unwrap());
     for _ in 0..count {
-        let name_len =
-            u32::from_le_bytes(bytes[pos..pos + 4].try_into().unwrap()) as usize;
+        let name_len = u32::from_le_bytes(bytes[pos..pos + 4].try_into().unwrap()) as usize;
         let name = String::from_utf8_lossy(&bytes[pos + 4..pos + 4 + name_len]).into_owned();
         pos += 4 + name_len;
-        let payload_len =
-            u64::from_le_bytes(bytes[pos..pos + 8].try_into().unwrap()) as usize;
+        let payload_len = u64::from_le_bytes(bytes[pos..pos + 8].try_into().unwrap()) as usize;
         pos += 8 + payload_len + 4;
         bounds.push((name, pos));
     }
@@ -555,10 +562,7 @@ mod tests {
         for i in 0..bytes.len() {
             let mut bad = bytes.clone();
             bad[i] ^= 0x5A;
-            assert!(
-                decode_container(&bad).is_err(),
-                "flip at byte {i} accepted"
-            );
+            assert!(decode_container(&bad).is_err(), "flip at byte {i} accepted");
         }
     }
 

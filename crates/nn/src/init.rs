@@ -35,7 +35,10 @@ mod tests {
         let mut rng = Rng::seed_from(1);
         let small = xavier_uniform(256, 256, &mut rng).var_all();
         let large = xavier_uniform(16, 16, &mut rng).var_all();
-        assert!(large > small, "var(16) {large} should exceed var(256) {small}");
+        assert!(
+            large > small,
+            "var(16) {large} should exceed var(256) {small}"
+        );
     }
 
     #[test]
@@ -44,6 +47,9 @@ mod tests {
         let w = kaiming_normal(200, 200, &mut rng);
         let std = w.var_all().sqrt();
         let expect = (2.0f32 / 200.0).sqrt();
-        assert!((std - expect).abs() / expect < 0.15, "std {std} vs {expect}");
+        assert!(
+            (std - expect).abs() / expect < 0.15,
+            "std {std} vs {expect}"
+        );
     }
 }

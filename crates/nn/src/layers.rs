@@ -15,7 +15,13 @@ pub struct Linear {
 
 impl Linear {
     /// Creates a Xavier-initialised linear layer with bias.
-    pub fn new(store: &mut ParamStore, rng: &mut Rng, name: &str, in_dim: usize, out_dim: usize) -> Self {
+    pub fn new(
+        store: &mut ParamStore,
+        rng: &mut Rng,
+        name: &str,
+        in_dim: usize,
+        out_dim: usize,
+    ) -> Self {
         Self::with_bias(store, rng, name, in_dim, out_dim, true)
     }
 
@@ -251,7 +257,11 @@ mod tests {
         let y = block.forward(&ctx, x);
         let loss = g.mean_all(g.square(y));
         let grads = g.backward(loss);
-        assert_eq!(grads.len(), store.len(), "every parameter should get a gradient");
+        assert_eq!(
+            grads.len(),
+            store.len(),
+            "every parameter should get a gradient"
+        );
     }
 
     #[test]

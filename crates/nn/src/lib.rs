@@ -20,6 +20,8 @@
 //!
 //! See the `msd-harness` crate for the full training loop.
 
+pub mod artifact;
+pub mod checkpoint;
 mod ctx;
 mod init;
 mod layers;
@@ -27,11 +29,9 @@ mod model;
 mod optim;
 mod params;
 mod schedule;
-mod task;
-pub mod artifact;
-pub mod checkpoint;
 pub mod serialize;
 pub mod store;
+mod task;
 
 pub use artifact::{ArtifactReader, ArtifactWriter, PrecisionTier};
 pub use ctx::Ctx;

@@ -191,10 +191,14 @@ pub trait Model {
         x_shape: &[usize],
     ) -> Result<CompiledPlan, PlanError> {
         let Some((_, sample)) = x_shape.split_first() else {
-            return Err(PlanError::NotBatchAffine("input shape has no batch axis".into()));
+            return Err(PlanError::NotBatchAffine(
+                "input shape has no batch axis".into(),
+            ));
         };
         let probe = |batch: usize, seed: u64| {
-            let shape: Vec<usize> = std::iter::once(batch).chain(sample.iter().copied()).collect();
+            let shape: Vec<usize> = std::iter::once(batch)
+                .chain(sample.iter().copied())
+                .collect();
             Tensor::randn(&shape, 1.0, &mut Rng::seed_from(seed))
         };
         let (xa, xb) = (probe(1, 0x51AB), probe(2, 0x51AC));
@@ -280,12 +284,7 @@ impl Model for DynModel {
 
 /// One deterministic eval forward: fixed RNG (eval tapes never sample from
 /// it — dropout/droppath are identity), fresh leaf cache.
-fn eval_forward<M: Model + ?Sized>(
-    model: &M,
-    g: &Graph,
-    store: &ParamStore,
-    x: &Tensor,
-) -> Var {
+fn eval_forward<M: Model + ?Sized>(model: &M, g: &Graph, store: &ParamStore, x: &Tensor) -> Var {
     let mut rng = Rng::seed_from(0);
     let ctx = Ctx::new(g, store, &mut rng);
     model.forward(&ctx, x).pred
@@ -382,7 +381,9 @@ mod tests {
         let toy = Toy::new(&mut store);
         // The batch named at compile time does not matter: one plan serves
         // every batch.
-        let plan = toy.compile_plan(&store, &[3, 2, 3]).expect("toy must compile");
+        let plan = toy
+            .compile_plan(&store, &[3, 2, 3])
+            .expect("toy must compile");
         let mut arena = PlanArena::new();
         for (i, batch) in [3, 1, 5, 2].into_iter().enumerate() {
             let mut rng = Rng::seed_from(600 + i as u64);

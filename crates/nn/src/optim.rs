@@ -123,8 +123,7 @@ impl Optimizer for Sgd {
         }
         for (id, grad) in grads.iter() {
             if self.momentum > 0.0 {
-                let v = self.velocity[id]
-                    .get_or_insert_with(|| Tensor::zeros(grad.shape()));
+                let v = self.velocity[id].get_or_insert_with(|| Tensor::zeros(grad.shape()));
                 // v = momentum * v + grad
                 for (vv, &gv) in v.data_mut().iter_mut().zip(grad.data()) {
                     *vv = self.momentum * *vv + gv;
@@ -473,12 +472,19 @@ mod tests {
         let out = opt.step(&mut store, &grads);
         assert!(!out.applied, "NaN gradient must not be applied");
         assert!(!out.grad_norm.is_finite());
-        assert_eq!(store.get(id).data(), after_clean.data(), "params touched by skipped step");
+        assert_eq!(
+            store.get(id).data(),
+            after_clean.data(),
+            "params touched by skipped step"
+        );
 
         let grads = grads_for(&store, id, 1.0);
         let out = opt.step(&mut store, &grads);
         assert!(out.applied);
-        assert!(store.get(id).data().iter().all(|v| v.is_finite()), "moments were poisoned");
+        assert!(
+            store.get(id).data().iter().all(|v| v.is_finite()),
+            "moments were poisoned"
+        );
     }
 
     #[test]
@@ -564,7 +570,12 @@ mod tests {
                 let grads = grads_for(&store, id, 1.0);
                 assert!(opt.step(&mut store, &grads).applied);
             }
-            store.get(id).data().iter().map(|v| v.to_bits()).collect::<Vec<_>>()
+            store
+                .get(id)
+                .data()
+                .iter()
+                .map(|v| v.to_bits())
+                .collect::<Vec<_>>()
         };
         assert_eq!(run(None), run(Some(10)));
     }
@@ -584,7 +595,12 @@ mod tests {
                 let grads = grads_for(&store, id, 1.0);
                 assert!(opt.step(&mut store, &grads).applied);
             }
-            store.get(id).data().iter().map(|v| v.to_bits()).collect::<Vec<_>>()
+            store
+                .get(id)
+                .data()
+                .iter()
+                .map(|v| v.to_bits())
+                .collect::<Vec<_>>()
         };
         assert_eq!(run(None), run(Some(7)));
     }
@@ -600,7 +616,9 @@ mod tests {
         let mut sgd = Sgd::new(0.1, 0.9);
         let err = sgd.import_state(&adam.export_state()).unwrap_err();
         assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
-        let err = Adam::with_lr(0.1).import_state(&sgd.export_state()).unwrap_err();
+        let err = Adam::with_lr(0.1)
+            .import_state(&sgd.export_state())
+            .unwrap_err();
         assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
 
         // Inconsistent bank lengths are rejected, and the target stays reset.
@@ -624,7 +642,10 @@ mod tests {
         let loss = g.mse_loss(g.scale(x, 1e3), &Tensor::full(&[1], 1e3));
         let out = opt.step(&mut store, &g.backward(loss));
         assert!(out.applied);
-        assert!(out.clip_scale < 1.0, "huge gradient should activate clipping");
+        assert!(
+            out.clip_scale < 1.0,
+            "huge gradient should activate clipping"
+        );
         assert!(out.grad_norm > 1.0);
     }
 }

@@ -65,7 +65,11 @@ impl ParamStore {
     /// `None` for params served from their dequantized f32 values).
     /// Crate-internal: only the artifact loader transitions tiers.
     pub(crate) fn install_tier(&mut self, tier: PrecisionTier, quant: Vec<Option<QuantTensor>>) {
-        assert_eq!(quant.len(), self.values.len(), "quant table length mismatch");
+        assert_eq!(
+            quant.len(),
+            self.values.len(),
+            "quant table length mismatch"
+        );
         self.tier = tier;
         self.quant = quant;
     }

@@ -208,10 +208,7 @@ mod tests {
 
         // Corrupt the second param's name ("layer.b" → "layer.X").
         let needle = b"layer.b";
-        let at = buf
-            .windows(needle.len())
-            .position(|w| w == needle)
-            .unwrap();
+        let at = buf.windows(needle.len()).position(|w| w == needle).unwrap();
         buf[at + 6] = b'X';
 
         let mut restored = ParamStore::new();
@@ -226,7 +223,7 @@ mod tests {
         let after: Vec<Vec<u32>> = restored
             .iter()
             .map(|(_, _, v)| v.data().iter().map(|x| x.to_bits()).collect())
-        .collect();
+            .collect();
         assert_eq!(before, after, "failed load mutated the store");
 
         // Truncation mid-second-tensor must behave the same.

@@ -99,7 +99,10 @@ mod tests {
         let store = sample_store(1);
         let mut buf = Vec::new();
         save(&store, &mut buf).unwrap();
-        assert!(buf.starts_with(checkpoint::MAGIC), "save must write MSDCKPT2");
+        assert!(
+            buf.starts_with(checkpoint::MAGIC),
+            "save must write MSDCKPT2"
+        );
         let mut restored = sample_store(2);
         load(&mut restored, &mut buf.as_slice()).unwrap();
         assert_eq!(bits(&store), bits(&restored));
@@ -146,7 +149,9 @@ mod tests {
         // The wrapper is tier-transparent on the read side: an int8-tier
         // artifact loads through plain `decode` and installs its tier.
         let store = sample_store(7);
-        let bytes = ArtifactWriter::new(PrecisionTier::Int8).encode(&store).unwrap();
+        let bytes = ArtifactWriter::new(PrecisionTier::Int8)
+            .encode(&store)
+            .unwrap();
         let mut restored = sample_store(8);
         decode(&mut restored, &bytes).unwrap();
         assert_eq!(restored.tier(), PrecisionTier::Int8);

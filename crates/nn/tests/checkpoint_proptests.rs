@@ -72,9 +72,8 @@ fn random_stores_round_trip_bit_exactly() {
     for case in 0..64 {
         let store = random_store(&mut rng);
         let bytes = encode_store(&store);
-        let decoded = decode_store(&bytes).unwrap_or_else(|e| {
-            panic!("case {case}: decode of freshly encoded store failed: {e}")
-        });
+        let decoded = decode_store(&bytes)
+            .unwrap_or_else(|e| panic!("case {case}: decode of freshly encoded store failed: {e}"));
         assert_eq!(decoded.len(), store.len(), "case {case}: param count");
         for (idx, (name, value)) in decoded.iter().enumerate() {
             assert_eq!(name, store.name(idx), "case {case}: name of param {idx}");

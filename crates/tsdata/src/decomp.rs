@@ -65,7 +65,9 @@ mod tests {
 
     #[test]
     fn smooths_an_alternating_series() {
-        let s: Vec<f32> = (0..20).map(|i| if i % 2 == 0 { 1.0 } else { -1.0 }).collect();
+        let s: Vec<f32> = (0..20)
+            .map(|i| if i % 2 == 0 { 1.0 } else { -1.0 })
+            .collect();
         let t = moving_average(&s, 4);
         // Interior values average to 0.
         assert!(t[10].abs() < 0.3, "t[10]={}", t[10]);
@@ -91,7 +93,9 @@ mod tests {
 
     #[test]
     fn trend_plus_remainder_reconstructs() {
-        let s: Vec<f32> = (0..50).map(|i| (i as f32 * 0.3).sin() + 0.1 * i as f32).collect();
+        let s: Vec<f32> = (0..50)
+            .map(|i| (i as f32 * 0.3).sin() + 0.1 * i as f32)
+            .collect();
         let (trend, rem) = trend_remainder(&s, 9);
         for ((&x, &t), &r) in s.iter().zip(&trend).zip(&rem) {
             assert!((x - (t + r)).abs() < 1e-5);

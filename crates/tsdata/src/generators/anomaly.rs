@@ -72,9 +72,8 @@ impl AnomalySpec {
         let mut data = vec![0.0f32; c * total];
         for ch in 0..c {
             for t in 0..total {
-                data[ch * total + t] =
-                    seasonal_mix(t, &self.periods, &amps[ch], &phases[ch])
-                        + self.noise * rng.normal();
+                data[ch * total + t] = seasonal_mix(t, &self.periods, &amps[ch], &phases[ch])
+                    + self.noise * rng.normal();
             }
         }
 
@@ -85,10 +84,10 @@ impl AnomalySpec {
         while injected < target_points {
             let kind = rng.below(4);
             let len = match kind {
-                0 => 1,                      // point spike
-                1 => 10 + rng.below(30),     // level shift
-                2 => 10 + rng.below(20),     // variance burst
-                _ => 10 + rng.below(20),     // correlation break
+                0 => 1,                  // point spike
+                1 => 10 + rng.below(30), // level shift
+                2 => 10 + rng.below(20), // variance burst
+                _ => 10 + rng.below(20), // correlation break
             };
             let start = rng.below(self.test_steps.saturating_sub(len).max(1));
             let affected: Vec<usize> = {
@@ -104,7 +103,10 @@ impl AnomalySpec {
                 for &ch in &affected {
                     let v = &mut data[ch * total + t];
                     match kind {
-                        0 => *v += (4.0 + 4.0 * rng.uniform()) * if rng.uniform() < 0.5 { 1.0 } else { -1.0 },
+                        0 => {
+                            *v += (4.0 + 4.0 * rng.uniform())
+                                * if rng.uniform() < 0.5 { 1.0 } else { -1.0 }
+                        }
                         1 => *v += 3.0,
                         2 => *v += 3.0 * rng.normal(),
                         _ => *v = -*v + 2.0 * rng.normal(),
@@ -140,11 +142,56 @@ impl AnomalySpec {
 /// are scaled down; anomaly ratios approximate the originals.
 pub fn anomaly_datasets() -> Vec<AnomalySpec> {
     vec![
-        AnomalySpec { name: "SMD", channels: 24, train_steps: 4000, test_steps: 4000, anomaly_ratio: 0.042, periods: vec![50.0, 200.0], noise: 0.25, seed: 301 },
-        AnomalySpec { name: "MSL", channels: 24, train_steps: 3000, test_steps: 3000, anomaly_ratio: 0.105, periods: vec![40.0, 160.0], noise: 0.35, seed: 302 },
-        AnomalySpec { name: "SMAP", channels: 25, train_steps: 3500, test_steps: 3500, anomaly_ratio: 0.128, periods: vec![60.0, 240.0], noise: 0.3, seed: 303 },
-        AnomalySpec { name: "SWaT", channels: 24, train_steps: 4000, test_steps: 4000, anomaly_ratio: 0.121, periods: vec![100.0, 25.0], noise: 0.2, seed: 304 },
-        AnomalySpec { name: "PSM", channels: 25, train_steps: 3500, test_steps: 3000, anomaly_ratio: 0.278, periods: vec![80.0, 20.0], noise: 0.3, seed: 305 },
+        AnomalySpec {
+            name: "SMD",
+            channels: 24,
+            train_steps: 4000,
+            test_steps: 4000,
+            anomaly_ratio: 0.042,
+            periods: vec![50.0, 200.0],
+            noise: 0.25,
+            seed: 301,
+        },
+        AnomalySpec {
+            name: "MSL",
+            channels: 24,
+            train_steps: 3000,
+            test_steps: 3000,
+            anomaly_ratio: 0.105,
+            periods: vec![40.0, 160.0],
+            noise: 0.35,
+            seed: 302,
+        },
+        AnomalySpec {
+            name: "SMAP",
+            channels: 25,
+            train_steps: 3500,
+            test_steps: 3500,
+            anomaly_ratio: 0.128,
+            periods: vec![60.0, 240.0],
+            noise: 0.3,
+            seed: 303,
+        },
+        AnomalySpec {
+            name: "SWaT",
+            channels: 24,
+            train_steps: 4000,
+            test_steps: 4000,
+            anomaly_ratio: 0.121,
+            periods: vec![100.0, 25.0],
+            noise: 0.2,
+            seed: 304,
+        },
+        AnomalySpec {
+            name: "PSM",
+            channels: 25,
+            train_steps: 3500,
+            test_steps: 3000,
+            anomaly_ratio: 0.278,
+            periods: vec![80.0, 20.0],
+            noise: 0.3,
+            seed: 305,
+        },
     ]
 }
 

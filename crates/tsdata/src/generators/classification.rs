@@ -101,8 +101,8 @@ impl ClassSpec {
                         let carrier = (std::f32::consts::TAU * freq * u + ch_phase).sin()
                             + p.harmonic
                                 * (2.0 * std::f32::consts::TAU * freq * u + ch_phase).sin();
-                        let envelope =
-                            0.6 + 0.4 * (std::f32::consts::TAU * t as f32 / p.envelope_period).cos();
+                        let envelope = 0.6
+                            + 0.4 * (std::f32::consts::TAU * t as f32 / p.envelope_period).cos();
                         xs.push(gain * envelope * carrier + self.noise * rng.normal());
                     }
                 }
@@ -131,16 +131,106 @@ impl ClassSpec {
 /// len, …); class counts and the train/test balance character are kept.
 pub fn classification_datasets() -> Vec<ClassSpec> {
     vec![
-        ClassSpec { name: "AWR", channels: 9, series_len: 144, classes: 10, train_size: 150, test_size: 150, noise: 0.4, seed: 401 },
-        ClassSpec { name: "AF", channels: 2, series_len: 160, classes: 3, train_size: 30, test_size: 30, noise: 0.7, seed: 402 },
-        ClassSpec { name: "CT", channels: 3, series_len: 120, classes: 8, train_size: 240, test_size: 240, noise: 0.35, seed: 403 },
-        ClassSpec { name: "CR", channels: 6, series_len: 160, classes: 6, train_size: 108, test_size: 72, noise: 0.4, seed: 404 },
-        ClassSpec { name: "FD", channels: 16, series_len: 62, classes: 2, train_size: 300, test_size: 200, noise: 0.9, seed: 405 },
-        ClassSpec { name: "FM", channels: 12, series_len: 50, classes: 2, train_size: 160, test_size: 100, noise: 0.8, seed: 406 },
-        ClassSpec { name: "MI", channels: 16, series_len: 256, classes: 2, train_size: 140, test_size: 100, noise: 1.0, seed: 407 },
-        ClassSpec { name: "SCP1", channels: 6, series_len: 224, classes: 2, train_size: 134, test_size: 146, noise: 0.5, seed: 408 },
-        ClassSpec { name: "SCP2", channels: 7, series_len: 288, classes: 2, train_size: 100, test_size: 90, noise: 0.9, seed: 409 },
-        ClassSpec { name: "UWGL", channels: 3, series_len: 160, classes: 8, train_size: 120, test_size: 160, noise: 0.45, seed: 410 },
+        ClassSpec {
+            name: "AWR",
+            channels: 9,
+            series_len: 144,
+            classes: 10,
+            train_size: 150,
+            test_size: 150,
+            noise: 0.4,
+            seed: 401,
+        },
+        ClassSpec {
+            name: "AF",
+            channels: 2,
+            series_len: 160,
+            classes: 3,
+            train_size: 30,
+            test_size: 30,
+            noise: 0.7,
+            seed: 402,
+        },
+        ClassSpec {
+            name: "CT",
+            channels: 3,
+            series_len: 120,
+            classes: 8,
+            train_size: 240,
+            test_size: 240,
+            noise: 0.35,
+            seed: 403,
+        },
+        ClassSpec {
+            name: "CR",
+            channels: 6,
+            series_len: 160,
+            classes: 6,
+            train_size: 108,
+            test_size: 72,
+            noise: 0.4,
+            seed: 404,
+        },
+        ClassSpec {
+            name: "FD",
+            channels: 16,
+            series_len: 62,
+            classes: 2,
+            train_size: 300,
+            test_size: 200,
+            noise: 0.9,
+            seed: 405,
+        },
+        ClassSpec {
+            name: "FM",
+            channels: 12,
+            series_len: 50,
+            classes: 2,
+            train_size: 160,
+            test_size: 100,
+            noise: 0.8,
+            seed: 406,
+        },
+        ClassSpec {
+            name: "MI",
+            channels: 16,
+            series_len: 256,
+            classes: 2,
+            train_size: 140,
+            test_size: 100,
+            noise: 1.0,
+            seed: 407,
+        },
+        ClassSpec {
+            name: "SCP1",
+            channels: 6,
+            series_len: 224,
+            classes: 2,
+            train_size: 134,
+            test_size: 146,
+            noise: 0.5,
+            seed: 408,
+        },
+        ClassSpec {
+            name: "SCP2",
+            channels: 7,
+            series_len: 288,
+            classes: 2,
+            train_size: 100,
+            test_size: 90,
+            noise: 0.9,
+            seed: 409,
+        },
+        ClassSpec {
+            name: "UWGL",
+            channels: 3,
+            series_len: 160,
+            classes: 8,
+            train_size: 120,
+            test_size: 160,
+            noise: 0.45,
+            seed: 410,
+        },
     ]
 }
 
@@ -230,8 +320,16 @@ mod tests {
             let f = feat(&d.test_x, i);
             let pred = (0..spec.classes)
                 .min_by(|&a, &b| {
-                    let da: f32 = centroids[a].iter().zip(&f).map(|(x, y)| (x - y) * (x - y)).sum();
-                    let db: f32 = centroids[b].iter().zip(&f).map(|(x, y)| (x - y) * (x - y)).sum();
+                    let da: f32 = centroids[a]
+                        .iter()
+                        .zip(&f)
+                        .map(|(x, y)| (x - y) * (x - y))
+                        .sum();
+                    let db: f32 = centroids[b]
+                        .iter()
+                        .zip(&f)
+                        .map(|(x, y)| (x - y) * (x - y))
+                        .sum();
                     da.total_cmp(&db)
                 })
                 .unwrap();

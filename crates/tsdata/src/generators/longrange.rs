@@ -98,8 +98,7 @@ impl LongRangeSpec {
                         .iter()
                         .enumerate()
                         .map(|(i, _)| {
-                            self.seasonal_amp * (0.4 + 1.2 * rng.uniform())
-                                / (1.0 + 0.5 * i as f32)
+                            self.seasonal_amp * (0.4 + 1.2 * rng.uniform()) / (1.0 + 0.5 * i as f32)
                         })
                         .collect();
                     (phases, amps)
@@ -318,7 +317,16 @@ mod tests {
         let names: Vec<_> = specs.iter().map(|s| s.name).collect();
         assert_eq!(
             names,
-            vec!["ETTm1", "ETTm2", "ETTh1", "ETTh2", "Electricity", "Traffic", "Weather", "Exchange"]
+            vec![
+                "ETTm1",
+                "ETTm2",
+                "ETTh1",
+                "ETTh2",
+                "Electricity",
+                "Traffic",
+                "Weather",
+                "Exchange"
+            ]
         );
         // Paper channel counts preserved where uncapped.
         assert_eq!(specs[0].channels, 7);
@@ -336,7 +344,12 @@ mod tests {
     fn shapes_match_spec() {
         for spec in long_term_datasets() {
             let data = spec.generate();
-            assert_eq!(data.shape(), &[spec.channels, spec.total_steps], "{}", spec.name);
+            assert_eq!(
+                data.shape(),
+                &[spec.channels, spec.total_steps],
+                "{}",
+                spec.name
+            );
             assert!(data.data().iter().all(|v| v.is_finite()), "{}", spec.name);
         }
     }

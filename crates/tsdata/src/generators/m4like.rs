@@ -97,12 +97,54 @@ impl M4Collection {
 /// periodicities; series counts scaled for CPU training.
 pub fn m4_subsets() -> Vec<M4Spec> {
     vec![
-        M4Spec { name: "Yearly", horizon: 6, input_len: 12, periodicity: 1, num_series: 160, seed: 201 },
-        M4Spec { name: "Quarterly", horizon: 8, input_len: 16, periodicity: 4, num_series: 160, seed: 202 },
-        M4Spec { name: "Monthly", horizon: 18, input_len: 36, periodicity: 12, num_series: 160, seed: 203 },
-        M4Spec { name: "Weekly", horizon: 13, input_len: 26, periodicity: 1, num_series: 80, seed: 204 },
-        M4Spec { name: "Daily", horizon: 14, input_len: 28, periodicity: 1, num_series: 100, seed: 205 },
-        M4Spec { name: "Hourly", horizon: 48, input_len: 96, periodicity: 24, num_series: 60, seed: 206 },
+        M4Spec {
+            name: "Yearly",
+            horizon: 6,
+            input_len: 12,
+            periodicity: 1,
+            num_series: 160,
+            seed: 201,
+        },
+        M4Spec {
+            name: "Quarterly",
+            horizon: 8,
+            input_len: 16,
+            periodicity: 4,
+            num_series: 160,
+            seed: 202,
+        },
+        M4Spec {
+            name: "Monthly",
+            horizon: 18,
+            input_len: 36,
+            periodicity: 12,
+            num_series: 160,
+            seed: 203,
+        },
+        M4Spec {
+            name: "Weekly",
+            horizon: 13,
+            input_len: 26,
+            periodicity: 1,
+            num_series: 80,
+            seed: 204,
+        },
+        M4Spec {
+            name: "Daily",
+            horizon: 14,
+            input_len: 28,
+            periodicity: 1,
+            num_series: 100,
+            seed: 205,
+        },
+        M4Spec {
+            name: "Hourly",
+            horizon: 48,
+            input_len: 96,
+            periodicity: 24,
+            num_series: 60,
+            seed: 206,
+        },
     ]
 }
 
@@ -139,7 +181,10 @@ mod tests {
         let mean = |s: &[f32]| s.iter().sum::<f32>() / s.len() as f32;
         let m0 = mean(&col.insample[0]);
         let m1 = mean(&col.insample[1]);
-        assert!((m0 - m1).abs() > 0.05, "series levels too similar: {m0} vs {m1}");
+        assert!(
+            (m0 - m1).abs() > 0.05,
+            "series levels too similar: {m0} vs {m1}"
+        );
     }
 
     #[test]

@@ -9,12 +9,7 @@ use msd_tensor::rng::Rng;
 
 /// Shared building block: a sum of sinusoids with the given periods and
 /// per-component amplitudes/phases, sampled at integer steps.
-pub(crate) fn seasonal_mix(
-    t: usize,
-    periods: &[f32],
-    amplitudes: &[f32],
-    phases: &[f32],
-) -> f32 {
+pub(crate) fn seasonal_mix(t: usize, periods: &[f32], amplitudes: &[f32], phases: &[f32]) -> f32 {
     let mut v = 0.0f32;
     for ((&p, &a), &ph) in periods.iter().zip(amplitudes).zip(phases) {
         v += a * (2.0 * std::f32::consts::PI * t as f32 / p + ph).sin();

@@ -23,8 +23,8 @@
 //!   reference).
 
 pub mod decomp;
-pub mod impute;
 pub mod generators;
+pub mod impute;
 pub mod mask;
 pub mod scaler;
 pub mod window;

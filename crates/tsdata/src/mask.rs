@@ -14,7 +14,13 @@ pub fn random_observed_mask(shape: &[usize], missing_ratio: f32, rng: &mut Rng) 
     );
     let n: usize = shape.iter().product();
     let data = (0..n)
-        .map(|_| if rng.uniform() < missing_ratio { 0.0 } else { 1.0 })
+        .map(|_| {
+            if rng.uniform() < missing_ratio {
+                0.0
+            } else {
+                1.0
+            }
+        })
         .collect();
     Tensor::from_vec(shape, data)
 }

@@ -167,8 +167,7 @@ mod tests {
         let order = full.order().to_vec();
         let all: Vec<Vec<usize>> = full.collect();
         for skip in 0..=all.len() {
-            let resumed: Vec<Vec<usize>> =
-                Batcher::resume(order.clone(), 4, skip).collect();
+            let resumed: Vec<Vec<usize>> = Batcher::resume(order.clone(), 4, skip).collect();
             assert_eq!(resumed, all[skip..].to_vec(), "skip {skip}");
         }
         // A cursor past the end yields nothing rather than panicking.
