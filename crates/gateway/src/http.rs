@@ -6,12 +6,11 @@
 //! grammar is documented in DESIGN.md §12; anything outside it is rejected
 //! with `InvalidData` so the caller can answer `400` and close.
 //!
-//! Reads poll with a short socket timeout so a blocked connection notices a
-//! gateway shutdown instead of pinning its thread forever.
+//! Server-side reads block with no timeout: a gateway shutdown ends a
+//! blocked read by half-closing the socket, which the read sees as EOF.
 
 use std::io::{self, Read, Write};
 use std::net::{TcpStream, ToSocketAddrs};
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::Duration;
 
 /// Largest accepted request head (request line + headers), bytes.
@@ -54,26 +53,16 @@ fn invalid(msg: impl Into<String>) -> io::Error {
     io::Error::new(io::ErrorKind::InvalidData, msg.into())
 }
 
-/// Pulls more bytes from `stream` into `carry`, polling through read
-/// timeouts until data arrives, EOF, or `stop` is raised. Returns the bytes
-/// read (0 = EOF).
-fn fill(stream: &mut TcpStream, carry: &mut Vec<u8>, stop: &AtomicBool) -> io::Result<usize> {
+/// Pulls more bytes from `stream` into `carry`, blocking until some arrive.
+/// Returns the bytes read (0 = EOF: the peer closed, or shutdown half-closed
+/// the socket).
+fn fill(mut stream: &TcpStream, carry: &mut Vec<u8>) -> io::Result<usize> {
     let mut tmp = [0u8; 4096];
     loop {
         match stream.read(&mut tmp) {
             Ok(n) => {
                 carry.extend_from_slice(&tmp[..n]);
                 return Ok(n);
-            }
-            Err(e)
-                if matches!(
-                    e.kind(),
-                    io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut
-                ) =>
-            {
-                if stop.load(Ordering::Relaxed) {
-                    return Err(io::Error::other("gateway shutting down"));
-                }
             }
             Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
             Err(e) => return Err(e),
@@ -117,10 +106,9 @@ fn parse_content_length(headers: &[(String, String)]) -> io::Result<usize> {
 /// `InvalidData` on anything outside the accepted grammar, and
 /// `UnexpectedEof` on a connection torn mid-request.
 pub fn read_request(
-    stream: &mut TcpStream,
+    stream: &TcpStream,
     carry: &mut Vec<u8>,
     max_body: usize,
-    stop: &AtomicBool,
 ) -> io::Result<Option<Request>> {
     // Accumulate until the blank line ending the head.
     let head_end = loop {
@@ -134,7 +122,7 @@ pub fn read_request(
         if carry.len() >= MAX_HEAD_BYTES {
             return Err(invalid("request head too large"));
         }
-        if fill(stream, carry, stop)? == 0 {
+        if fill(stream, carry)? == 0 {
             if carry.is_empty() {
                 return Ok(None);
             }
@@ -182,7 +170,7 @@ pub fn read_request(
         )));
     }
     while carry.len() < content_length {
-        if fill(stream, carry, stop)? == 0 {
+        if fill(stream, carry)? == 0 {
             return Err(io::Error::new(
                 io::ErrorKind::UnexpectedEof,
                 "connection closed mid-body",
@@ -271,7 +259,7 @@ pub fn response_head(resp: &Response, keep_alive: bool) -> String {
 }
 
 /// Serialises and writes `resp`, flushing before returning.
-pub fn write_response(stream: &mut TcpStream, resp: &Response, keep_alive: bool) -> io::Result<()> {
+pub fn write_response(mut stream: &TcpStream, resp: &Response, keep_alive: bool) -> io::Result<()> {
     stream.write_all(response_head(resp, keep_alive).as_bytes())?;
     stream.write_all(&resp.body)?;
     stream.flush()
@@ -282,7 +270,7 @@ pub fn write_response(stream: &mut TcpStream, resp: &Response, keep_alive: bool)
 /// `stall`). The payload is byte-identical to the healthy write — this
 /// fault stresses client read timeouts, not correctness.
 pub fn write_response_throttled(
-    stream: &mut TcpStream,
+    mut stream: &TcpStream,
     resp: &Response,
     keep_alive: bool,
     stall: Duration,
@@ -395,9 +383,9 @@ impl Client {
     }
 
     /// Pulls more response bytes into the carry. Unlike the server-side
-    /// [`fill`] (which polls through timeouts watching a stop flag), a
-    /// client read that hits its socket timeout *is* the failure: the
-    /// silent-listener case must surface as `TimedOut`, not a hang.
+    /// [`fill`] (which blocks until bytes or EOF arrive), a client read
+    /// that hits its socket timeout *is* the failure: the silent-listener
+    /// case must surface as `TimedOut`, not a hang.
     fn fill_client(&mut self) -> io::Result<usize> {
         let mut tmp = [0u8; 4096];
         loop {
@@ -507,15 +495,9 @@ mod tests {
         let listener = TcpListener::bind("127.0.0.1:0").unwrap();
         let addr = listener.local_addr().unwrap();
         let server = std::thread::spawn(move || {
-            let (mut stream, _) = listener.accept().unwrap();
-            stream
-                .set_read_timeout(Some(std::time::Duration::from_millis(20)))
-                .unwrap();
-            let stop = AtomicBool::new(false);
+            let (stream, _) = listener.accept().unwrap();
             let mut carry = Vec::new();
-            let req = read_request(&mut stream, &mut carry, 1024, &stop)
-                .unwrap()
-                .unwrap();
+            let req = read_request(&stream, &mut carry, 1024).unwrap().unwrap();
             assert_eq!(req.method, "POST");
             assert_eq!(req.path, "/v1/models/m/predict");
             assert_eq!(req.header("x-msd-key"), Some("alpha"));
@@ -523,14 +505,12 @@ mod tests {
             let mut resp = Response::new(200, b"pong".to_vec());
             resp.headers
                 .push(("X-Msd-Model-Version".into(), "3".into()));
-            write_response(&mut stream, &resp, true).unwrap();
+            write_response(&stream, &resp, true).unwrap();
             // Second request on the same connection (keep-alive).
-            let req2 = read_request(&mut stream, &mut carry, 1024, &stop)
-                .unwrap()
-                .unwrap();
+            let req2 = read_request(&stream, &mut carry, 1024).unwrap().unwrap();
             assert_eq!(req2.method, "GET");
             assert!(req2.body.is_empty());
-            write_response(&mut stream, &Response::json(200, "{}".into()), false).unwrap();
+            write_response(&stream, &Response::json(200, "{}".into()), false).unwrap();
         });
         let mut client = Client::connect(&addr.to_string()).unwrap();
         let resp = client
@@ -554,22 +534,15 @@ mod tests {
         let listener = TcpListener::bind("127.0.0.1:0").unwrap();
         let addr = listener.local_addr().unwrap();
         let server = std::thread::spawn(move || {
-            let stop = AtomicBool::new(false);
             // Oversized declared body.
-            let (mut stream, _) = listener.accept().unwrap();
-            stream
-                .set_read_timeout(Some(std::time::Duration::from_millis(20)))
-                .unwrap();
+            let (stream, _) = listener.accept().unwrap();
             let mut carry = Vec::new();
-            let err = read_request(&mut stream, &mut carry, 8, &stop).unwrap_err();
+            let err = read_request(&stream, &mut carry, 8).unwrap_err();
             assert_eq!(err.kind(), io::ErrorKind::InvalidData);
             // Garbage request line.
-            let (mut stream, _) = listener.accept().unwrap();
-            stream
-                .set_read_timeout(Some(std::time::Duration::from_millis(20)))
-                .unwrap();
+            let (stream, _) = listener.accept().unwrap();
             let mut carry = Vec::new();
-            let err = read_request(&mut stream, &mut carry, 8, &stop).unwrap_err();
+            let err = read_request(&stream, &mut carry, 8).unwrap_err();
             assert_eq!(err.kind(), io::ErrorKind::InvalidData);
         });
         let mut a = TcpStream::connect(addr).unwrap();
@@ -585,13 +558,9 @@ mod tests {
     /// Accept one connection, apply `read_request`, and return its result —
     /// the server half of every hostile-input test below.
     fn serve_one(listener: &TcpListener, max_body: usize) -> io::Result<Option<Request>> {
-        let (mut stream, _) = listener.accept().unwrap();
-        stream
-            .set_read_timeout(Some(std::time::Duration::from_millis(20)))
-            .unwrap();
-        let stop = AtomicBool::new(false);
+        let (stream, _) = listener.accept().unwrap();
         let mut carry = Vec::new();
-        read_request(&mut stream, &mut carry, max_body, &stop)
+        read_request(&stream, &mut carry, max_body)
     }
 
     #[test]
@@ -733,26 +702,15 @@ mod tests {
         let listener = TcpListener::bind("127.0.0.1:0").unwrap();
         let addr = listener.local_addr().unwrap();
         let server = std::thread::spawn(move || {
-            let (mut stream, _) = listener.accept().unwrap();
-            stream
-                .set_read_timeout(Some(std::time::Duration::from_millis(20)))
-                .unwrap();
-            let stop = AtomicBool::new(false);
+            let (stream, _) = listener.accept().unwrap();
             let mut carry = Vec::new();
             // Consume the request so closing the socket later cannot RST
             // the response out of the client's receive buffer.
-            read_request(&mut stream, &mut carry, 1024, &stop)
-                .unwrap()
-                .unwrap();
+            read_request(&stream, &mut carry, 1024).unwrap().unwrap();
             let mut resp = Response::new(200, b"slow but intact".to_vec());
             resp.headers.push(("X-Msd-Replica".into(), "1".into()));
-            write_response_throttled(
-                &mut stream,
-                &resp,
-                false,
-                std::time::Duration::from_millis(40),
-            )
-            .unwrap();
+            write_response_throttled(&stream, &resp, false, std::time::Duration::from_millis(40))
+                .unwrap();
         });
         let mut client = Client::connect(&addr.to_string()).unwrap();
         let resp = client.request("GET", "/x", &[], b"").unwrap();
@@ -768,14 +726,8 @@ mod tests {
         let addr = listener.local_addr().unwrap();
         let client = TcpStream::connect(addr).unwrap();
         drop(client); // connect then hang up without sending anything
-        let (mut stream, _) = listener.accept().unwrap();
-        stream
-            .set_read_timeout(Some(std::time::Duration::from_millis(20)))
-            .unwrap();
-        let stop = AtomicBool::new(false);
+        let (stream, _) = listener.accept().unwrap();
         let mut carry = Vec::new();
-        assert!(read_request(&mut stream, &mut carry, 8, &stop)
-            .unwrap()
-            .is_none());
+        assert!(read_request(&stream, &mut carry, 8).unwrap().is_none());
     }
 }

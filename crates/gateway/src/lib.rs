@@ -45,6 +45,14 @@
 //! their wait with an `X-Msd-Deadline-Ms` header; DESIGN.md §14 documents
 //! the deadline contract, per-replica circuit breakers, brownout, and the
 //! deterministic chaos harness ([`GatewayConfig::chaos`]).
+//!
+//! ## Socket lifecycle
+//!
+//! One accept thread blocks in `accept()`; each accepted client gets one
+//! handler thread that blocks in `read()` with no timeout. Nothing polls
+//! a clock: [`Gateway::shutdown`] wakes the accept thread with one
+//! connection of its own and wakes every handler by half-closing its
+//! socket (DESIGN.md §12).
 
 pub mod health;
 pub mod http;
@@ -57,9 +65,9 @@ pub use health::{BreakerConfig, BreakerState, BrownoutConfig, ReplicaHealth};
 pub use registry::{retry_after_secs, GatewayError, ModelFactory, PredictOk, Registry, ReplicaSet};
 
 use std::io::{self, Write as _};
-use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
+use std::net::{Ipv4Addr, Ipv6Addr, Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, Weak};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -113,9 +121,19 @@ impl Default for GatewayConfig {
     }
 }
 
-/// How often blocked socket reads and the accept loop re-check the
-/// shutdown flag.
-const POLL: Duration = Duration::from_millis(25);
+/// Pause after a failed `accept()` (EMFILE, ENOBUFS, ...): such an error
+/// lasts until a descriptor or buffer frees up, so retrying at once would
+/// spin the accept thread.
+const ACCEPT_BACKOFF: Duration = Duration::from_millis(25);
+
+/// One open client connection: its handler thread, and a weak handle on the
+/// socket that thread owns, through which shutdown half-closes it. The
+/// handle is weak so that the socket closes the moment its handler returns:
+/// a second descriptor here would hold a dropped connection open.
+struct Conn {
+    thread: JoinHandle<()>,
+    socket: Weak<TcpStream>,
+}
 
 /// The running gateway: an accept loop, per-connection handler threads,
 /// and the shared model [`Registry`].
@@ -124,7 +142,7 @@ pub struct Gateway {
     addr: SocketAddr,
     stop: Arc<AtomicBool>,
     accept: Option<JoinHandle<()>>,
-    conns: Arc<Mutex<Vec<JoinHandle<()>>>>,
+    conns: Arc<Mutex<Vec<Conn>>>,
 }
 
 impl Gateway {
@@ -132,7 +150,6 @@ impl Gateway {
     /// an empty registry; register models via [`Gateway::registry`].
     pub fn bind(addr: impl ToSocketAddrs, cfg: GatewayConfig) -> io::Result<Gateway> {
         let listener = TcpListener::bind(addr)?;
-        listener.set_nonblocking(true)?;
         let addr = listener.local_addr()?;
         // One chaos plan arms every layer: the serve side inherits the
         // gateway's handle (unless it has its own) so worker faults and
@@ -150,7 +167,7 @@ impl Gateway {
             cfg.default_deadline,
         ));
         let stop = Arc::new(AtomicBool::new(false));
-        let conns: Arc<Mutex<Vec<JoinHandle<()>>>> = Arc::new(Mutex::new(Vec::new()));
+        let conns: Arc<Mutex<Vec<Conn>>> = Arc::new(Mutex::new(Vec::new()));
         let active = Arc::new(AtomicUsize::new(0));
 
         let accept = {
@@ -189,21 +206,37 @@ impl Gateway {
 
     /// Stops accepting, lets every open connection finish its in-flight
     /// request, and drains all model servers. Idempotent via `Drop`.
+    ///
+    /// Nothing waits on a clock. One loopback connection wakes the blocked
+    /// accept thread, which drops it and exits. Every open connection is
+    /// half-closed for reading: a handler blocked between requests reads
+    /// EOF at once and returns, and one whose request is fully read answers
+    /// it over the open write half first. A request whose bytes are still
+    /// arriving ends as if the peer had closed. If the wake connection
+    /// cannot be made, the accept thread is detached rather than joined:
+    /// it exits at its next accept, and the listener stays bound until then.
     pub fn shutdown(mut self) {
         self.stop_and_join();
     }
 
     fn stop_and_join(&mut self) {
         self.stop.store(true, Ordering::SeqCst);
-        if let Some(a) = self.accept.take() {
-            let _ = a.join();
+        if let Some(accept) = self.accept.take() {
+            if TcpStream::connect_timeout(&wake_addr(self.addr), Duration::from_secs(1)).is_ok() {
+                let _ = accept.join();
+            }
         }
-        let handles: Vec<JoinHandle<()>> = {
+        let conns: Vec<Conn> = {
             let mut conns = self.conns.lock().unwrap_or_else(|p| p.into_inner());
             conns.drain(..).collect()
         };
-        for h in handles {
-            let _ = h.join();
+        for c in &conns {
+            if let Some(socket) = c.socket.upgrade() {
+                let _ = socket.shutdown(Shutdown::Read);
+            }
+        }
+        for c in conns {
+            let _ = c.thread.join();
         }
         self.registry.shutdown();
     }
@@ -215,82 +248,88 @@ impl Drop for Gateway {
     }
 }
 
+/// Where shutdown's wake connection goes: the bound address, with an
+/// unspecified IP (`0.0.0.0`, `[::]`) replaced by loopback of its family.
+fn wake_addr(mut addr: SocketAddr) -> SocketAddr {
+    if addr.ip().is_unspecified() {
+        addr.set_ip(match addr {
+            SocketAddr::V4(_) => Ipv4Addr::LOCALHOST.into(),
+            SocketAddr::V6(_) => Ipv6Addr::LOCALHOST.into(),
+        });
+    }
+    addr
+}
+
 #[allow(clippy::too_many_arguments)]
 fn accept_loop(
     listener: TcpListener,
     registry: Arc<Registry>,
     stop: Arc<AtomicBool>,
-    conns: Arc<Mutex<Vec<JoinHandle<()>>>>,
+    conns: Arc<Mutex<Vec<Conn>>>,
     active: Arc<AtomicUsize>,
     max_body: usize,
     max_conns: usize,
     chaos: Option<Arc<Chaos>>,
 ) {
-    while !stop.load(Ordering::Relaxed) {
-        match listener.accept() {
-            Ok((mut stream, _peer)) => {
+    loop {
+        let accepted = listener.accept();
+        if stop.load(Ordering::SeqCst) {
+            // Shutdown's wake connection, or a client that raced it: drop
+            // it unanswered, like any connection after the listener closes.
+            return;
+        }
+        match accepted {
+            Ok((stream, _peer)) => {
                 if active.load(Ordering::Relaxed) >= max_conns {
                     // Shed the connection with a typed answer rather than a
                     // silent RST: the client sees overload, not a mystery.
                     // The write timeout keeps a dead peer from wedging the
                     // accept loop itself.
-                    let _ = stream.set_nonblocking(false);
                     let _ = stream.set_write_timeout(Some(Duration::from_secs(1)));
                     let resp =
                         Response::json(503, "{\"error\":\"connection limit reached\"}".to_string())
                             .with_retry_after(1);
-                    let _ = write_response(&mut stream, &resp, false);
+                    let _ = write_response(&stream, &resp, false);
                     continue;
                 }
                 active.fetch_add(1, Ordering::Relaxed);
+                let stream = Arc::new(stream);
+                let socket = Arc::downgrade(&stream);
                 let registry = Arc::clone(&registry);
                 let stop = Arc::clone(&stop);
                 let active = Arc::clone(&active);
                 let chaos = chaos.clone();
-                let handle = std::thread::Builder::new()
+                let thread = std::thread::Builder::new()
                     .name("msd-gateway-conn".into())
                     .spawn(move || {
-                        let _ = connection_loop(
-                            &mut stream,
-                            &registry,
-                            &stop,
-                            max_body,
-                            chaos.as_deref(),
-                        );
+                        let _ =
+                            connection_loop(&stream, &registry, &stop, max_body, chaos.as_deref());
                         active.fetch_sub(1, Ordering::Relaxed);
                     })
                     .expect("spawn gateway connection thread");
                 let mut conns = conns.lock().unwrap_or_else(|p| p.into_inner());
                 // Reap finished handlers so a long-lived gateway does not
-                // accumulate one dead JoinHandle per past connection.
-                let mut i = 0;
-                while i < conns.len() {
-                    if conns[i].is_finished() {
-                        let _ = conns.swap_remove(i).join();
-                    } else {
-                        i += 1;
-                    }
-                }
-                conns.push(handle);
+                // accumulate one dead entry per past connection.
+                conns.retain(|c| !c.thread.is_finished());
+                conns.push(Conn { thread, socket });
             }
-            Err(e) if e.kind() == io::ErrorKind::WouldBlock => std::thread::sleep(POLL),
             Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
-            Err(_) => std::thread::sleep(POLL),
+            Err(_) => std::thread::sleep(ACCEPT_BACKOFF),
         }
     }
 }
 
-/// Serves one client connection until close, error, or shutdown.
+/// Serves one client connection until close, error, or shutdown. Reads
+/// block with no timeout; shutdown ends a blocked read by half-closing the
+/// socket.
 fn connection_loop(
-    stream: &mut TcpStream,
+    mut stream: &TcpStream,
     registry: &Registry,
     stop: &AtomicBool,
     max_body: usize,
     chaos: Option<&Chaos>,
 ) -> io::Result<()> {
     stream.set_nodelay(true)?;
-    stream.set_nonblocking(false)?;
-    stream.set_read_timeout(Some(POLL))?;
     // A dead or unreadably slow peer must not pin this handler thread on a
     // full send buffer.
     stream.set_write_timeout(Some(Duration::from_secs(30)))?;
@@ -299,9 +338,11 @@ fn connection_loop(
         if stop.load(Ordering::Relaxed) {
             return Ok(());
         }
-        let req = match read_request(stream, &mut carry, max_body, stop) {
+        let req = match read_request(stream, &mut carry, max_body) {
             Ok(Some(req)) => req,
-            Ok(None) => return Ok(()), // peer closed between requests
+            // The peer closed between requests, or shutdown half-closed
+            // the socket.
+            Ok(None) => return Ok(()),
             Err(e) if e.kind() == io::ErrorKind::InvalidData => {
                 // Answer what can be answered, then close: the framing is
                 // broken, so resynchronising on this connection is hopeless.

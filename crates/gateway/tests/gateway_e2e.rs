@@ -4,7 +4,9 @@
 //! the seeded hot-swap-under-load property (zero lost, byte-identical per
 //! admitted version).
 
-use std::time::Duration;
+use std::io::{Read as _, Write as _};
+use std::net::{TcpListener, TcpStream};
+use std::time::{Duration, Instant};
 
 use msd_gateway::http::Client;
 use msd_gateway::loadgen::{run_tcp_open_loop, TcpLoadSpec, TcpRequest};
@@ -382,8 +384,14 @@ fn shutdown_drains_the_in_flight_request() {
             )
             .unwrap()
     });
-    // Let the request reach the worker, then shut down underneath it.
-    std::thread::sleep(Duration::from_millis(30));
+    // Wait (bounded) until the replica has admitted the request, then shut
+    // down underneath it. A fixed sleep could lose the race on a slow host
+    // and close the connection before the request was read.
+    let admitted = || gw.registry().current_set("slow").unwrap().stats()[0].submitted;
+    let deadline = Instant::now() + Duration::from_secs(10);
+    while admitted() < 1 && Instant::now() < deadline {
+        std::thread::sleep(Duration::from_millis(1));
+    }
     gw.shutdown();
     let resp = handle.join().unwrap();
     assert_eq!(resp.status, 200, "in-flight request must drain, not drop");
@@ -392,6 +400,103 @@ fn shutdown_drains_the_in_flight_request() {
         &reference_predict(11, &sample(7)),
         "drained response",
     );
+}
+
+/// The median of five runs of `f`: one slow run on a shared host moves
+/// it no more than one fast run does.
+fn median_of_5(mut f: impl FnMut() -> Duration) -> Duration {
+    let mut runs: Vec<Duration> = (0..5).map(|_| f()).collect();
+    runs.sort();
+    runs[2]
+}
+
+/// The accept thread blocks in `accept()`, so a connection made right after
+/// `bind` is served at once; an accept loop that slept between polls made it
+/// wait out the poll.
+#[test]
+fn a_client_connecting_right_after_bind_is_answered_at_once() {
+    let median = median_of_5(|| {
+        let gw = Gateway::bind("127.0.0.1:0", quick_cfg(1)).unwrap();
+        let addr = gw.local_addr().to_string();
+        std::thread::sleep(Duration::from_millis(2));
+        let t0 = Instant::now();
+        let mut client = Client::connect(&addr).unwrap();
+        let resp = client.request("GET", "/healthz", &[], b"").unwrap();
+        let took = t0.elapsed();
+        assert_eq!(resp.status, 200);
+        drop(client);
+        gw.shutdown();
+        took
+    });
+    assert!(
+        median < Duration::from_millis(5),
+        "first /healthz took {median:?} (median of 5)"
+    );
+}
+
+/// Shutdown wakes the accept thread with one connection and every handler
+/// by half-closing its socket: idle keep-alive clients and a half-sent head
+/// release their threads at once, and the half-sent client reads a close.
+#[test]
+fn shutdown_is_prompt_with_idle_and_half_sent_connections() {
+    let median = median_of_5(|| {
+        let gw = Gateway::bind("127.0.0.1:0", quick_cfg(1)).unwrap();
+        let addr = gw.local_addr().to_string();
+        let idle: Vec<Client> = (0..3)
+            .map(|_| {
+                let mut c = Client::connect(&addr).unwrap();
+                assert_eq!(c.request("GET", "/healthz", &[], b"").unwrap().status, 200);
+                c
+            })
+            .collect();
+        // One full request first, so the connection has a handler, then
+        // half a head that never ends.
+        let mut half = TcpStream::connect(&addr).unwrap();
+        half.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
+        half.write_all(b"GET /healthz HTTP/1.1\r\n\r\n").unwrap();
+        let mut reply = Vec::new();
+        let mut buf = [0u8; 512];
+        while !reply.ends_with(b"]}") {
+            let n = half.read(&mut buf).unwrap();
+            assert!(n > 0, "closed before answering /healthz");
+            reply.extend_from_slice(&buf[..n]);
+        }
+        half.write_all(b"POST /v1/models/m/predict HTTP/1.1\r\nContent-Le")
+            .unwrap();
+        let t0 = Instant::now();
+        gw.shutdown();
+        let took = t0.elapsed();
+        match half.read(&mut buf) {
+            Ok(0) => {}
+            Err(e) if e.kind() == std::io::ErrorKind::ConnectionReset => {}
+            other => panic!("half-sent client read {other:?}, not a close"),
+        }
+        drop(idle);
+        took
+    });
+    assert!(
+        median < Duration::from_millis(5),
+        "shutdown took {median:?} (median of 5)"
+    );
+}
+
+/// Bound to the unspecified address, the gateway answers on loopback, and
+/// shutdown's wake connection goes to loopback too: shutdown returns at
+/// once with the listener closed, so the port can be bound again.
+#[test]
+fn a_gateway_bound_to_the_unspecified_address_answers_on_loopback_and_stops() {
+    let gw = Gateway::bind("0.0.0.0:0", quick_cfg(1)).unwrap();
+    let port = gw.local_addr().port();
+    let mut client = Client::connect(&format!("127.0.0.1:{port}")).unwrap();
+    assert_eq!(
+        client.request("GET", "/healthz", &[], b"").unwrap().status,
+        200
+    );
+    let t0 = Instant::now();
+    gw.shutdown();
+    let took = t0.elapsed();
+    assert!(took < Duration::from_millis(100), "shutdown took {took:?}");
+    TcpListener::bind(("0.0.0.0", port)).expect("shutdown released the port");
 }
 
 /// Satellite 4: the seeded hot-swap property. A sustained paced load runs

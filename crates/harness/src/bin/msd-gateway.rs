@@ -14,7 +14,7 @@
 //! ```
 
 use std::io::Write as _;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 use msd_gateway::{Gateway, GatewayConfig};
 use msd_harness::gwdemo::DEMO_MODELS;
@@ -133,11 +133,12 @@ fn main() {
     }
     eprintln!("msd-gateway listening on {bound}");
 
-    let started = Instant::now();
-    loop {
-        std::thread::sleep(Duration::from_millis(200));
-        if run_secs > 0 && started.elapsed() >= Duration::from_secs(run_secs) {
-            break;
+    if run_secs > 0 {
+        std::thread::sleep(Duration::from_secs(run_secs));
+    } else {
+        // Serve until killed; `park` may return spuriously.
+        loop {
+            std::thread::park();
         }
     }
     gw.shutdown();

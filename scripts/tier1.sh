@@ -21,10 +21,9 @@ if ! cargo clippy --version >/dev/null 2>&1; then
 fi
 cargo clippy --workspace --all-targets --offline -- -D warnings
 
-# Format gate: these crates are kept rustfmt-clean, so a diff shows only its
-# change. The other crates are not formatted yet.
-cargo fmt --check -p msd-tensor -p msd-harness -p msd-serve -p msd-gateway \
-  -p msd-bench -p msd-stream
+# Format gate: the workspace is kept rustfmt-clean, so a diff shows only its
+# change.
+cargo fmt --all --check
 
 # Benchmark build tripwire: msdbench/ is a workspace of its own, built against
 # this workspace's public API through path dependencies, so the workspace
